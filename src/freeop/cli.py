@@ -62,6 +62,8 @@ def emit(payload: dict, text_lines: list[str], fmt: str) -> None:
 
 def cmd_dims(args) -> int:
     if args.symbolic:
+        if args.left or args.right:
+            raise CliError("--symbolic takes no --left/--right")
         table = dims_mod.symbolic_dims(args.n_max)
         polys = {}
         lines = []
@@ -125,8 +127,6 @@ def cmd_count_normal(args) -> int:
         alphabet = [(s.strip(), 2) for s in args.alphabet.split(",") if s.strip()]
     else:
         alphabet = sh.rules_alphabet(rules)
-    if args.n > ENUM_MAX:
-        raise CliError(f"-n must be <= {ENUM_MAX}")
     count = sh.count_normal_monomials(alphabet, rules, args.n)
     emit(
         {
@@ -146,20 +146,22 @@ def cmd_basis(args) -> int:
         raise CliError(f"-n must be <= {ENUM_MAX}")
     x = resolve_operad(args.left)
     y = resolve_operad(args.right)
-    basis = list(trees.enumerate_basis(x, y, args.n, args.root))
     payload = {
         "command": "basis",
         "left": x.name,
         "right": y.name,
         "n": args.n,
         "root": args.root,
-        "count": len(basis),
     }
-    lines = [str(len(basis))]
     if args.list:
-        serialized = [trees.format_tree(t) for t in basis]
-        payload["trees"] = serialized
-        lines = serialized
+        lines = [
+            trees.format_tree(t) for t in trees.enumerate_basis(x, y, args.n, args.root)
+        ]
+        payload["count"] = len(lines)
+        payload["trees"] = lines
+    else:
+        payload["count"] = dims_mod.basis_count(x, y, args.n, args.root)
+        lines = [str(payload["count"])]
     emit(payload, lines, args.format)
     return 0
 
@@ -185,7 +187,7 @@ def cmd_quotient(args) -> int:
     x = resolve_operad(args.left)
     y = resolve_operad(args.right)
     patterns = [trees.PATTERNS_BY_NAME[args.pattern]]
-    total = sum(1 for _ in trees.enumerate_basis(x, y, args.n))
+    total = dims_mod.basis_count(x, y, args.n)
     avoiding = trees.count_avoiding(x, y, args.n, patterns)
     payload = {
         "command": "quotient",
@@ -205,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeop",
         description="Dimensions, bases, and rewriting for free products of binary operads.",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized property modes"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sp", help="series-parallel networks")
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--count", action="store_true", help="default mode")
     p.add_argument("--list", action="store_true")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.set_defaults(fn=cmd_sp)

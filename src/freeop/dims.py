@@ -1,9 +1,9 @@
 """Dimension engine for free products of binary operads.
 
 The arity-n component of the free product splits into trees with a
-bullet root and trees with a circ root; their dimensions satisfy a
-recursion over partitions of n with at least two parts, weighted by the
-orbit counts from :mod:`freeop.partitions`.  The same recursion can be
+bullet root and trees with a circ root; each is a sum over the root's
+arity of partial Bell polynomials in the other color's smaller
+dimensions, O(n^3) ring operations in all.  The same recursion can be
 run over integers or over polynomials in the component dimensions.
 """
 from __future__ import annotations
@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .partitions import partitions, orbit_count
 from .polynomials import MultiPoly
 
 SYMBOLIC_MAX = 8
@@ -115,28 +114,33 @@ class DimTable:
 def _run_recursion(xdim, ydim, n_max):
     """The recursion itself, generic over the coefficient semiring.
 
+    A bullet-rooted tree on n leaves is an x-decoration of arity k >= 2
+    over a set partition of the leaves into k blocks, each a leaf or a
+    circ-rooted tree: bullet(n) = sum_k xdim(k) * B(n, k), B the partial
+    Bell polynomial over (1, circ(2), circ(3), ...), and circ(n) likewise
+    with the colors swapped.  B is built by choosing the block that holds
+    leaf 1: B(n, k) = sum_i C(n-1, i-1) * f_i * B(n-i, k-1).
+
     xdim/ydim map an arity m >= 2 to a value supporting + and * with ints.
     Returns (bullet, circ) dicts for 2 <= n <= n_max.
     """
-    bullet: dict[int, object] = {}
-    circ: dict[int, object] = {}
+    dims = (xdim, ydim)
+    # weights[c][m]: color c's dimension at arity m, 1 for the bare leaf;
+    # bell[c][m][k]: B(m, k) over weights[c].
+    weights = ([0, 1], [0, 1])
+    bell = ([[1], [0, 1]], [[1], [0, 1]])
     for n in range(2, n_max + 1):
-        b = 0
-        c = 0
-        for lam in partitions(n, 2):
-            coeff = orbit_count(lam)
-            m = lam.m
-            tb = coeff * xdim(m)
-            tc = coeff * ydim(m)
-            for k in lam.parts:
-                if k >= 2:
-                    tb = tb * circ[k]
-                    tc = tc * bullet[k]
-            b = b + tb
-            c = c + tc
-        bullet[n] = b
-        circ[n] = c
-    return bullet, circ
+        for w, rows in zip(weights, bell):
+            rows.append([0, 0] + [
+                sum(math.comb(n - 1, i - 1) * w[i] * rows[n - i][k - 1]
+                    for i in range(1, n - k + 2))
+                for k in range(2, n + 1)
+            ])
+        for c in (0, 1):
+            d = sum(dims[c](k) * bell[1 - c][n][k] for k in range(2, n + 1))
+            weights[c].append(d)
+            bell[c][n][1] = d
+    return tuple({n: w[n] for n in range(2, n_max + 1)} for w in weights)
 
 
 def free_product_dims(x: OperadDims, y: OperadDims, n_max: int) -> DimTable:
@@ -147,6 +151,28 @@ def free_product_dims(x: OperadDims, y: OperadDims, n_max: int) -> DimTable:
         raise OperadError("component operads must have dim 1 in arity 1")
     bullet, circ = _run_recursion(x.dim, y.dim, n_max)
     return DimTable(n_max, bullet, circ)
+
+
+def basis_count(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> int:
+    """Number of basis trees of arity n with root color `root`.
+
+    `root` is "bullet", "circ" or "any"; arity 1 is the bare leaf.  A
+    one-colored count reads no dimension that listing the trees would not.
+    """
+    if n < 1:
+        raise OperadError(f"arity must be >= 1, got {n}")
+    if n == 1:
+        return 1
+    if root == "circ":
+        x, y = y, x
+    if root != "any":
+        # The other operad decorates only subtrees of at most n-k+1 leaves,
+        # k the least arity at which the root's operad is nonzero.
+        k = next((k for k in range(2, n + 1) if x.dim(k)), n + 1)
+        y_dim = y.dim
+        y = OperadDims(y.name, lambda m: y_dim(m) if m <= n - k + 1 else 0)
+    table = free_product_dims(x, y, n)
+    return table.total[n] if root == "any" else table.bullet[n]
 
 
 def symbolic_dims(n_max: int) -> dict[int, tuple[MultiPoly, MultiPoly]]:

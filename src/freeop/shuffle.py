@@ -219,7 +219,7 @@ monomial_key = functools.cmp_to_key(compare)
 
 
 class ShuffleElement:
-    """A rational linear combination of monomials of one arity."""
+    """A rational linear combination of monomials on one set of leaf labels."""
 
     __slots__ = ("terms",)
 
@@ -229,9 +229,11 @@ class ShuffleElement:
             c = Fraction(c)
             if c:
                 clean[m] = c
-        arities = {arity(m) for m in clean}
-        if len(arities) > 1:
-            raise ShuffleError(f"mixed arities in element: {sorted(arities)}")
+        labels = {frozenset(leaves(m)) for m in clean}
+        if len(labels) > 1:
+            raise ShuffleError(
+                f"terms with different leaf labels: {sorted(sorted(s) for s in labels)}"
+            )
         self.terms = clean
 
     @classmethod

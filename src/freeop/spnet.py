@@ -8,7 +8,6 @@ the MacMahon numbers 1, 2, 4, 10, 24, 66, 180, ...
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from typing import Iterator
 
@@ -108,34 +107,25 @@ def _nets(n: int, root: str, cache: dict | None = None) -> list:
 def macmahon(n: int) -> int:
     """Number of series-parallel networks with n unlabeled edges.
 
-    Computed by a multiset convolution over the canonical grammar, never
-    by enumeration: a series node of size n is a multiset of >= 2
-    non-series networks of smaller sizes, and by the series/parallel
-    symmetry the non-series and non-parallel counts agree.
+    Computed by the Euler transform, never by enumeration.  With u_k the
+    non-series networks (u_1 = 1, the edge) and b_k the multisets of them
+    with k edges in all, k * b_k = sum_j c_j * b_{k-j}, c_j = sum_{d | j}
+    d * u_d.  A series network is a multiset of >= 2 non-series ones and,
+    by the series/parallel symmetry, u_k of them exist: b_k = 2 * u_k for
+    k >= 2, which leaves u_k = (sum_{j<k} c_j * b_{k-j} + c'_k) / k, c'_k
+    being c_k without its d = k term.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # u[k] = number of non-series networks with k edges
-    u = {1: 1}
-    s = {}
+    u = [0, 1]
+    b = [1, 1]
+    c = [0, 1]
     for k in range(2, n + 1):
-        # ways[j]: multisets of non-series networks of sizes < k totaling j
-        ways = [0] * (k + 1)
-        ways[0] = 1
-        for item_size in range(1, k):
-            types = u[item_size]
-            nxt = [0] * (k + 1)
-            for j in range(k + 1):
-                if ways[j] == 0:
-                    continue
-                r = 0
-                while j + r * item_size <= k:
-                    nxt[j + r * item_size] += ways[j] * math.comb(types + r - 1, r)
-                    r += 1
-            ways = nxt
-        s[k] = ways[k]
-        u[k] = s[k]
-    return 1 if n == 1 else 2 * s[n]
+        c_rest = sum(d * u[d] for d in range(1, k // 2 + 1) if k % d == 0)
+        u.append((sum(c[j] * b[k - j] for j in range(1, k)) + c_rest) // k)
+        b.append(2 * u[k])
+        c.append(c_rest + k * u[k])
+    return 1 if n == 1 else 2 * u[n]
 
 
 # --- bijection with unlabeled two-colored trees -------------------------

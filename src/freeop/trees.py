@@ -18,8 +18,6 @@ from .dims import OperadDims
 BULLET = "bullet"
 CIRC = "circ"
 
-Tree = "int | tuple"
-
 
 def other_color(color: str) -> str:
     return CIRC if color == BULLET else BULLET
@@ -202,7 +200,7 @@ def enumerate_unlabeled(
 # --- grafting with suppression (the As*As planar model) -----------------
 
 
-def graft(t, args: list) -> "Tree":
+def graft(t, args: list):
     """Compose planar trees: substitute, renumber leaves by blocks, then
     contract every edge joining same-color vertices.
 
@@ -238,11 +236,6 @@ def graft(t, args: list) -> "Tree":
         return (color, dec, tuple(flat))
 
     return build(t)
-
-
-def identity_tree():
-    """The arity-1 identity: a bare leaf labeled 1."""
-    return 1
 
 
 # --- pattern-avoidance counting ----------------------------------------
@@ -349,16 +342,6 @@ PATTERNS_BY_NAME = {
     "bullet-composite-child": VertexPattern(BULLET),
     "circ-composite-child": VertexPattern(CIRC),
 }
-
-
-# --- series-parallel classification ------------------------------------
-
-
-def classify_by_network(t):
-    """Forget decorations and labels; map to the canonical network."""
-    from . import spnet
-
-    return spnet.tree_to_network(t)
 
 
 # --- serialization ------------------------------------------------------

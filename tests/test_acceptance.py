@@ -236,14 +236,12 @@ def test_criterion_8_property_suites():
     # root-decomposition fibers sum back to the full basis count
     from collections import Counter
 
-    from freeop.trees import classify_by_network
-
     lie = builtin_operad("lie")
     com = builtin_operad("com")
     table = free_product_dims(lie, com, 6)
     for n in range(2, 7):
         fibers = Counter(
-            classify_by_network(t) for t in enumerate_basis(lie, com, n)
+            tree_to_network(t) for t in enumerate_basis(lie, com, n)
         )
         assert sum(fibers.values()) == table.total[n]
         assert len(fibers) <= macmahon(n)

@@ -53,11 +53,16 @@ def test_dims_json(capsys):
 
 
 def test_dims_symbolic(capsys):
+    code, out = run(capsys, "dims", "-n", "3", "--symbolic")
+    assert code == 0
+    assert "d3_bullet = x3 + 3*x2*y2" in out.splitlines()
+
+
+def test_dims_symbolic_rejects_operands(capsys):
     code, out = run(
         capsys, "dims", "--left", "as", "--right", "as", "-n", "3", "--symbolic"
     )
-    assert code == 0
-    assert "d3_bullet = x3 + 3*x2*y2" in out.splitlines()
+    assert (code, out) == (2, "")
 
 
 def test_dims_defaults_to_symmetric_pair(capsys):
@@ -95,6 +100,13 @@ def test_confluence_fail_exit_code(tmp_path, capsys):
     assert out.startswith("FAIL")
 
 
+def test_rule_with_mixed_leaf_labels_is_input_error(tmp_path, capsys):
+    mixed = tmp_path / "mixed.rules"
+    mixed.write_text("x(1 2) = x(1 3)\n")
+    code, out = run(capsys, "confluence", "--rules", str(mixed))
+    assert (code, out) == (2, "")
+
+
 def test_confluence_json(capsys):
     code, payload = run_json(capsys, "confluence", "--rules", "lie")
     assert code == 0
@@ -125,6 +137,11 @@ def test_count_normal_json(capsys):
     assert code == 0
     assert payload["count"] == 101
     assert payload["alphabet"] == ["x", "y"]
+
+
+def test_count_normal_refuses_large_n(capsys):
+    code, out = run(capsys, "count-normal", "--rules", "lie", "-n", "8")
+    assert (code, out) == (2, "")
 
 
 # --- basis -------------------------------------------------------------
@@ -159,6 +176,32 @@ def test_basis_root_filter(capsys):
     assert int(circ) == 4
 
 
+def test_basis_root_count_skips_other_operad_at_top_arity(tmp_path, capsys):
+    # A bullet-rooted tree of arity 3 never uses the right operad in arity 3.
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("full = [1, 1]\nshort = [1]\n")
+    left, right = f"{cfg}:full", f"{cfg}:short"
+    code, out = run(
+        capsys, "basis", "--left", left, "--right", right, "--root", "bullet", "-n", "3"
+    )
+    assert (code, out) == (0, "4\n")
+    code, _ = run(capsys, "basis", "--left", left, "--right", right, "-n", "3")
+    assert code == 2
+
+
+def test_arity_one_counts(capsys):
+    assert run(
+        capsys, "basis", "--left", "lie", "--right", "com", "-n", "1", "--root", "circ"
+    ) == (0, "1\n")
+    code, payload = run_json(
+        capsys,
+        "quotient", "--left", "lie", "--right", "com-as",
+        "--pattern", "bullet-composite-child", "-n", "1",
+    )
+    assert code == 0
+    assert (payload["total"], payload["quotient"], payload["reduced"]) == (1, 1, 0)
+
+
 def test_basis_json_round_trip(capsys):
     from freeop.trees import parse_tree
 
@@ -176,7 +219,7 @@ def test_basis_json_round_trip(capsys):
 
 
 def test_sp_counts(capsys):
-    code, out = run(capsys, "sp", "-n", "5", "--count")
+    code, out = run(capsys, "sp", "-n", "5")
     assert code == 0
     assert out == "24\n"
 
@@ -188,7 +231,7 @@ def test_sp_list(capsys):
 
 
 def test_sp_json(capsys):
-    code, payload = run_json(capsys, "sp", "-n", "6", "--count")
+    code, payload = run_json(capsys, "sp", "-n", "6")
     assert code == 0
     assert payload["count"] == 66
 

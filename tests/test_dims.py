@@ -10,6 +10,7 @@ from freeop.dims import (
     parse_operad_config,
     symbolic_dims,
 )
+from freeop.partitions import orbit_count, partitions
 from freeop.polynomials import MultiPoly
 
 
@@ -123,6 +124,42 @@ def test_numeric_matches_symbolic_evaluation():
         for n in range(2, 7):
             assert table[n][0].substitute(values) == numeric.bullet[n]
             assert table[n][1].substitute(values) == numeric.circ[n]
+
+
+def _partition_sum_dims(xdim, ydim, n_max):
+    """Independent route: a sum over the block-size profiles of the root.
+
+    bullet(n) = sum over partitions lam of n with >= 2 parts of
+    orbit_count(lam) * xdim(len(lam)) * prod of circ(k) over parts k >= 2.
+    """
+    bullet, circ = {}, {}
+    for n in range(2, n_max + 1):
+        bullet[n] = circ[n] = 0
+        for lam in partitions(n, 2):
+            tb = orbit_count(lam) * xdim(lam.m)
+            tc = orbit_count(lam) * ydim(lam.m)
+            for k in lam.parts:
+                if k >= 2:
+                    tb, tc = tb * circ[k], tc * bullet[k]
+            bullet[n] = bullet[n] + tb
+            circ[n] = circ[n] + tc
+    return bullet, circ
+
+
+def test_numeric_matches_partition_sum_oracle():
+    rng = random.Random(5)
+    for _ in range(10):
+        a = _random_operad(rng, "a", 12)
+        b = _random_operad(rng, "b", 12)
+        table = free_product_dims(a, b, 12)
+        assert (table.bullet, table.circ) == _partition_sum_dims(a.dim, b.dim, 12)
+
+
+def test_symbolic_matches_partition_sum_oracle():
+    bullet, circ = _partition_sum_dims(x, y, 6)
+    table = symbolic_dims(6)
+    for n in range(2, 7):
+        assert table[n] == (bullet[n], circ[n])
 
 
 def test_explicit_operad_bounds():

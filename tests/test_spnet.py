@@ -24,6 +24,9 @@ COMAS = builtin_operad("com-as")
 
 def test_macmahon_values():
     assert [macmahon(n) for n in range(1, 11)] == MACMAHON
+    # OEIS A000084
+    assert macmahon(20) == 513477502
+    assert macmahon(30) == 90479177302242
     with pytest.raises(ValueError):
         macmahon(0)
 

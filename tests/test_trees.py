@@ -2,14 +2,19 @@ import random
 
 import pytest
 
-from freeop.dims import builtin_operad, explicit_operad, free_product_dims
+from freeop.dims import (
+    OperadError,
+    basis_count,
+    builtin_operad,
+    explicit_operad,
+    free_product_dims,
+)
 from freeop.trees import (
     BULLET,
     CIRC,
     PATTERNS_BY_NAME,
     VertexPattern,
     arity,
-    classify_by_network,
     count_avoiding,
     count_avoiding_recursive,
     enumerate_basis,
@@ -59,6 +64,27 @@ def test_counts_match_dims_for_random_sequences():
         table = free_product_dims(a, b, 5)
         for n in range(2, 6):
             assert sum(1 for _ in enumerate_basis(a, b, n)) == table.total[n]
+
+
+def test_basis_count_matches_enumeration_or_fails_with_it():
+    # Zeros and short sequences: a count reads no dimension listing would not.
+    rng = random.Random(9)
+
+    def op(name):
+        return explicit_operad(
+            name, [rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(0, 4))]
+        )
+
+    for _ in range(60):
+        a, b, n = op("a"), op("b"), rng.randint(1, 5)
+        for root in (BULLET, CIRC, "any"):
+            try:
+                listed = sum(1 for _ in enumerate_basis(a, b, n, root))
+            except OperadError:
+                with pytest.raises(OperadError):
+                    basis_count(a, b, n, root)
+            else:
+                assert basis_count(a, b, n, root) == listed
 
 
 def test_enumerated_trees_are_canonical_and_alternating():
@@ -198,16 +224,16 @@ def test_poisson_dimension_is_factorial_up_to_5():
 
 
 def test_classify_small_trees():
-    assert classify_by_network((BULLET, 0, (1, 2))) == spnet.make_node(
+    assert spnet.tree_to_network((BULLET, 0, (1, 2))) == spnet.make_node(
         spnet.PARALLEL, (spnet.EDGE, spnet.EDGE)
     )
-    assert classify_by_network((CIRC, 0, (1, 2))) == spnet.make_node(
+    assert spnet.tree_to_network((CIRC, 0, (1, 2))) == spnet.make_node(
         spnet.SERIES, (spnet.EDGE, spnet.EDGE)
     )
 
 
 def test_arity_4_comas_trees_fall_into_10_fibers():
-    fibers = {classify_by_network(t) for t in enumerate_basis(COMAS, COMAS, 4)}
+    fibers = {spnet.tree_to_network(t) for t in enumerate_basis(COMAS, COMAS, 4)}
     assert len(fibers) == 10
 
 
@@ -219,7 +245,7 @@ def test_fiber_sum_decomposition():
         total = 0
         fibers = Counter()
         for t in enumerate_basis(LIE, com, n):
-            fibers[classify_by_network(t)] += 1
+            fibers[spnet.tree_to_network(t)] += 1
             total += 1
         assert sum(fibers.values()) == total
         assert total == free_product_dims(LIE, com, n).total[n]

@@ -18,6 +18,9 @@ from . import trees
 from .dims import OperadError
 
 ENUM_MAX = 7
+# Counts come from the dims recurrence, O(n^3) big-integer operations:
+# as*as takes about 1 s at n=150, 5 s at n=200 and 40 s at n=300.
+COUNT_MAX = 200
 
 
 class CliError(Exception):
@@ -81,6 +84,8 @@ def cmd_dims(args) -> int:
         return 0
     if not args.left or not args.right:
         raise CliError("--left and --right are required (or use --symbolic)")
+    if args.n_max > COUNT_MAX:
+        raise CliError(f"-n must be <= {COUNT_MAX}")
     x = resolve_operad(args.left)
     y = resolve_operad(args.right)
     table = dims_mod.free_product_dims(x, y, args.n_max)
@@ -142,8 +147,9 @@ def cmd_count_normal(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    if args.n > ENUM_MAX:
-        raise CliError(f"-n must be <= {ENUM_MAX}")
+    limit = ENUM_MAX if args.list else COUNT_MAX
+    if args.n > limit:
+        raise CliError(f"-n must be <= {limit}")
     x = resolve_operad(args.left)
     y = resolve_operad(args.right)
     payload = {
@@ -262,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, OperadError, sh.ShuffleError, ValueError) as exc:
+    except (CliError, OperadError, sh.ShuffleError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,16 +6,21 @@ every node the blocks of leaf labels under the children have strictly
 increasing minima (the shuffle condition).  Elements are rational linear
 combinations of monomials of one arity.
 
-The monomial order is graded path-lexicographic: compare arity, then for
+The monomial order is graded path-lexicographic: compare arity (the
+larger arity is the greater, so any two monomials compare), then for
 each leaf label in increasing order the word of symbols along the
 root-to-leaf path (alphabetically earlier symbol wins, a proper
-extension beats its prefix), then the planar leaf sequence.  This makes
-x(x(1 2) 3) the largest of the three Jacobi monomials and ranks x-rooted
-monomials above y-rooted ones.
+extension beats its prefix), then the planar leaf sequence.  It is one
+tuple sort key, `monomial_key`.  This makes x(x(1 2) 3) the largest of
+the three Jacobi monomials and ranks x-rooted monomials above y-rooted
+ones.
+
+Confluence checking builds each overlap directly from two left-hand
+sides, so the rules alone bound the arities it visits; rule files take
+binary generators only.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -171,48 +176,34 @@ def parse_monomial(text: str):
 # --- the monomial order -------------------------------------------------
 
 
-def _leaf_paths(m) -> dict[int, str]:
-    out: dict[int, str] = {}
+# A path word is -ord(c) per symbol character, closed by _END below every
+# -ord(c), so an earlier symbol wins and an extension beats its prefix.
+_END = -0x110000
 
-    def walk(node, word: str) -> None:
+
+def _order_key(m) -> tuple:
+    """Sort key: (arity, path word per leaf label, planar leaves)."""
+    words: dict[int, tuple] = {}
+
+    def walk(node, word: tuple) -> None:
         if is_leaf(node):
-            out[node] = word
+            words[node] = word + (_END,)
             return
+        word += tuple(-ord(c) for c in node[0])
         for c in node[1:]:
-            walk(c, word + node[0])
+            walk(c, word)
 
-    walk(m, "")
-    return out
-
-
-def _cmp_words(a: str, b: str) -> int:
-    # Earlier symbol alphabetically is the greater (x beats y); a proper
-    # extension beats its prefix.
-    for ca, cb in zip(a, b):
-        if ca != cb:
-            return 1 if ca < cb else -1
-    if len(a) != len(b):
-        return 1 if len(a) > len(b) else -1
-    return 0
+    walk(m, ())
+    return len(words), tuple(words[k] for k in sorted(words)), leaves(m)
 
 
 def compare(a, b) -> int:
     """Total order: +1 if a > b, -1 if a < b, 0 if equal."""
-    la, lb = arity(a), arity(b)
-    if la != lb:
-        raise ShuffleError(f"cannot compare arities {la} and {lb}")
-    pa, pb = _leaf_paths(a), _leaf_paths(b)
-    for label in sorted(pa):
-        c = _cmp_words(pa[label], pb[label])
-        if c:
-            return c
-    sa, sb = leaves(a), leaves(b)
-    if sa != sb:
-        return 1 if sa > sb else -1
-    return 0
+    ka, kb = _order_key(a), _order_key(b)
+    return (ka > kb) - (ka < kb)
 
 
-monomial_key = functools.cmp_to_key(compare)
+monomial_key = _order_key
 
 
 # --- elements -----------------------------------------------------------
@@ -348,21 +339,16 @@ def enumerate_shuffle_trees(alphabet, n: int) -> Iterator:
 # --- divisor search (shuffle subtree embeddings) ------------------------
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """An occurrence of a rule's lhs inside a monomial.
 
     path: child-index path from the root of the host to the root of the
     occurrence; slots maps each lhs leaf label to the host subtree
-    hanging there; vertices is the set of host vertex paths covered.
+    hanging there.
     """
 
     path: tuple[int, ...]
     slots: dict
-    vertices: frozenset
-
-    def __hash__(self):
-        return hash((self.path, self.vertices))
 
 
 def _match_structure(node, pat, out: list) -> bool:
@@ -393,7 +379,7 @@ def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
     by_min = sorted(slots, key=lambda rs: min_leaf(rs[1]))
     if [rank for rank, _ in by_min] != list(range(1, len(slots) + 1)):
         return None
-    return Embedding(path, dict(slots), frozenset(_pattern_vertices(lhs, path)))
+    return Embedding(path, dict(slots))
 
 
 def all_embeddings(m, lhs) -> list[Embedding]:
@@ -423,9 +409,7 @@ def find_divisor(m, lhs) -> Embedding | None:
     for i, c in enumerate(m[1:]):
         sub = find_divisor(c, lhs)
         if sub is not None:
-            return Embedding((i,) + sub.path, sub.slots, frozenset(
-                (i,) + p for p in sub.vertices
-            ))
+            return Embedding((i,) + sub.path, sub.slots)
     return None
 
 
@@ -526,52 +510,70 @@ def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
 # --- overlaps and confluence -------------------------------------------
 
 
-def overlaps(
-    r1: RewriteRule, r2: RewriteRule, max_arity: int
-) -> list[tuple[object, ShuffleElement]]:
-    """Minimal monomials where the two lhs's overlap, with S-elements.
+def _subtree_at(m, path: tuple[int, ...]):
+    for i in path:
+        m = m[i + 1]
+    return m
 
-    A reported monomial carries a pair of occurrences that share at least
-    one vertex and jointly cover every internal vertex; the S-element is
-    the difference of the two one-step reductions.  Results are sorted by
-    the overlap monomial, descending.
+
+def _merge(a, b):
+    """The smallest shape with shapes a and b at one root; None if they clash."""
+    if is_leaf(a):
+        return b
+    if is_leaf(b):
+        return a
+    if a[0] != b[0] or len(a) != len(b):
+        return None
+    kids = [_merge(x, y) for x, y in zip(a[1:], b[1:])]
+    return None if None in kids else (a[0], *kids)
+
+
+def _labelings(shape, labels: tuple[int, ...]) -> Iterator:
+    """Every shuffle tree of a binary shape on the given increasing labels."""
+    if is_leaf(shape):
+        yield labels[0]
+        return
+    sym, left, right = shape
+    first, rest = labels[0], labels[1:]
+    # the least label goes left; any arity(left) - 1 others go with it
+    for picked in itertools.combinations(rest, arity(left) - 1):
+        others = tuple(x for x in rest if x not in picked)
+        for lt in _labelings(left, (first, *picked)):
+            for rt in _labelings(right, others):
+                yield (sym, lt, rt)
+
+
+def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElement]]:
+    """Every overlap of the two lhs's with its S-element, largest first.
+
+    An overlap, a small common multiple (Dotsenko-Khoroshkin 2010), puts
+    one lhs at the root and the other at one of its internal vertices,
+    merges the two shapes and takes each shuffle labeling in which both
+    occurrences keep their order pattern.  Pairs of two rules are ordered,
+    of one rule unordered; a root-root pair counts once.  The S-element
+    is r1's one-step reduction minus r2's.
     """
-    if max_arity > 7:
-        raise ShuffleError("max_arity <= 7 required")
-    a1, a2 = arity(r1.lhs), arity(r2.lhs)
-    alphabet = sorted(
-        {(s, 2) for s in symbols_of(r1.lhs) | symbols_of(r2.lhs)}
-    )
-    same = r1.lhs == r2.lhs and r1.rhs == r2.rhs
-    found: list[tuple[object, ShuffleElement]] = []
-    for n in range(2, min(max_arity, a1 + a2 - 1) + 1):
-        for m in enumerate_shuffle_trees(alphabet, n):
-            e1s = all_embeddings(m, r1.lhs)
-            e2s = e1s if same else all_embeddings(m, r2.lhs)
-            all_vertices = frozenset(_internal_paths(m))
-            pairs = (
-                itertools.combinations(e1s, 2)
-                if same
-                else itertools.product(e1s, e2s)
-            )
-            for e1, e2 in pairs:
-                if e1.vertices.isdisjoint(e2.vertices):
+    same = r1 == r2
+    found = []
+    for top, inner in ((r1, r2),) if same else ((r1, r2), (r2, r1)):
+        for q in _pattern_vertices(top.lhs, ()):
+            if q == () and (same or top is not r1):
+                continue
+            shape = _merge(_subtree_at(top.lhs, q), inner.lhs)
+            if shape is None:
+                continue
+            shape = _replace_at(top.lhs, q, shape)
+            for m in _labelings(shape, tuple(range(1, arity(shape) + 1))):
+                e_top = _embedding_at(m, (), top.lhs)
+                e_inner = _embedding_at(_subtree_at(m, q), q, inner.lhs)
+                if e_top is None or e_inner is None:
                     continue
-                if e1.vertices | e2.vertices != all_vertices:
-                    continue
+                e1, e2 = (e_top, e_inner) if top is r1 else (e_inner, e_top)
                 s_elem = rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)
                 found.append((m, s_elem))
+    # Stable: one monomial's pairs stay in (r1 path, r2 path) order.
     found.sort(key=lambda pair: monomial_key(pair[0]), reverse=True)
     return found
-
-
-def _internal_paths(m, base: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    if is_leaf(m):
-        return []
-    out = [base]
-    for i, c in enumerate(m[1:]):
-        out.extend(_internal_paths(c, base + (i,)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -590,16 +592,26 @@ class ConfluenceReport:
 
 
 def check_confluence(rules: list[RewriteRule], max_arity: int) -> ConfluenceReport:
-    """Reduce every overlap S-element; PASS iff all vanish."""
+    """Reduce every overlap of arity <= max_arity; PASS iff all vanish.
+
+    Raise ShuffleError if none failed but some lie above max_arity, so a
+    PASS means that every overlap was reduced.
+    """
     count = 0
+    skipped = 0
     failures = []
     for i, r1 in enumerate(rules):
         for r2 in rules[i:]:
-            for m, s_elem in overlaps(r1, r2, max_arity):
+            for m, s_elem in overlaps(r1, r2):
+                if arity(m) > max_arity:
+                    skipped += 1
+                    continue
                 count += 1
                 nf = normal_form(s_elem, rules)
                 if nf:
                     failures.append((m, nf))
+    if skipped and not failures:
+        raise ShuffleError(f"{skipped} overlap(s) lie above max_arity {max_arity}")
     return ConfluenceReport(not failures, count, tuple(failures))
 
 
@@ -655,6 +667,10 @@ def parse_element(text: str) -> ShuffleElement:
     return ShuffleElement(terms)
 
 
+def _is_binary(m) -> bool:
+    return is_leaf(m) or (len(m) == 3 and _is_binary(m[1]) and _is_binary(m[2]))
+
+
 def parse_rules(text: str) -> list[RewriteRule]:
     """Parse a rule file body into oriented rewrite rules."""
     rules = []
@@ -664,8 +680,12 @@ def parse_rules(text: str) -> list[RewriteRule]:
             continue
         if "=" not in line:
             raise ShuffleError(f"rule line {lineno}: expected 'LHS = RHS'")
-        lhs_text, rhs_text = line.split("=", 1)
-        equation = parse_element(lhs_text) - parse_element(rhs_text)
+        lhs, rhs = (parse_element(side) for side in line.split("=", 1))
+        if not all(_is_binary(m) for m in (*lhs.terms, *rhs.terms)):
+            raise ShuffleError(
+                f"rule line {lineno}: every generator must take two arguments"
+            )
+        equation = lhs - rhs
         if not equation:
             raise ShuffleError(f"rule line {lineno}: equation is trivially zero")
         rules.append(orient(equation))

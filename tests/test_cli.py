@@ -100,6 +100,57 @@ def test_confluence_fail_exit_code(tmp_path, capsys):
     assert out.startswith("FAIL")
 
 
+CUBIC = "x(x(x(1 2) 3) 4) = x(1 x(2 x(3 4)))\n"
+
+
+@pytest.mark.parametrize(
+    "max_arity, code, first_line",
+    [
+        ("4", 2, ""),
+        ("5", 1, "FAIL: 1 of 1 overlap(s) do not resolve"),
+        ("6", 1, "FAIL: 2 of 2 overlap(s) do not resolve"),
+        ("7", 1, "FAIL: 2 of 2 overlap(s) do not resolve"),
+        ("8", 1, "FAIL: 2 of 2 overlap(s) do not resolve"),
+    ],
+)
+def test_confluence_never_passes_unchecked_overlaps(
+    tmp_path, capsys, max_arity, code, first_line
+):
+    # The cubic rule's overlaps sit at arities 5 and 6.
+    cubic = tmp_path / "cubic.rules"
+    cubic.write_text(CUBIC)
+    got, out = run(capsys, "confluence", "--rules", str(cubic), "--max-arity", max_arity)
+    assert (got, out.split("\n")[0]) == (code, first_line)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["confluence"], ["count-normal", "-n", "5"]],
+    ids=["confluence", "count-normal"],
+)
+def test_non_binary_rule_is_input_error(tmp_path, capsys, command):
+    ternary = tmp_path / "ternary.rules"
+    ternary.write_text("z(z(1 2 3) 4 5) = z(1 z(2 3 4) 5)\n")
+    code = main([command[0], "--rules", str(ternary), *command[1:]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "two arguments" in captured.err
+
+
+def test_deeply_nested_rule_is_input_error(tmp_path, capsys):
+    left, right = "x(1 2)", "x(1200 1201)"
+    for i in range(3, 1202):
+        left = f"x({left} {i})"
+    for i in range(1199, 0, -1):
+        right = f"x({i} {right})"
+    deep = tmp_path / "deep.rules"
+    deep.write_text(f"{left} = {right}\n")
+    code = main(["confluence", "--rules", str(deep)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_rule_with_mixed_leaf_labels_is_input_error(tmp_path, capsys):
     mixed = tmp_path / "mixed.rules"
     mixed.write_text("x(1 2) = x(1 3)\n")
@@ -151,6 +202,14 @@ def test_basis_count(capsys):
     code, out = run(capsys, "basis", "--left", "lie", "--right", "com-as", "-n", "4")
     assert code == 0
     assert out == "67\n"
+
+
+def test_basis_count_is_not_bound_by_listing(capsys):
+    code, out = run(capsys, "basis", "--left", "lie", "--right", "com", "-n", "8")
+    assert code == 0
+    assert out == "10376729\n"
+    code, out = run(capsys, "basis", "--left", "lie", "--right", "com", "-n", "8", "--list")
+    assert (code, out) == (2, "")
 
 
 def test_basis_list(capsys):
@@ -284,6 +343,12 @@ def test_bad_rule_file(capsys):
 def test_bad_n_max(capsys):
     code, _ = run(capsys, "dims", "--left", "as", "--right", "as", "-n", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["dims", "basis"])
+def test_counts_share_one_bound(capsys, command):
+    assert main([command, "--left", "as", "--right", "as", "-n", "201"]) == 2
+    assert capsys.readouterr() == ("", "error: -n must be <= 200\n")
 
 
 def test_bad_pattern_name(capsys):

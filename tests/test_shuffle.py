@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from freeop.shuffle import (
     RewriteRule,
     ShuffleConditionError,
     ShuffleElement,
+    ShuffleError,
     all_embeddings,
     arity,
     check_confluence,
@@ -18,14 +20,17 @@ from freeop.shuffle import (
     enumerate_shuffle_trees,
     find_divisor,
     leaves,
+    monomial_key,
     normal_form,
     orient,
+    overlaps,
     parse_element,
     parse_monomial,
     parse_rules,
     print_monomial,
     rewrite_at,
     rules_alphabet,
+    symbols_of,
     validate_monomial,
 )
 
@@ -134,6 +139,12 @@ def test_order_is_total_and_consistent():
     ordered = sorted(monos, key=key)
     for a, b in zip(ordered, ordered[1:]):
         assert compare(a, b) == -1
+
+
+def test_order_is_graded_by_arity():
+    small, large = parse_monomial("x(1 2)"), parse_monomial("y(1 y(2 3))")
+    assert compare(small, large) == -1
+    assert compare(large, small) == 1
 
 
 def _insert_at_leaf(ctx, label, sub):
@@ -254,9 +265,7 @@ def test_rewrite_steps_strictly_decrease():
 
 
 def test_jacobi_overlap_is_unique():
-    from freeop.shuffle import overlaps
-
-    found = overlaps(JACOBI[0], JACOBI[0], 4)
+    found = overlaps(JACOBI[0], JACOBI[0])
     assert len(found) == 1
     m, s_elem = found[0]
     assert print_monomial(m) == "x(x(x(1 2) 3) 4)"
@@ -264,11 +273,70 @@ def test_jacobi_overlap_is_unique():
 
 
 def test_disjoint_rules_have_no_overlap():
-    from freeop.shuffle import overlaps
-
     r1 = parse_rules("x(x(1 2) 3) = x(1 x(2 3))")[0]
     r2 = parse_rules("y(y(1 2) 3) = y(1 y(2 3))")[0]
-    assert overlaps(r1, r2, 4) == []
+    assert overlaps(r1, r2) == []
+
+
+def _internal_vertices(m, base=()):
+    if isinstance(m, int):
+        return set()
+    out = {base}
+    for i, c in enumerate(m[1:]):
+        out |= _internal_vertices(c, base + (i,))
+    return out
+
+
+def _overlaps_by_enumeration(r1, r2):
+    """Reference route: every shuffle tree up to arity a1 + a2 - 1 over the
+    lhs symbols, and every pair of occurrences that share a vertex and
+    jointly cover every internal vertex."""
+    alphabet = sorted({(s, 2) for s in symbols_of(r1.lhs) | symbols_of(r2.lhs)})
+    same = r1 == r2
+    found = []
+    for n in range(2, arity(r1.lhs) + arity(r2.lhs)):
+        for m in enumerate_shuffle_trees(alphabet, n):
+            e1s = all_embeddings(m, r1.lhs)
+            e2s = e1s if same else all_embeddings(m, r2.lhs)
+            pairs = itertools.combinations(e1s, 2) if same else itertools.product(e1s, e2s)
+            for e1, e2 in pairs:
+                v1 = _internal_vertices(r1.lhs, e1.path)
+                v2 = _internal_vertices(r2.lhs, e2.path)
+                if v1 & v2 and v1 | v2 == _internal_vertices(m):
+                    found.append((m, rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)))
+    found.sort(key=lambda pair: monomial_key(pair[0]), reverse=True)
+    return found
+
+
+def _random_rule(rng, alphabet, k):
+    monos = list(enumerate_shuffle_trees(alphabet, k))
+    picked = rng.sample(monos, rng.randint(1, min(4, len(monos))))
+    return orient(ShuffleElement({m: rng.choice((-2, -1, 1, 2)) for m in picked}))
+
+
+def _outcome(fn, r1, r2):
+    try:
+        return fn(r1, r2)
+    except ShuffleError:  # e.g. a rewrite that does not decrease
+        return "refused"
+
+
+# (symbols, lhs arities): arity-3 rules in both orders and with themselves;
+# larger cases once each, since the oracle enumerates up to arity 7.
+@pytest.mark.parametrize(
+    "seed, symbols, arities",
+    [(seed, "xy"[: 1 + seed % 2], (3, 3)) for seed in range(8)]
+    + [(8, "x", (4,)), (9, "xy", (3, 4))],
+)
+def test_overlaps_match_enumeration(seed, symbols, arities):
+    rng = random.Random(seed)
+    alphabet = [(s, 2) for s in symbols]
+    rules = [_random_rule(rng, alphabet, k) for k in arities]
+    pairs = [(rules[0], rules[-1])]
+    if len(rules) == 2 and arities == (3, 3):
+        pairs += [(rules[0], rules[0]), (rules[1], rules[0])]
+    for r1, r2 in pairs:
+        assert _outcome(overlaps, r1, r2) == _outcome(_overlaps_by_enumeration, r1, r2)
 
 
 @pytest.mark.parametrize("rules", [JACOBI, LIE_ADM], ids=["jacobi", "lie-adm"])

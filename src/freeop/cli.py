@@ -18,8 +18,10 @@ from . import trees
 from .dims import OperadError
 
 ENUM_MAX = 7
-# Counts come from the dims recurrence, O(n^3) big-integer operations:
-# as*as takes about 1 s at n=150, 5 s at n=200 and 40 s at n=300.
+# Counts take O(n^3) big-integer operations.  The dims recurrence for
+# as*as takes about 1 s at n=150, 4-5 s at n=200 and 40 s at n=300; the
+# quotient adds half of that again; the count-normal DP for lie-adm takes
+# 0.9 s at n=150 and 3 s at n=200 (rules it cannot count enumerate, n <= 7).
 COUNT_MAX = 200
 
 
@@ -132,6 +134,8 @@ def cmd_count_normal(args) -> int:
         alphabet = [(s.strip(), 2) for s in args.alphabet.split(",") if s.strip()]
     else:
         alphabet = sh.rules_alphabet(rules)
+    if args.n > COUNT_MAX:
+        raise CliError(f"-n must be <= {COUNT_MAX}")
     count = sh.count_normal_monomials(alphabet, rules, args.n)
     emit(
         {
@@ -184,17 +188,17 @@ def cmd_sp(args) -> int:
 
 
 def cmd_quotient(args) -> int:
-    if args.n > ENUM_MAX:
-        raise CliError(f"-n must be <= {ENUM_MAX}")
+    if args.n > COUNT_MAX:
+        raise CliError(f"-n must be <= {COUNT_MAX}")
     if args.pattern not in trees.PATTERNS_BY_NAME:
         raise CliError(
             f"unknown pattern {args.pattern!r}; choose from {sorted(trees.PATTERNS_BY_NAME)}"
         )
     x = resolve_operad(args.left)
     y = resolve_operad(args.right)
-    patterns = [trees.PATTERNS_BY_NAME[args.pattern]]
+    color = trees.PATTERNS_BY_NAME[args.pattern].color
     total = dims_mod.basis_count(x, y, args.n)
-    avoiding = trees.count_avoiding(x, y, args.n, patterns)
+    avoiding = dims_mod.avoiding_count(x, y, args.n, color)
     payload = {
         "command": "quotient",
         "left": x.name,

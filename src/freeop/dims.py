@@ -4,7 +4,8 @@ The arity-n component of the free product splits into trees with a
 bullet root and trees with a circ root; each is a sum over the root's
 arity of partial Bell polynomials in the other color's smaller
 dimensions, O(n^3) ring operations in all.  The same recursion can be
-run over integers or over polynomials in the component dimensions.
+run over integers or over polynomials in the component dimensions, and
+one color's Bell rows count the quotient by a pattern avoidance.
 """
 from __future__ import annotations
 
@@ -111,6 +112,21 @@ class DimTable:
         return [t[n] for n in range(1, self.n_max + 1)]
 
 
+def _bell_row(w, rows) -> list:
+    """Row n = len(rows) of the partial Bell polynomials over w[1], w[2], ...
+
+    B(n, k) for 2 <= k <= n, at index k, by choosing the block that holds
+    leaf 1: B(n, k) = sum_i C(n-1, i-1) * w[i] * B(n-i, k-1); it reads
+    w[1..n-1] only.  Index 1, B(n, 1) = w[n], is left 0 for the caller.
+    """
+    n = len(rows)
+    return [0, 0] + [
+        sum(math.comb(n - 1, i - 1) * w[i] * rows[n - i][k - 1]
+            for i in range(1, n - k + 2))
+        for k in range(2, n + 1)
+    ]
+
+
 def _run_recursion(xdim, ydim, n_max):
     """The recursion itself, generic over the coefficient semiring.
 
@@ -118,8 +134,7 @@ def _run_recursion(xdim, ydim, n_max):
     over a set partition of the leaves into k blocks, each a leaf or a
     circ-rooted tree: bullet(n) = sum_k xdim(k) * B(n, k), B the partial
     Bell polynomial over (1, circ(2), circ(3), ...), and circ(n) likewise
-    with the colors swapped.  B is built by choosing the block that holds
-    leaf 1: B(n, k) = sum_i C(n-1, i-1) * f_i * B(n-i, k-1).
+    with the colors swapped (`_bell_row`).
 
     xdim/ydim map an arity m >= 2 to a value supporting + and * with ints.
     Returns (bullet, circ) dicts for 2 <= n <= n_max.
@@ -131,11 +146,7 @@ def _run_recursion(xdim, ydim, n_max):
     bell = ([[1], [0, 1]], [[1], [0, 1]])
     for n in range(2, n_max + 1):
         for w, rows in zip(weights, bell):
-            rows.append([0, 0] + [
-                sum(math.comb(n - 1, i - 1) * w[i] * rows[n - i][k - 1]
-                    for i in range(1, n - k + 2))
-                for k in range(2, n + 1)
-            ])
+            rows.append(_bell_row(w, rows))
         for c in (0, 1):
             d = sum(dims[c](k) * bell[1 - c][n][k] for k in range(2, n + 1))
             weights[c].append(d)
@@ -173,6 +184,29 @@ def basis_count(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> int:
         y = OperadDims(y.name, lambda m: y_dim(m) if m <= n - k + 1 else 0)
     table = free_product_dims(x, y, n)
     return table.total[n] if root == "any" else table.bullet[n]
+
+
+def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
+    """Basis trees of arity n with no `color` vertex over a composite child.
+
+    `color` is "bullet" (x decorates it) or "circ" (y).  In such a tree
+    every `color` vertex sits over leaves only, so the count is dim_c(n)
+    for a `color` root plus sum_k dim_o(k) * B(n, k) for the other root,
+    c the color's operad, o the other's and B the partial Bell polynomial
+    over (1, dim_c(2), dim_c(3), ...): O(n^3) integer operations.
+    """
+    if n < 1:
+        raise OperadError(f"arity must be >= 1, got {n}")
+    if n == 1:
+        return 1
+    if color == "circ":
+        x, y = y, x
+    w = [0, 1] + [x.dim(m) for m in range(2, n + 1)]
+    rows = [[1], [0, 1]]
+    for m in range(2, n + 1):
+        rows.append(_bell_row(w, rows))
+        rows[m][1] = w[m]
+    return w[n] + sum(y.dim(k) * rows[n][k] for k in range(2, n + 1))
 
 
 def symbolic_dims(n_max: int) -> dict[int, tuple[MultiPoly, MultiPoly]]:

@@ -22,7 +22,9 @@ binary generators only.
 from __future__ import annotations
 
 import itertools
+import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -144,19 +146,27 @@ class _Scanner:
         return self.pos >= len(self.text)
 
 
-def _parse_monomial_from(sc: _Scanner):
+# The parser recurses once per level and later passes (validation, the
+# order key, divisor search) up to about twice as deep, so a limit well
+# under Python's recursion limit makes deep input a parse error.
+MAX_NESTING = 200
+
+
+def _parse_monomial_from(sc: _Scanner, depth: int = 1):
     num = sc.match(_INT_RE)
     if num is not None:
         return int(num)
     sym = sc.match(_SYM_RE)
     if sym is None:
         raise ParseError("expected a leaf number or generator symbol", sc.pos)
+    if depth > MAX_NESTING:
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", sc.pos - len(sym))
     sc.take("(")
     args = []
     while sc.peek() != ")":
         if sc.at_end():
             raise ParseError("missing ')'", sc.pos)
-        args.append(_parse_monomial_from(sc))
+        args.append(_parse_monomial_from(sc, depth + 1))
     sc.take(")")
     if not args:
         raise ParseError("generator application needs arguments", sc.pos)
@@ -298,6 +308,18 @@ def orient(e: ShuffleElement) -> RewriteRule:
 # --- free shuffle tree enumeration -------------------------------------
 
 
+def _symbols(alphabet) -> list[str]:
+    """The generator symbols of (symbol, arity) pairs: binary, each once."""
+    symbols = []
+    for sym, ar in alphabet:
+        if ar != 2:
+            raise ShuffleError(f"only binary generators are supported, got {sym}/{ar}")
+        if sym in symbols:
+            raise ShuffleError(f"generator {sym!r} appears twice in the alphabet")
+        symbols.append(sym)
+    return symbols
+
+
 def enumerate_shuffle_trees(alphabet, n: int) -> Iterator:
     """All shuffle monomials with leaves 1..n over binary generators.
 
@@ -306,11 +328,7 @@ def enumerate_shuffle_trees(alphabet, n: int) -> Iterator:
     """
     if n < 1:
         raise ShuffleError(f"arity must be >= 1, got {n}")
-    symbols = []
-    for sym, ar in alphabet:
-        if ar != 2:
-            raise ShuffleError(f"only binary generators are supported, got {sym}/{ar}")
-        symbols.append(sym)
+    symbols = _symbols(alphabet)
     cache: dict[tuple[int, ...], list] = {}
 
     def trees_on(labels: tuple[int, ...]) -> list:
@@ -497,14 +515,98 @@ def is_normal(m, rules: list[RewriteRule]) -> bool:
 
 
 def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
-    """Number of arity-n shuffle monomials with no divisor among the lhs set."""
-    if n > 7:
-        raise ShuffleError("counting is enumeration-backed; n <= 7 only")
+    """Number of arity-n shuffle monomials with no divisor among the lhs set.
+
+    When every lhs has at most two internal vertices, a DP counts without
+    enumerating (O(n^3 |S|^2) integer operations, S the alphabet).  Its
+    state N[k][s][p] is the number of normal trees on [k] with root s
+    whose right child has least label p.  A root s over a left tree of
+    size a and a right tree of size c = k - a: the left tree holds every
+    label below p, so C(k-p, c-1) interleavings put the right tree's
+    least label at p, and a left right-minimum of rank r in the left tree
+    lies below p exactly when r < p.  An lhs s(1 2) forbids the root s,
+    s(1 t(2 3)) a right child t under s, s(t(1 2) 3) a left child t with
+    r < p and s(t(1 3) 2) one with r >= p (Dotsenko-Khoroshkin 2013,
+    consecutive pattern avoidance).  An lhs whose labels are not 1..k
+    never divides.  Other rules fall back to testing every shuffle tree,
+    so n <= 7 there.
+    """
+    symbols = _symbols(alphabet)
     if n == 1:
         return 1
+    if n < 1:
+        raise ShuffleError(f"arity must be >= 1, got {n}")
+    patterns = _quadratic_patterns(symbols, rules)
+    if patterns is not None:
+        return _count_quadratic(symbols, patterns, n)
+    if n > 7:
+        raise ShuffleError(
+            "counting rules with a left-hand side of three or more vertices"
+            " tests every shuffle tree; n <= 7 only"
+        )
     return sum(
         1 for m in enumerate_shuffle_trees(alphabet, n) if is_normal(m, rules)
     )
+
+
+def _quadratic_patterns(symbols: list[str], rules: list[RewriteRule]):
+    """(banned roots, then per root s: banned right children, left children
+    banned with r < p, left children banned with r >= p), or None if some
+    lhs has more than two internal vertices."""
+    banned: set[str] = set()
+    right, low, high = defaultdict(set), defaultdict(set), defaultdict(set)
+    for rule in rules:
+        m = rule.lhs
+        if sorted(leaves(m)) != list(range(1, arity(m) + 1)):
+            continue  # its order pattern never matches
+        if is_leaf(m):
+            banned.update(symbols)
+        elif is_leaf(m[1]) and is_leaf(m[2]):
+            banned.add(m[0])
+        elif is_leaf(m[1]) and is_leaf(m[2][1]) and is_leaf(m[2][2]):
+            right[m[0]].add(m[2][0])
+        elif is_leaf(m[2]) and is_leaf(m[1][1]) and is_leaf(m[1][2]):
+            # s(t(1 2) 3) puts the left right-minimum below p, s(t(1 3) 2) above
+            (low if m[2] == 3 else high)[m[0]].add(m[1][0])
+        else:
+            return None
+    return banned, right, low, high
+
+
+def _count_quadratic(symbols: list[str], patterns, n: int) -> int:
+    """The DP of count_normal_monomials, for n >= 2."""
+    banned, no_right, no_low, no_high = patterns
+    roots = [s for s in symbols if s not in banned]
+    binom = [[math.comb(m, j) for j in range(m + 1)] for m in range(n)]
+    # left[s][a][q]: left trees of size a that root s admits when its right
+    # child's least label is p = q + 1; right[s][c]: right trees of size c
+    # that root s admits.  Size 1 is the leaf.
+    left = {s: [None, [1] * (n + 1)] for s in roots}
+    right = {s: [None, 1] for s in roots}
+    for k in range(2, n + 1):
+        # prefix[t][q]: normal trees on [k] rooted at t whose right child's
+        # least label is at most q, the prefix sums of N[k][t][p]
+        prefix = {}
+        for s in roots:
+            lefts, rights = left[s], right[s]
+            row = [0, 0]
+            for p in range(2, k + 1):
+                comb = binom[k - p]
+                row.append(sum(
+                    comb[k - a - 1] * lefts[a][p - 1] * rights[k - a]
+                    for a in range(p - 1, k)
+                ))
+            prefix[s] = list(itertools.accumulate(row))
+        for s in roots:
+            lo, hi = no_low[s], no_high[s]
+            cols = [0] * (k + 1)
+            for t in roots:
+                pre = prefix[t]
+                for q in range(k + 1):
+                    cols[q] += (0 if t in lo else pre[q]) + (0 if t in hi else pre[k] - pre[q])
+            left[s].append(cols)
+            right[s].append(sum(prefix[t][k] for t in roots if t not in no_right[s]))
+    return sum(pre[n] for pre in prefix.values())
 
 
 # --- overlaps and confluence -------------------------------------------

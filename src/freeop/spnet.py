@@ -165,6 +165,7 @@ _NET_TOKEN_RE = re.compile(r"\s*([SPe()])")
 def parse_network(text: str):
     """Inverse of format_network; validates canonical form."""
     tokens = []
+    starts = []
     pos = 0
     while pos < len(text):
         m = _NET_TOKEN_RE.match(text, pos)
@@ -173,10 +174,11 @@ def parse_network(text: str):
                 raise ValueError(f"bad token at position {pos}")
             break
         tokens.append(m.group(1))
+        starts.append(m.start(1))
         pos = m.end()
     idx = 0
 
-    def node():
+    def node(depth: int = 1):
         nonlocal idx
         if idx >= len(tokens):
             raise ValueError("unexpected end of input")
@@ -186,12 +188,17 @@ def parse_network(text: str):
             return EDGE
         if tok not in (SERIES, PARALLEL):
             raise ValueError(f"expected node, got {tok!r}")
+        if depth > trees.MAX_NESTING:
+            raise ValueError(
+                f"nesting deeper than {trees.MAX_NESTING} levels"
+                f" at position {starts[idx - 1]}"
+            )
         if idx >= len(tokens) or tokens[idx] != "(":
             raise ValueError(f"expected '(' after {tok}")
         idx += 1
         children = []
         while idx < len(tokens) and tokens[idx] != ")":
-            children.append(node())
+            children.append(node(depth + 1))
         if idx >= len(tokens):
             raise ValueError("missing ')'")
         idx += 1

@@ -279,7 +279,8 @@ def count_avoiding(
 ) -> int:
     """Number of basis trees containing no vertex matching any pattern.
 
-    Computed by filtered enumeration; cross-check against
+    Computed by filtered enumeration: the test oracle for
+    `dims.avoiding_count`, which the `quotient` command uses, and for
     count_avoiding_recursive.
     """
     if n == 1:
@@ -356,9 +357,14 @@ def format_tree(t) -> str:
     return f"{color}[dec={dec}](" + ", ".join(format_tree(c) for c in children) + ")"
 
 
+# Deeper input is a parse error, well before Python's recursion limit.
+MAX_NESTING = 200
+
+
 def parse_tree(text: str):
     """Inverse of format_tree; raises ValueError on malformed input."""
     tokens = []
+    starts = []
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
@@ -367,6 +373,7 @@ def parse_tree(text: str):
                 raise ValueError(f"bad token at position {pos}: {text[pos:pos + 10]!r}")
             break
         tokens.append(m.group(1))
+        starts.append(m.start(1))
         pos = m.end()
     idx = 0
 
@@ -376,7 +383,7 @@ def parse_tree(text: str):
             raise ValueError(f"expected {tok!r} at token {idx}")
         idx += 1
 
-    def node():
+    def node(depth: int = 1):
         nonlocal idx
         if idx >= len(tokens):
             raise ValueError("unexpected end of input")
@@ -386,6 +393,10 @@ def parse_tree(text: str):
             return int(tok)
         if tok not in (BULLET, CIRC):
             raise ValueError(f"expected color or leaf, got {tok!r}")
+        if depth > MAX_NESTING:
+            raise ValueError(
+                f"nesting deeper than {MAX_NESTING} levels at position {starts[idx]}"
+            )
         idx += 1
         m = re.fullmatch(r"\[dec=(\d+)\]", tokens[idx]) if idx < len(tokens) else None
         if not m:
@@ -393,10 +404,10 @@ def parse_tree(text: str):
         idx += 1
         dec = int(m.group(1))
         expect("(")
-        children = [node()]
+        children = [node(depth + 1)]
         while idx < len(tokens) and tokens[idx] == ",":
             idx += 1
-            children.append(node())
+            children.append(node(depth + 1))
         expect(")")
         return (tok, dec, tuple(children))
 

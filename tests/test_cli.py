@@ -148,7 +148,7 @@ def test_deeply_nested_rule_is_input_error(tmp_path, capsys):
     code = main(["confluence", "--rules", str(deep)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == "error: nesting deeper than 200 levels (at position 400)\n"
 
 
 def test_rule_with_mixed_leaf_labels_is_input_error(tmp_path, capsys):
@@ -191,8 +191,30 @@ def test_count_normal_json(capsys):
 
 
 def test_count_normal_refuses_large_n(capsys):
-    code, out = run(capsys, "count-normal", "--rules", "lie", "-n", "8")
-    assert (code, out) == (2, "")
+    for n in ("0", "201"):
+        code, out = run(capsys, "count-normal", "--rules", "lie", "-n", n)
+        assert (code, out) == (2, "")
+
+
+def test_count_normal_counts_quadratic_rules_past_enumeration(capsys):
+    code, out = run(capsys, "count-normal", "--rules", "lie-adm", "-n", "8")
+    assert (code, out) == (0, "10376729\n")  # = dims --left lie --right com
+    code, out = run(capsys, "count-normal", "--rules", "lie", "-n", "30")
+    assert (code, out) == (0, f"{math.factorial(29)}\n")
+
+
+@pytest.mark.parametrize("n, code, out", [("7", 0, "7657\n"), ("8", 2, "")])
+def test_count_normal_enumerates_larger_lhs_up_to_7(tmp_path, capsys, n, code, out):
+    cubic = tmp_path / "cubic.rules"
+    cubic.write_text(CUBIC)
+    assert run(capsys, "count-normal", "--rules", str(cubic), "-n", n) == (code, out)
+
+
+def test_count_normal_repeated_alphabet_is_input_error(capsys):
+    code = main(["count-normal", "--rules", "lie", "-n", "4", "--alphabet", "x,x"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: generator 'x' appears twice in the alphabet\n"
 
 
 # --- basis -------------------------------------------------------------
@@ -348,6 +370,14 @@ def test_bad_n_max(capsys):
 @pytest.mark.parametrize("command", ["dims", "basis"])
 def test_counts_share_one_bound(capsys, command):
     assert main([command, "--left", "as", "--right", "as", "-n", "201"]) == 2
+    assert capsys.readouterr() == ("", "error: -n must be <= 200\n")
+
+
+def test_quotient_shares_the_count_bound(capsys):
+    args = ["quotient", "--left", "lie", "--right", "com-as",
+            "--pattern", "bullet-composite-child", "-n"]
+    assert run(capsys, *args, "8") == (0, f"{math.factorial(8)}\n")
+    assert main(args + ["201"]) == 2
     assert capsys.readouterr() == ("", "error: -n must be <= 200\n")
 
 

@@ -19,6 +19,7 @@ from freeop.shuffle import (
     count_normal_monomials,
     enumerate_shuffle_trees,
     find_divisor,
+    is_normal,
     leaves,
     monomial_key,
     normal_form,
@@ -67,6 +68,15 @@ def test_parse_reports_syntax_error_with_position():
     assert info.value.position == 5
     with pytest.raises(ParseError):
         parse_monomial("x(1 2) junk")
+
+
+def test_parse_refuses_deep_nesting_by_name():
+    text = "x(1 2)"
+    for i in range(3, 202):
+        text = f"x({text} {i})"
+    assert arity(parse_monomial(text)) == 201
+    with pytest.raises(ParseError, match=r"nesting deeper than 200 levels \(at position 400\)"):
+        parse_monomial(f"x({text} 202)")
 
 
 def test_round_trip_on_enumerated_monomials():
@@ -359,14 +369,53 @@ def test_perturbed_system_fails():
 
 
 def test_normal_count_jacobi_is_factorial():
-    for n in (3, 4, 5):
+    for n in range(1, 31):
         assert count_normal_monomials([("x", 2)], JACOBI, n) == math.factorial(n - 1)
 
 
 def test_normal_count_lie_adm_matches_free_product():
-    table = free_product_dims(builtin_operad("lie"), builtin_operad("com"), 6)
-    for n in range(2, 7):
+    table = free_product_dims(builtin_operad("lie"), builtin_operad("com"), 30)
+    for n in range(2, 31):
         assert count_normal_monomials(XY, LIE_ADM, n) == table.total[n]
+
+
+def _count_normal_by_enumeration(alphabet, rules, n):
+    if n == 1:
+        return 1
+    return sum(1 for m in enumerate_shuffle_trees(alphabet, n) if is_normal(m, rules))
+
+
+# Every lhs with at most two internal vertices, and one whose labels are
+# not 1..k, which never divides.
+LHS_SHAPES = ("{s}(1 2)", "{s}(1 {t}(2 3))", "{s}({t}(1 2) 3)", "{s}({t}(1 3) 2)",
+              "{s}(2 {t}(3 4))")
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_normal_count_dp_matches_enumeration(seed):
+    rng = random.Random(seed)
+    symbols = "xy"[: 1 + seed % 2]
+    alphabet = [(s, 2) for s in symbols]
+    rules = [
+        RewriteRule(
+            parse_monomial(
+                rng.choice(LHS_SHAPES).format(s=rng.choice(symbols), t=rng.choice(symbols))
+            ),
+            ShuffleElement(),
+        )
+        for _ in range(rng.randint(1, 3))
+    ]
+    # arity 6 over {x, y} has 30240 shuffle trees: seeds 1, 9 and 17 only
+    n_max = 6 if len(symbols) == 1 or seed % 8 == 1 else 5
+    for n in range(1, n_max + 1):
+        assert count_normal_monomials(alphabet, rules, n) == _count_normal_by_enumeration(
+            alphabet, rules, n
+        )
+
+
+def test_normal_count_rejects_a_repeated_generator():
+    with pytest.raises(ShuffleError, match="twice"):
+        count_normal_monomials([("x", 2), ("x", 2)], JACOBI, 4)
 
 
 # --- rule parsing ------------------------------------------------------

@@ -88,3 +88,11 @@ def test_parse_rejects_bad_input():
         parse_network("S(S(e e) e)")
     with pytest.raises(ValueError):
         parse_network("Q(e e)")
+
+
+def test_parse_refuses_deep_nesting_by_name():
+    text = "e"
+    for i in range(200):
+        text = f"{'SP'[i % 2]}(e {text})"
+    with pytest.raises(ValueError, match="nesting deeper than 200 levels at position 800$"):
+        parse_network(f"S(e {text})")  # 201 levels; the innermost starts at 4 * 200

@@ -4,6 +4,7 @@ import pytest
 
 from freeop.dims import (
     OperadError,
+    avoiding_count,
     basis_count,
     builtin_operad,
     explicit_operad,
@@ -212,6 +213,18 @@ def test_avoiding_matches_recursive_oracle():
                 )
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_avoiding_count_matches_both_oracles(seed):
+    rng = random.Random(seed)
+    a = explicit_operad("a", [rng.randint(0, 2) for _ in range(5)])
+    b = explicit_operad("b", [rng.randint(0, 2) for _ in range(5)])
+    for name, pattern in PATTERNS_BY_NAME.items():
+        for n in range(1, 7):
+            got = avoiding_count(a, b, n, pattern.color)
+            assert got == count_avoiding(a, b, n, [pattern]), (name, n)
+            assert got == count_avoiding_recursive(a, b, n, [pattern]), (name, n)
+
+
 def test_poisson_dimension_is_factorial_up_to_5():
     import math
 
@@ -277,3 +290,14 @@ def test_parse_rejects_malformed():
         parse_tree("bullet[dec=0](1, bullet[dec=0](2, 3))")  # same-color edge
     with pytest.raises(ValueError):
         parse_tree("green[dec=0](1, 2)")
+
+
+def test_parse_refuses_deep_nesting_by_name():
+    text = "1"
+    for i in range(2, 202):
+        text = f"{(CIRC, BULLET)[i % 2]}[dec=0]({text}, {i})"
+    assert arity(parse_tree(text)) == 201  # 200 levels
+    deeper = f"circ[dec=0]({text}, 202)"
+    innermost = deeper.index("(1, 2)") - len("circ[dec=0]")
+    with pytest.raises(ValueError, match=f"nesting deeper than 200 levels at position {innermost}$"):
+        parse_tree(deeper)

@@ -18,6 +18,9 @@ from . import trees
 from .dims import OperadError
 
 ENUM_MAX = 7
+# A listing holds every tree's text at once: building and encoding it
+# takes about 0.8 s and 230 MiB for 665k trees, 1.9 s and 570 MiB for 1.6M.
+LIST_MAX = 1_000_000
 # Counts take O(n^3) big-integer operations.  The dims recurrence for
 # as*as takes about 1 s at n=150, 4-5 s at n=200 and 40 s at n=300; the
 # quotient adds half of that again; the count-normal DP for lie-adm takes
@@ -156,22 +159,22 @@ def cmd_basis(args) -> int:
         raise CliError(f"-n must be <= {limit}")
     x = resolve_operad(args.left)
     y = resolve_operad(args.right)
+    count = dims_mod.basis_count(x, y, args.n, args.root)
     payload = {
         "command": "basis",
         "left": x.name,
         "right": y.name,
         "n": args.n,
         "root": args.root,
+        "count": count,
     }
     if args.list:
-        lines = [
-            trees.format_tree(t) for t in trees.enumerate_basis(x, y, args.n, args.root)
-        ]
-        payload["count"] = len(lines)
+        if count > LIST_MAX:
+            raise CliError(f"--list prints at most {LIST_MAX} trees, this basis has {count}")
+        lines = trees.basis_lines(x, y, args.n, args.root)
         payload["trees"] = lines
     else:
-        payload["count"] = dims_mod.basis_count(x, y, args.n, args.root)
-        lines = [str(payload["count"])]
+        lines = [str(count)]
     emit(payload, lines, args.format)
     return 0
 

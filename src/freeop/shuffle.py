@@ -734,6 +734,8 @@ def _parse_coefficient(sc: _Scanner, sign: int) -> Fraction:
         den = sc.match(_INT_RE)
         if den is None:
             raise ParseError("expected denominator", sc.pos)
+        if int(den) == 0:
+            raise ParseError("zero denominator", sc.pos - len(den))
         value /= int(den)
     if sc.peek() == "*":
         sc.take("*")
@@ -773,6 +775,13 @@ def _is_binary(m) -> bool:
     return is_leaf(m) or (len(m) == 3 and _is_binary(m[1]) and _is_binary(m[2]))
 
 
+def _parse_side(text: str, lineno: int, side: str) -> ShuffleElement:
+    try:
+        return parse_element(text)
+    except ShuffleError as exc:
+        raise ShuffleError(f"rule line {lineno}, {side} side: {exc}") from None
+
+
 def parse_rules(text: str) -> list[RewriteRule]:
     """Parse a rule file body into oriented rewrite rules."""
     rules = []
@@ -782,7 +791,9 @@ def parse_rules(text: str) -> list[RewriteRule]:
             continue
         if "=" not in line:
             raise ShuffleError(f"rule line {lineno}: expected 'LHS = RHS'")
-        lhs, rhs = (parse_element(side) for side in line.split("=", 1))
+        left, right = line.split("=", 1)
+        lhs = _parse_side(left, lineno, "left")
+        rhs = _parse_side(right, lineno, "right")
         if not all(_is_binary(m) for m in (*lhs.terms, *rhs.terms)):
             raise ShuffleError(
                 f"rule line {lineno}: every generator must take two arguments"

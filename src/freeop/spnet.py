@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from operator import itemgetter
 from typing import Iterator
 
 from . import trees
@@ -40,15 +41,29 @@ def network_key(net):
 
 def make_node(kind: str, children) -> tuple:
     """Build a canonical S/P node; rejects like-kinded nesting."""
+    return _keyed_node(kind, [(network_key(c), c) for c in children])[1]
+
+
+def _keyed_node(kind: str, keyed) -> tuple:
+    """(network_key, node) of the canonical node over (key, child) pairs.
+
+    The node's key is built from its children's, so a caller that keeps
+    keys computes each one once instead of once per enclosing node.
+    """
     if kind not in (SERIES, PARALLEL):
         raise ValueError(f"bad kind {kind!r}")
-    children = tuple(sorted(children, key=network_key))
-    if len(children) < 2:
+    keyed = sorted(keyed, key=itemgetter(0))
+    if len(keyed) < 2:
         raise ValueError("series/parallel node needs at least two children")
-    for c in children:
+    for _, c in keyed:
         if not is_edge(c) and c[0] == kind:
             raise ValueError(f"{kind} node may not contain a {kind} child")
-    return (kind, children)
+    keys = tuple(k for k, _ in keyed)
+    key = (sum(k[0] for k in keys), 1 if kind == SERIES else 2, 0, keys)
+    return key, (kind, tuple(c for _, c in keyed))
+
+
+_EDGE_KEYED = (network_key(EDGE), EDGE)
 
 
 def validate_network(net) -> None:
@@ -66,17 +81,16 @@ def enumerate_networks(n: int) -> Iterator:
     """All canonical networks with n edges, deterministic order."""
     if not 1 <= n <= 12:
         raise ValueError(f"n must be in [1, 12], got {n}")
-    yield from _nets(n, "any")
+    yield from (net for _, net in _nets(n, "any", {}))
 
 
-def _nets(n: int, root: str, cache: dict | None = None) -> list:
-    if cache is None:
-        cache = {}
+def _nets(n: int, root: str, cache: dict) -> list:
+    """(network_key, network) pairs with n edges and the given root kind."""
     key = (n, root)
     if key in cache:
         return cache[key]
     if n == 1:
-        out = [EDGE] if root == "any" else []
+        out = [_EDGE_KEYED] if root == "any" else []
         cache[key] = out
         return out
     if root == "any":
@@ -91,15 +105,14 @@ def _nets(n: int, root: str, cache: dict | None = None) -> list:
         per_size = []
         for s, mult in sorted(lam.multiplicities().items(), reverse=True):
             if s == 1:
-                per_size.append([(EDGE,) * mult])
+                per_size.append([(_EDGE_KEYED,) * mult])
             else:
                 pool = _nets(s, opposite, cache)
                 per_size.append(
                     list(itertools.combinations_with_replacement(pool, mult))
                 )
         for groups in itertools.product(*per_size):
-            children = itertools.chain.from_iterable(groups)
-            out.append(make_node(root, children))
+            out.append(_keyed_node(root, itertools.chain.from_iterable(groups)))
     cache[key] = out
     return out
 
@@ -179,13 +192,14 @@ def parse_network(text: str):
     idx = 0
 
     def node(depth: int = 1):
+        """(network_key, network) of the node starting at token idx."""
         nonlocal idx
         if idx >= len(tokens):
             raise ValueError("unexpected end of input")
         tok = tokens[idx]
         idx += 1
         if tok == EDGE:
-            return EDGE
+            return _EDGE_KEYED
         if tok not in (SERIES, PARALLEL):
             raise ValueError(f"expected node, got {tok!r}")
         if depth > trees.MAX_NESTING:
@@ -202,12 +216,12 @@ def parse_network(text: str):
         if idx >= len(tokens):
             raise ValueError("missing ')'")
         idx += 1
-        built = make_node(tok, children)
-        if built[1] != tuple(children):
+        key, net = _keyed_node(tok, children)
+        if net[1] != tuple(c for _, c in children):
             raise ValueError("children not in canonical order")
-        return built
+        return key, net
 
-    net = node()
+    _, net = node()
     if idx != len(tokens):
         raise ValueError("trailing tokens")
     return net

@@ -85,21 +85,19 @@ def _set_partitions(labels: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
     return results
 
 
-def enumerate_basis(
-    x: OperadDims, y: OperadDims, n: int, root: str = "any"
-) -> Iterator:
-    """Yield every canonical basis tree of arity n exactly once.
+def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertex) -> Iterator:
+    """The basis enumeration, building each (label set, color) once.
 
-    Canonical form: children ordered by the smallest leaf label in each
-    subtree.  `root` restricts the root color ("bullet", "circ", "any");
-    arity 1 yields the bare leaf regardless.
+    `leaf(label)` builds a leaf; `vertex(color, dec)` returns the function
+    that builds a vertex from the tuple of its built children.  Every tree
+    that contains a subtree shares what was built for it.
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     if root not in (BULLET, CIRC, "any"):
         raise ValueError(f"bad root {root!r}")
     if n == 1:
-        yield 1
+        yield leaf(1)
         return
     dim_of = {BULLET: x.dim, CIRC: y.dim}
     cache: dict[tuple, list] = {}
@@ -118,7 +116,7 @@ def enumerate_basis(
             options: list = []
             for b in blocks:
                 if len(b) == 1:
-                    options.append((b[0],))
+                    options.append((leaf(b[0]),))
                 else:
                     subs = trees_for(b, other_color(color))
                     if not subs:
@@ -128,15 +126,49 @@ def enumerate_basis(
             if options is None:
                 continue
             for dec in range(d):
-                for combo in itertools.product(*options):
-                    out.append((color, dec, combo))
+                out.extend(map(vertex(color, dec), itertools.product(*options)))
         cache[key] = out
         return out
 
     labels = tuple(range(1, n + 1))
-    for color in (BULLET, CIRC):
-        if root in (color, "any"):
-            yield from trees_for(labels, color)
+    try:
+        for color in (BULLET, CIRC):
+            if root in (color, "any"):
+                yield from trees_for(labels, color)
+    finally:
+        # trees_for refers to itself, so without this the cache lives
+        # until the cycle collector runs, which text (untracked strings)
+        # rarely triggers: listings would pile up across calls.
+        cache.clear()
+
+
+def _tuple_vertex(color: str, dec: int):
+    return lambda children: (color, dec, children)
+
+
+def _text_vertex(color: str, dec: int):
+    head = f"{color}[dec={dec}]("
+    return lambda children: head + ", ".join(children) + ")"
+
+
+def enumerate_basis(
+    x: OperadDims, y: OperadDims, n: int, root: str = "any"
+) -> Iterator:
+    """Yield every canonical basis tree of arity n exactly once.
+
+    Canonical form: children ordered by the smallest leaf label in each
+    subtree.  `root` restricts the root color ("bullet", "circ", "any");
+    arity 1 yields the bare leaf regardless.
+    """
+    return _basis(x, y, n, root, int, _tuple_vertex)
+
+
+def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list[str]:
+    """`format_tree` of each tree of `enumerate_basis`, in the same order.
+
+    Each shared subtree's text is built once, not once per tree holding it.
+    """
+    return list(_basis(x, y, n, root, str, _text_vertex))
 
 
 # --- unlabeled mode -----------------------------------------------------

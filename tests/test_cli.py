@@ -148,7 +148,18 @@ def test_deeply_nested_rule_is_input_error(tmp_path, capsys):
     code = main(["confluence", "--rules", str(deep)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert captured.err == "error: nesting deeper than 200 levels (at position 400)\n"
+    assert captured.err == (
+        "error: rule line 1, left side: nesting deeper than 200 levels (at position 400)\n"
+    )
+
+
+def test_rule_parse_error_names_line_and_side(tmp_path, capsys):
+    rules = tmp_path / "bad.rules"
+    rules.write_text("x(x(1 2) 3) = x(1 x(2 3))\n# a comment\nx(1 2) = 1/0 x(1 2)\n")
+    code = main(["confluence", "--rules", str(rules)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: rule line 3, right side: zero denominator (at position 3)\n"
 
 
 def test_rule_with_mixed_leaf_labels_is_input_error(tmp_path, capsys):
@@ -242,6 +253,15 @@ def test_basis_list(capsys):
     lines = out.splitlines()
     assert len(lines) == 9
     assert "bullet[dec=0](circ[dec=0](1, 2), 3)" in lines
+
+
+def test_basis_list_refuses_past_its_tree_bound(capsys):
+    code = main(["basis", "--left", "as", "--right", "as", "-n", "7", "--list"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: --list prints at most 1000000 trees, this basis has 9102240\n"
+    )
 
 
 def test_basis_root_filter(capsys):

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
+from hypothesis import given, strategies as st
 
 from freeop import trees
 from freeop.dims import builtin_operad
+from freeop.partitions import partitions
 from freeop.spnet import (
     EDGE,
     PARALLEL,
@@ -46,6 +50,42 @@ def test_small_networks():
     three = list(enumerate_networks(3))
     assert len(three) == 4
     assert len(list(enumerate_networks(7))) == 180
+
+
+def _networks_by_make_node(n, root, cache):
+    """Reference enumeration: every node built by make_node."""
+    key = (n, root)
+    if key not in cache:
+        if n == 1:
+            out = [EDGE] if root == "any" else []
+        elif root == "any":
+            out = _networks_by_make_node(n, SERIES, cache) + _networks_by_make_node(
+                n, PARALLEL, cache
+            )
+        else:
+            opposite = PARALLEL if root == SERIES else SERIES
+            out = []
+            for lam in partitions(n, 2):
+                per_size = [
+                    [(EDGE,) * mult]
+                    if s == 1
+                    else list(
+                        itertools.combinations_with_replacement(
+                            _networks_by_make_node(s, opposite, cache), mult
+                        )
+                    )
+                    for s, mult in sorted(lam.multiplicities().items(), reverse=True)
+                ]
+                for groups in itertools.product(*per_size):
+                    out.append(make_node(root, itertools.chain.from_iterable(groups)))
+        cache[key] = out
+    return cache[key]
+
+
+def test_enumeration_matches_make_node_route():
+    cache = {}
+    for n in range(1, 11):
+        assert list(enumerate_networks(n)) == _networks_by_make_node(n, "any", cache)
 
 
 def test_make_node_rejects_like_nesting():
@@ -94,5 +134,47 @@ def test_parse_refuses_deep_nesting_by_name():
     text = "e"
     for i in range(200):
         text = f"{'SP'[i % 2]}(e {text})"
+    net = parse_network(text)  # 200 levels
+    assert (size(net), format_network(net)) == (201, text)
     with pytest.raises(ValueError, match="nesting deeper than 200 levels at position 800$"):
         parse_network(f"S(e {text})")  # 201 levels; the innermost starts at 4 * 200
+
+
+@st.composite
+def _networks(draw, parent=None, depth=0):
+    """Canonical networks: kinds alternate, children in key order."""
+    if depth == 4 or draw(st.booleans()):
+        return EDGE
+    kind = draw(st.sampled_from([k for k in (SERIES, PARALLEL) if k != parent]))
+    children = draw(st.lists(_networks(kind, depth + 1), min_size=2, max_size=4))
+    return make_node(kind, children)
+
+
+@given(_networks())
+def test_network_text_round_trip(net):
+    validate_network(net)
+    assert parse_network(format_network(net)) == net
+
+
+@st.composite
+def _near_miss(draw, texts):
+    """A valid text with one character dropped."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + text[i + 1:]
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="SPe() x"),
+        _near_miss(_networks().map(format_network)),
+    )
+)
+def test_parse_network_returns_a_network_or_raises_value_error(text):
+    try:
+        net = parse_network(text)
+    except ValueError:
+        return
+    validate_network(net)
+    assert parse_network(format_network(net)) == net

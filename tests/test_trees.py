@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from freeop.dims import (
     OperadError,
@@ -16,6 +17,7 @@ from freeop.trees import (
     PATTERNS_BY_NAME,
     VertexPattern,
     arity,
+    basis_lines,
     count_avoiding,
     count_avoiding_recursive,
     enumerate_basis,
@@ -86,6 +88,23 @@ def test_basis_count_matches_enumeration_or_fails_with_it():
                     basis_count(a, b, n, root)
             else:
                 assert basis_count(a, b, n, root) == listed
+
+
+def test_basis_lines_are_the_formatted_enumeration():
+    # Zero dimensions drop whole label blocks; every root, list and order.
+    rng = random.Random(5)
+    pairs = [(LIE, COMAS)] + [
+        tuple(
+            explicit_operad(name, [rng.choice((0, 0, 1, 2)) for _ in range(5)])
+            for name in "ab"
+        )
+        for _ in range(8)
+    ]
+    for a, b in pairs:
+        for n in range(1, 7):
+            for root in (BULLET, CIRC, "any"):
+                expected = [format_tree(t) for t in enumerate_basis(a, b, n, root)]
+                assert basis_lines(a, b, n, root) == expected
 
 
 def test_enumerated_trees_are_canonical_and_alternating():
@@ -281,6 +300,45 @@ def test_round_trip_serialization():
     for n in range(1, 5):
         for t in enumerate_basis(LIE, COMAS, n):
             assert parse_tree(format_tree(t)) == t
+
+
+@st.composite
+def _trees(draw, parent=None, depth=0):
+    """Valid trees: any leaf labels, vertex colors alternating."""
+    if depth == 4 or draw(st.booleans()):
+        return draw(st.integers(0, 10**6))
+    color = draw(st.sampled_from([c for c in (BULLET, CIRC) if c != parent]))
+    children = draw(st.lists(_trees(color, depth + 1), min_size=2, max_size=4))
+    return (color, draw(st.integers(0, 99)), tuple(children))
+
+
+@given(_trees())
+def test_tree_text_round_trip(t):
+    assert parse_tree(format_tree(t)) == t
+
+
+@st.composite
+def _near_miss(draw, texts):
+    """A valid text with one character dropped."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + text[i + 1:]
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="bulletcirc[dec=]0123456789(), "),
+        _near_miss(_trees().map(format_tree)),
+    )
+)
+def test_parse_tree_returns_a_tree_or_raises_value_error(text):
+    try:
+        t = parse_tree(text)
+    except ValueError:
+        return
+    validate_tree(t)
+    assert parse_tree(format_tree(t)) == t
 
 
 def test_parse_rejects_malformed():

@@ -26,6 +26,14 @@ LIST_MAX = 1_000_000
 # quotient adds half of that again; the count-normal DP for lie-adm takes
 # 0.9 s at n=150 and 3 s at n=200 (rules it cannot count enumerate, n <= 7).
 COUNT_MAX = 200
+# The count-normal DP takes O(n^3 |S|^2) operations for an alphabet S, and
+# COUNT_MAX was measured with two generators: larger alphabets get the
+# n at which n^3 |S|^2 stays within that cost (4 generators: n <= 125).
+COUNT_NORMAL_BUDGET = COUNT_MAX**3 * 2**2
+# macmahon(n) takes O(n^2) operations on integers of O(n) digits, about
+# n^3.3 measured: 0.3 s at n=1000, 1.4 s at 1500 and 4.4 s at 2000, the
+# cost of dims at COUNT_MAX.
+SP_MAX = 2000
 
 
 class CliError(Exception):
@@ -137,8 +145,12 @@ def cmd_count_normal(args) -> int:
         alphabet = [(s.strip(), 2) for s in args.alphabet.split(",") if s.strip()]
     else:
         alphabet = sh.rules_alphabet(rules)
-    if args.n > COUNT_MAX:
-        raise CliError(f"-n must be <= {COUNT_MAX}")
+    limit = COUNT_MAX
+    while limit**3 * len(alphabet) ** 2 > COUNT_NORMAL_BUDGET:
+        limit -= 1
+    if args.n > limit:
+        suffix = "" if limit == COUNT_MAX else f" with {len(alphabet)} generators"
+        raise CliError(f"-n must be <= {limit}{suffix}")
     count = sh.count_normal_monomials(alphabet, rules, args.n)
     emit(
         {
@@ -180,9 +192,15 @@ def cmd_basis(args) -> int:
 
 
 def cmd_sp(args) -> int:
+    if args.n > SP_MAX:
+        raise CliError(f"-n must be <= {SP_MAX}")
     payload = {"command": "sp", "n": args.n, "count": spnet.macmahon(args.n)}
     lines = [str(payload["count"])]
     if args.list:
+        if payload["count"] > LIST_MAX:
+            raise CliError(
+                f"--list prints at most {LIST_MAX} networks, n={args.n} has {payload['count']}"
+            )
         nets = [spnet.format_network(net) for net in spnet.enumerate_networks(args.n)]
         payload["networks"] = nets
         lines = nets

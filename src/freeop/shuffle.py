@@ -21,12 +21,15 @@ binary generators only.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 
@@ -191,20 +194,27 @@ def parse_monomial(text: str):
 _END = -0x110000
 
 
+@functools.lru_cache(maxsize=1024)
+def _symbol_word(sym: str) -> tuple:
+    return tuple(-ord(c) for c in sym)
+
+
 def _order_key(m) -> tuple:
     """Sort key: (arity, path word per leaf label, planar leaves)."""
     words: dict[int, tuple] = {}
+    planar: list[int] = []
 
     def walk(node, word: tuple) -> None:
-        if is_leaf(node):
+        if isinstance(node, int):
             words[node] = word + (_END,)
+            planar.append(node)
             return
-        word += tuple(-ord(c) for c in node[0])
+        word += _symbol_word(node[0])
         for c in node[1:]:
             walk(c, word)
 
     walk(m, ())
-    return len(words), tuple(words[k] for k in sorted(words)), leaves(m)
+    return len(words), tuple(words[k] for k in sorted(words)), tuple(planar)
 
 
 def compare(a, b) -> int:
@@ -240,6 +250,14 @@ class ShuffleElement:
     @classmethod
     def from_monomial(cls, m, coeff=1) -> "ShuffleElement":
         return cls({m: Fraction(coeff)})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "ShuffleElement":
+        """Wrap nonzero Fraction coefficients of monomials on one label set,
+        as rewriting produces them, without checking again."""
+        e = cls.__new__(cls)
+        e.terms = terms
+        return e
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -444,37 +462,83 @@ def _replace_at(m, path: tuple[int, ...], sub):
     return m[: i + 1] + (_replace_at(m[i + 1], path[1:], sub),) + m[i + 2:]
 
 
-def rewrite_at(m, emb: Embedding, rule: RewriteRule) -> ShuffleElement:
+def rewrite_at(m, emb: Embedding, rule: RewriteRule, key=_order_key) -> ShuffleElement:
     """One reduction step: replace the occurrence of rule.lhs in m.
 
     Every produced monomial is strictly smaller than m; this is asserted
     on each step, so a non-admissible order or badly oriented rule fails
-    loudly.
+    loudly.  `key` computes order keys (normal_form passes its memo).
     """
+    top = key(m)
     out: dict = {}
     for r, coeff in rule.rhs.terms.items():
         new = _replace_at(m, emb.path, _substitute(r, emb.slots))
-        if compare(new, m) >= 0:
+        if key(new) >= top:
             raise ShuffleError(
                 f"rewrite does not decrease: {print_monomial(m)} -> {print_monomial(new)}"
             )
         out[new] = out.get(new, 0) + coeff
-    return ShuffleElement(out)
+    return ShuffleElement._of({m: c for m, c in out.items() if c})
 
 
 # --- normal forms -------------------------------------------------------
 
 
 def normal_form(
-    e: ShuffleElement, rules: list[RewriteRule], rng=None
+    e: ShuffleElement, rules: list[RewriteRule], rng=None, keys: dict | None = None
 ) -> ShuffleElement:
     """Reduce until no monomial is divisible by any rule's lhs.
 
-    Deterministic strategy: largest reducible monomial, first rule in
-    order, leftmost-outermost occurrence.  With `rng` the reducible
-    monomial, rule, and occurrence are all chosen at random (used to
-    check that confluent systems give strategy-independent results).
+    Deterministic strategy, top-down: take the largest pending monomial.
+    If no rule divides it, its coefficient is final, since every later
+    rewrite yields only smaller monomials.  Otherwise rewrite it by the
+    first rule at the leftmost-outermost occurrence and queue the new
+    monomials.  This is the Groebner-basis reduction of Dotsenko-Khoroshkin
+    (arXiv:0812.4069): each monomial is keyed and searched for a divisor
+    once.  `keys` memoises order keys by monomial; check_confluence shares
+    one memo across its S-elements.
+
+    With `rng` the reducible monomial, rule, and occurrence are all chosen
+    at random among all pending terms: an independent route, used to check
+    that confluent systems give strategy-independent results.
     """
+    if rng is not None:
+        return _random_normal_form(e, rules, rng)
+    memo = {} if keys is None else keys
+
+    def key(m) -> tuple:
+        k = memo.get(m)
+        if k is None:
+            k = memo[m] = _order_key(m)
+        return k
+
+    coeffs = dict(e.terms)
+    # (key, monomial) pairs in increasing order; a monomial is queued once,
+    # when it first appears, and never reappears after it is taken.
+    pending = sorted(((key(m), m) for m in coeffs), key=itemgetter(0))
+    final = {}
+    while pending:
+        _, m = pending.pop()
+        coeff = coeffs.pop(m)
+        if not coeff:
+            continue
+        for rule in rules:
+            emb = find_divisor(m, rule.lhs)
+            if emb is not None:
+                break
+        else:
+            final[m] = coeff
+            continue
+        for new, c in rewrite_at(m, emb, rule, key).terms.items():
+            if new in coeffs:
+                coeffs[new] += coeff * c
+            else:
+                coeffs[new] = coeff * c
+                bisect.insort(pending, (memo[new], new), key=itemgetter(0))
+    return ShuffleElement._of(final)
+
+
+def _random_normal_form(e: ShuffleElement, rules: list[RewriteRule], rng) -> ShuffleElement:
     terms = dict(e.terms)
     normal: set = set()
     while True:
@@ -484,23 +548,14 @@ def normal_form(
                 continue
             found = False
             for rule in rules:
-                if rng is None:
-                    emb = find_divisor(m, rule.lhs)
-                    if emb is not None:
-                        choices.append((m, rule, emb))
-                        found = True
-                        break
-                else:
-                    for emb in all_embeddings(m, rule.lhs):
-                        choices.append((m, rule, emb))
-                        found = True
-            if found and rng is None:
-                break
+                for emb in all_embeddings(m, rule.lhs):
+                    choices.append((m, rule, emb))
+                    found = True
             if not found:
                 normal.add(m)
         if not choices:
             return ShuffleElement(terms)
-        m, rule, emb = choices[0] if rng is None else rng.choice(choices)
+        m, rule, emb = rng.choice(choices)
         coeff = terms.pop(m)
         for new, c in rewrite_at(m, emb, rule).terms.items():
             acc = terms.get(new, 0) + coeff * c
@@ -702,6 +757,7 @@ def check_confluence(rules: list[RewriteRule], max_arity: int) -> ConfluenceRepo
     count = 0
     skipped = 0
     failures = []
+    keys: dict = {}
     for i, r1 in enumerate(rules):
         for r2 in rules[i:]:
             for m, s_elem in overlaps(r1, r2):
@@ -709,7 +765,7 @@ def check_confluence(rules: list[RewriteRule], max_arity: int) -> ConfluenceRepo
                     skipped += 1
                     continue
                 count += 1
-                nf = normal_form(s_elem, rules)
+                nf = normal_form(s_elem, rules, keys=keys)
                 if nf:
                     failures.append((m, nf))
     if skipped and not failures:

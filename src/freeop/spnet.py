@@ -66,12 +66,26 @@ def _keyed_node(kind: str, keyed) -> tuple:
 _EDGE_KEYED = (network_key(EDGE), EDGE)
 
 
+def _checked_node(kind: str, keyed: list) -> tuple:
+    """_keyed_node over (key, child) pairs that must already be in
+    canonical order."""
+    key, net = _keyed_node(kind, keyed)
+    if net[1] != tuple(c for _, c in keyed):
+        raise ValueError("children not in canonical order")
+    return key, net
+
+
 def validate_network(net) -> None:
+    """Check that net is canonical; raise ValueError otherwise."""
+    _validated_key(net)
+
+
+def _validated_key(net):
+    """network_key of a canonical net, each subtree's key built once."""
     if is_edge(net):
-        return
-    make_node(net[0], net[1])
-    for c in net[1]:
-        validate_network(c)
+        return _EDGE_KEYED[0]
+    kind, children = net
+    return _checked_node(kind, [(_validated_key(c), c) for c in children])[0]
 
 
 # --- enumeration and counting ------------------------------------------
@@ -146,10 +160,15 @@ def macmahon(n: int) -> int:
 
 def tree_to_network(t):
     """bullet -> parallel, circ -> series, leaf -> edge."""
+    return _keyed_network(t)[1]
+
+
+def _keyed_network(t) -> tuple:
+    """(network_key, network) of tree_to_network(t)."""
     if trees.is_leaf(t):
-        return EDGE
+        return _EDGE_KEYED
     kind = PARALLEL if t[0] == trees.BULLET else SERIES
-    return make_node(kind, (tree_to_network(c) for c in t[1 + 1]))
+    return _keyed_node(kind, [_keyed_network(c) for c in t[2]])
 
 
 def network_to_tree(net):
@@ -216,10 +235,7 @@ def parse_network(text: str):
         if idx >= len(tokens):
             raise ValueError("missing ')'")
         idx += 1
-        key, net = _keyed_node(tok, children)
-        if net[1] != tuple(c for _, c in children):
-            raise ValueError("children not in canonical order")
-        return key, net
+        return _checked_node(tok, children)
 
     _, net = node()
     if idx != len(tokens):

@@ -123,6 +123,17 @@ def test_confluence_never_passes_unchecked_overlaps(
     assert (got, out.split("\n")[0]) == (code, first_line)
 
 
+@pytest.mark.parametrize("max_arity", ["4", "7"])
+def test_confluence_refuses_a_rule_that_does_not_decrease(tmp_path, capsys, max_arity):
+    # The order is not monotone under substitution: one overlap of this
+    # pair rewrites upwards.
+    pair = tmp_path / "pair.rules"
+    pair.write_text("x(y(1 3) 2) = x(1 y(2 3))\ny(x(1 2) 3) = y(1 x(2 3))\n")
+    code = main(["confluence", "--rules", str(pair), "--max-arity", max_arity])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: rewrite does not decrease: x(y(x(1 2) 4) 3) -> x(x(1 2) y(3 4))\n")
+
+
 @pytest.mark.parametrize(
     "command",
     [["confluence"], ["count-normal", "-n", "5"]],
@@ -205,6 +216,19 @@ def test_count_normal_refuses_large_n(capsys):
     for n in ("0", "201"):
         code, out = run(capsys, "count-normal", "--rules", "lie", "-n", n)
         assert (code, out) == (2, "")
+
+
+def test_count_normal_bound_reads_the_alphabet(tmp_path, capsys):
+    # n^3 |S|^2 may not exceed 200^3 * 2^2: four generators stop at n=125.
+    assert main(["count-normal", "--rules", "lie-adm", "-n", "126",
+                 "--alphabet", "x,y,z,w"]) == 2
+    assert capsys.readouterr() == ("", "error: -n must be <= 125 with 4 generators\n")
+    # Two generators reach COUNT_MAX; x(1 2) bans the root x, so the normal
+    # monomials are the y-only shuffle trees, (2n-3)!! of them.
+    rules = tmp_path / "xy.rules"
+    rules.write_text("x(1 2) = y(1 2)\n")
+    code, out = run(capsys, "count-normal", "--rules", str(rules), "-n", "200")
+    assert (code, out) == (0, f"{math.prod(range(1, 398, 2))}\n")
 
 
 def test_count_normal_counts_quadratic_rules_past_enumeration(capsys):
@@ -329,6 +353,15 @@ def test_sp_list(capsys):
     code, out = run(capsys, "sp", "-n", "3", "--list")
     assert code == 0
     assert sorted(out.splitlines()) == ["P(e S(e e))", "P(e e e)", "S(e P(e e))", "S(e e e)"]
+
+
+def test_sp_refuses_past_its_bounds_before_counting(capsys):
+    assert main(["sp", "-n", "2001"]) == 2
+    assert capsys.readouterr() == ("", "error: -n must be <= 2000\n")
+    # macmahon(15) = 1399068 networks exceed LIST_MAX.
+    assert main(["sp", "-n", "15", "--list"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --list prints at most 1000000 networks, n=15 has 1399068\n")
 
 
 def test_sp_json(capsys):

@@ -271,6 +271,69 @@ def test_rewrite_steps_strictly_decrease():
             assert compare(m, big) == -1
 
 
+def test_misoriented_rule_is_refused():
+    # x(1 x(2 3)) -> x(x(1 2) 3) rewrites upwards in the order.
+    rule = RewriteRule(parse_monomial("x(1 x(2 3))"), parse_element("x(x(1 2) 3)"))
+    e = parse_element("x(1 x(2 3)) + x(x(1 3) 2)")
+    with pytest.raises(
+        ShuffleError, match=r"^rewrite does not decrease: x\(1 x\(2 3\)\) -> x\(x\(1 2\) 3\)$"
+    ):
+        normal_form(e, [rule])
+
+
+def _normal_form_by_resorting(e, rules):
+    """Reference route: re-sort every pending term at each step and rewrite
+    the largest reducible one by its first dividing rule."""
+    terms = dict(e.terms)
+    while True:
+        for m in sorted(terms, key=monomial_key, reverse=True):
+            hits = [(r, find_divisor(m, r.lhs)) for r in rules]
+            hits = [(r, emb) for r, emb in hits if emb is not None]
+            if hits:
+                break
+        else:
+            return ShuffleElement(terms)
+        rule, emb = hits[0]
+        coeff = terms.pop(m)
+        for new, c in rewrite_at(m, emb, rule).terms.items():
+            terms[new] = terms.get(new, 0) + coeff * c
+        terms = {m: c for m, c in terms.items() if c}
+
+
+def _random_monomial(rng, labels, symbols):
+    """A shuffle monomial on the increasing labels: the least label goes left."""
+    if len(labels) == 1:
+        return labels[0]
+    rest = labels[1:]
+    right = sorted(rng.sample(rest, rng.randint(1, len(rest))))
+    left = [labels[0]] + [x for x in rest if x not in right]
+    return (rng.choice(symbols), _random_monomial(rng, left, symbols),
+            _random_monomial(rng, right, symbols))
+
+
+BAD_JACOBI = parse_rules("x(x(1 2) 3) = x(1 x(2 3)) + 2*x(x(1 3) 2)")
+
+
+@pytest.mark.parametrize(
+    "rules, symbols",
+    [(JACOBI, "x"), (LIE_ADM, "xy"), (BAD_JACOBI, "x")],
+    ids=["lie", "lie-adm", "bad-jacobi"],
+)
+def test_normal_form_matches_resorting_route(rules, symbols):
+    rng = random.Random(7)
+    for arity_ in range(4, 8):
+        labels = list(range(1, arity_ + 1))
+        for size in range(1, 9):
+            e = ShuffleElement({
+                _random_monomial(rng, labels, symbols): rng.choice((-2, -1, 1, 3))
+                for _ in range(size)
+            })
+            got = normal_form(e, rules)
+            expected = _normal_form_by_resorting(e, rules)
+            assert got == expected
+            assert str(got) == str(expected)
+
+
 # --- overlaps and confluence -------------------------------------------
 
 

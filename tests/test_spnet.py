@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -138,6 +139,21 @@ def test_parse_refuses_deep_nesting_by_name():
     assert (size(net), format_network(net)) == (201, text)
     with pytest.raises(ValueError, match="nesting deeper than 200 levels at position 800$"):
         parse_network(f"S(e {text})")  # 201 levels; the innermost starts at 4 * 200
+
+
+def test_validate_network_rejects_children_out_of_order():
+    validate_network((PARALLEL, (EDGE, (SERIES, (EDGE, EDGE)))))
+    with pytest.raises(ValueError, match="children not in canonical order"):
+        validate_network((PARALLEL, ((SERIES, (EDGE, EDGE)), EDGE)))
+
+
+def test_validate_network_builds_each_key_once():
+    net = EDGE
+    for i in range(200):
+        net = ("SP"[i % 2], (EDGE, net))
+    started = time.monotonic()
+    validate_network(net)  # recomputing every subtree's key took 1.4 s here
+    assert time.monotonic() - started < 0.2
 
 
 @st.composite

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 mathematical failure (confluence FAIL),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -40,32 +41,53 @@ class CliError(Exception):
     """Bad user input; reported on stderr with exit code 2."""
 
 
-def resolve_operad(spec: str) -> dims_mod.OperadDims:
-    """Resolve a builtin id, `builtin:<id>`, or `<config-file>:<name>`."""
+def resolve_operad(spec: str, tables: dict | None = None) -> dims_mod.OperadDims:
+    """Resolve a builtin id, `builtin:<id>`, or `<config-file>:<name>`.
+
+    `tables` maps each config file already parsed in this request to its
+    table, so that operands named from one file read and parse it once.
+    """
     if spec.startswith("builtin:"):
         return dims_mod.builtin_operad(spec.split(":", 1)[1])
     if ":" in spec:
         path, name = spec.rsplit(":", 1)
-        if not os.path.exists(path):
-            raise CliError(f"operad config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            table = dims_mod.parse_operad_config(fh.read())
+        tables = {} if tables is None else tables
+        if path not in tables:
+            if not os.path.exists(path):
+                raise CliError(f"operad config file not found: {path}")
+            text = _read_text(path, "operad config file")
+            tables[path] = dims_mod.parse_operad_config(text)
+        table = tables[path]
         if name not in table:
             raise CliError(f"operad {name!r} not defined in {path}")
         return table[name]
     return dims_mod.builtin_operad(spec)
 
 
+def resolve_operands(args) -> tuple[dims_mod.OperadDims, dims_mod.OperadDims]:
+    """`--left` and `--right`, in that order; a shared config file is read once."""
+    tables: dict = {}
+    return resolve_operad(args.left, tables), resolve_operad(args.right, tables)
+
+
 def load_rules(path: str) -> list[sh.RewriteRule]:
     """Load a rule file; bare names fall back to the bundled fixtures."""
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return sh.parse_rules(fh.read())
+        return sh.parse_rules(_read_text(path, "rule file"))
     name = path if path.endswith(".rules") else path + ".rules"
     bundle = resources.files("freeop").joinpath("rules", name)
     if bundle.is_file():
         return sh.parse_rules(bundle.read_text(encoding="utf-8"))
     raise CliError(f"rule file not found: {path}")
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of an existing file; one that cannot be read is bad input."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
 
 
 def emit(payload: dict, text_lines: list[str], fmt: str) -> None:
@@ -99,8 +121,7 @@ def cmd_dims(args) -> int:
         raise CliError("--left and --right are required (or use --symbolic)")
     if args.n_max > COUNT_MAX:
         raise CliError(f"-n must be <= {COUNT_MAX}")
-    x = resolve_operad(args.left)
-    y = resolve_operad(args.right)
+    x, y = resolve_operands(args)
     table = dims_mod.free_product_dims(x, y, args.n_max)
     rows = [{"n": 1, "bullet": None, "circ": None, "total": 1}]
     lines = ["n\tbullet\tcirc\ttotal", "1\t-\t-\t1"]
@@ -169,8 +190,7 @@ def cmd_basis(args) -> int:
     limit = ENUM_MAX if args.list else COUNT_MAX
     if args.n > limit:
         raise CliError(f"-n must be <= {limit}")
-    x = resolve_operad(args.left)
-    y = resolve_operad(args.right)
+    x, y = resolve_operands(args)
     count = dims_mod.basis_count(x, y, args.n, args.root)
     payload = {
         "command": "basis",
@@ -201,7 +221,7 @@ def cmd_sp(args) -> int:
             raise CliError(
                 f"--list prints at most {LIST_MAX} networks, n={args.n} has {payload['count']}"
             )
-        nets = [spnet.format_network(net) for net in spnet.enumerate_networks(args.n)]
+        nets = spnet.network_lines(args.n)
         payload["networks"] = nets
         lines = nets
     emit(payload, lines, args.format)
@@ -215,8 +235,7 @@ def cmd_quotient(args) -> int:
         raise CliError(
             f"unknown pattern {args.pattern!r}; choose from {sorted(trees.PATTERNS_BY_NAME)}"
         )
-    x = resolve_operad(args.left)
-    y = resolve_operad(args.right)
+    x, y = resolve_operands(args)
     color = trees.PATTERNS_BY_NAME[args.pattern].color
     total = dims_mod.basis_count(x, y, args.n)
     avoiding = dims_mod.avoiding_count(x, y, args.n, color)
@@ -234,7 +253,11 @@ def cmd_quotient(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls in
+    the process: parse_args puts its results in a fresh namespace and
+    leaves the parser as it was."""
     parser = argparse.ArgumentParser(
         prog="freeop",
         description="Dimensions, bases, and rewriting for free products of binary operads.",
@@ -247,20 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n-max", dest="n_max", type=int, required=True)
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("confluence", help="overlap check for a rewriting system")
     p.add_argument("--rules", required=True)
     p.add_argument("--max-arity", type=int, default=5)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(fn=cmd_confluence)
 
     p = sub.add_parser("count-normal", help="count normal shuffle monomials")
     p.add_argument("--rules", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--alphabet", help="comma-separated binary generators")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(fn=cmd_count_normal)
 
     p = sub.add_parser("basis", help="enumerate the colored-tree basis")
     p.add_argument("--left", required=True)
@@ -269,13 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", choices=(trees.BULLET, trees.CIRC, "any"), default="any")
     p.add_argument("--list", action="store_true")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("sp", help="series-parallel networks")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--list", action="store_true")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(fn=cmd_sp)
 
     p = sub.add_parser("quotient", help="pattern-avoidance quotient counts")
     p.add_argument("--left", required=True)
@@ -283,16 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(fn=cmd_quotient)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # The handler is looked up by name at each call, not bound into the
+    # parser, which outlives the call: a cmd_* function replaced after the
+    # first call (wrapped by a tracer, say) is the one that runs.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except (CliError, OperadError, sh.ShuffleError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

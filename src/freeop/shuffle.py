@@ -327,14 +327,19 @@ def orient(e: ShuffleElement) -> RewriteRule:
 
 
 def _symbols(alphabet) -> list[str]:
-    """The generator symbols of (symbol, arity) pairs: binary, each once."""
+    """The generator symbols of (symbol, arity) pairs: binary, each once,
+    each one the rule grammar can write, and at least one."""
     symbols = []
     for sym, ar in alphabet:
+        if not (isinstance(sym, str) and _SYM_RE.fullmatch(sym)):
+            raise ShuffleError(f"generator symbol {sym!r} is not of the form [A-Za-z_]\\w*")
         if ar != 2:
             raise ShuffleError(f"only binary generators are supported, got {sym}/{ar}")
         if sym in symbols:
             raise ShuffleError(f"generator {sym!r} appears twice in the alphabet")
         symbols.append(sym)
+    if not symbols:
+        raise ShuffleError("the alphabet needs at least one generator")
     return symbols
 
 
@@ -781,8 +786,14 @@ def check_confluence(rules: list[RewriteRule], max_arity: int) -> ConfluenceRepo
 
 
 def _parse_coefficient(sc: _Scanner, sign: int) -> Fraction:
+    start = sc.pos
     num = sc.match(_INT_RE)
     if num is None:
+        return Fraction(sign)
+    if sc.peek() in ("", "+", "-"):
+        # A number that ends its term is the term itself, a leaf, as
+        # str() prints a leaf with coefficient 1.
+        sc.pos = start
         return Fraction(sign)
     value = Fraction(int(num))
     if sc.peek() == "/":
@@ -857,6 +868,10 @@ def parse_rules(text: str) -> list[RewriteRule]:
         equation = lhs - rhs
         if not equation:
             raise ShuffleError(f"rule line {lineno}: equation is trivially zero")
+        if any(is_leaf(m) for m in equation.terms):
+            raise ShuffleError(
+                f"rule line {lineno}: every term must apply a generator, not be a bare leaf"
+            )
         rules.append(orient(equation))
     return rules
 

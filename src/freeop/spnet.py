@@ -52,15 +52,28 @@ def _keyed_node(kind: str, keyed) -> tuple:
     """
     if kind not in (SERIES, PARALLEL):
         raise ValueError(f"bad kind {kind!r}")
-    keyed = sorted(keyed, key=itemgetter(0))
-    if len(keyed) < 2:
+    key, children = _joined(kind, keyed)
+    if len(children) < 2:
         raise ValueError("series/parallel node needs at least two children")
-    for _, c in keyed:
+    for c in children:
         if not is_edge(c) and c[0] == kind:
             raise ValueError(f"{kind} node may not contain a {kind} child")
+    return key, (kind, children)
+
+
+def _text_node(kind: str, keyed) -> tuple:
+    """(network_key, format_network text) of the node over (key, text) pairs."""
+    key, texts = _joined(kind, keyed)
+    return key, f"{kind}(" + " ".join(texts) + ")"
+
+
+def _joined(kind: str, keyed) -> tuple:
+    """The key of a `kind` node over (key, item) pairs, and its items in
+    canonical order."""
+    keyed = sorted(keyed, key=itemgetter(0))
     keys = tuple(k for k, _ in keyed)
     key = (sum(k[0] for k in keys), 1 if kind == SERIES else 2, 0, keys)
-    return key, (kind, tuple(c for _, c in keyed))
+    return key, tuple(item for _, item in keyed)
 
 
 _EDGE_KEYED = (network_key(EDGE), EDGE)
@@ -93,13 +106,27 @@ def _validated_key(net):
 
 def enumerate_networks(n: int) -> Iterator:
     """All canonical networks with n edges, deterministic order."""
+    yield from (net for _, net in _all_nets(n, _keyed_node))
+
+
+def network_lines(n: int) -> list[str]:
+    """`format_network` of each network of `enumerate_networks`, in the same
+    order.  Each shared subnetwork's text is built once, not once per
+    network holding it."""
+    return [text for _, text in _all_nets(n, _text_node)]
+
+
+def _all_nets(n: int, node) -> list:
     if not 1 <= n <= 12:
         raise ValueError(f"n must be in [1, 12], got {n}")
-    yield from (net for _, net in _nets(n, "any", {}))
+    return _nets(n, "any", {}, node)
 
 
-def _nets(n: int, root: str, cache: dict) -> list:
-    """(network_key, network) pairs with n edges and the given root kind."""
+def _nets(n: int, root: str, cache: dict, node) -> list:
+    """(network_key, item) pairs of the networks with n edges and the given
+    root kind, in enumeration order.  `node(kind, keyed)` builds a node's
+    (key, item) from its children's; the edge's item is "e", which is
+    both the network and its text."""
     key = (n, root)
     if key in cache:
         return cache[key]
@@ -108,7 +135,7 @@ def _nets(n: int, root: str, cache: dict) -> list:
         cache[key] = out
         return out
     if root == "any":
-        out = _nets(n, SERIES, cache) + _nets(n, PARALLEL, cache)
+        out = _nets(n, SERIES, cache, node) + _nets(n, PARALLEL, cache, node)
         cache[key] = out
         return out
     from .partitions import partitions
@@ -121,12 +148,12 @@ def _nets(n: int, root: str, cache: dict) -> list:
             if s == 1:
                 per_size.append([(_EDGE_KEYED,) * mult])
             else:
-                pool = _nets(s, opposite, cache)
+                pool = _nets(s, opposite, cache, node)
                 per_size.append(
                     list(itertools.combinations_with_replacement(pool, mult))
                 )
         for groups in itertools.product(*per_size):
-            out.append(_keyed_node(root, itertools.chain.from_iterable(groups)))
+            out.append(node(root, itertools.chain.from_iterable(groups)))
     cache[key] = out
     return out
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +13,9 @@ try:
 except ImportError:  # pragma: no cover
     jsonschema = None
 
-from freeop.cli import load_rules, main, resolve_operad
+import freeop
+from freeop import dims as dims_mod
+from freeop.cli import build_parser, load_rules, main, resolve_operad
 
 SCHEMA = json.loads(
     resources.files("freeop").joinpath("schemas", "output.schema.json").read_text()
@@ -245,6 +251,19 @@ def test_count_normal_enumerates_larger_lhs_up_to_7(tmp_path, capsys, n, code, o
     assert run(capsys, "count-normal", "--rules", str(cubic), "-n", n) == (code, out)
 
 
+@pytest.mark.parametrize(
+    "alphabet, err",
+    [
+        ("x,x(", "generator symbol 'x(' is not of the form [A-Za-z_]\\w*"),
+        ("1", "generator symbol '1' is not of the form [A-Za-z_]\\w*"),
+        (",", "the alphabet needs at least one generator"),
+    ],
+)
+def test_count_normal_alphabet_is_written_in_the_rule_grammar(capsys, alphabet, err):
+    code = main(["count-normal", "--rules", "lie", "-n", "3", "--alphabet", alphabet])
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {err}\n")
+
+
 def test_count_normal_repeated_alphabet_is_input_error(capsys):
     code = main(["count-normal", "--rules", "lie", "-n", "4", "--alphabet", "x,x"])
     captured = capsys.readouterr()
@@ -458,3 +477,130 @@ def test_resolve_operad_builtin_prefix():
 def test_load_bundled_rules():
     assert len(load_rules("lie")) == 1
     assert len(load_rules("lie-adm.rules")) == 1
+
+
+def test_unreadable_input_file_is_input_error(tmp_path, capsys):
+    code = main(["dims", "--left", f"{tmp_path}:foo", "--right", "com", "-n", "3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read operad config file {tmp_path}: ")
+    assert err.count("\n") == 1
+    code = main(["confluence", "--rules", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read rule file {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_rule_on_a_bare_leaf_is_input_error(tmp_path, capsys):
+    rules = tmp_path / "leaf.rules"
+    rules.write_text("2*1 = 3*1\n")
+    assert main(["confluence", "--rules", str(rules)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: rule line 1: every term must apply a generator, not be a bare leaf\n"
+    )
+
+
+# --- repeated calls in one process -----------------------------------------
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def _count_config_parses(monkeypatch):
+    calls = []
+    parse = dims_mod.parse_operad_config
+
+    def counted(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(dims_mod, "parse_operad_config", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["dims", "-n", "4"],
+        ["basis", "-n", "4"],
+        ["quotient", "-n", "4", "--pattern", "bullet-composite-child"],
+    ],
+)
+def test_operands_from_one_config_file_parse_it_once(tmp_path, capsys, monkeypatch, command):
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("a = builtin:lie\nb = [1, 1, 1] builtin:com-as\n")
+    calls = _count_config_parses(monkeypatch)
+    code = main([*command, "--left", f"{cfg}:a", "--right", f"{cfg}:b"])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert len(calls) == 1
+    other = tmp_path / "other.cfg"
+    other.write_text("c = builtin:com\n")
+    assert main([*command, "--left", f"{cfg}:a", "--right", f"{other}:c"]) == 0
+    assert len(calls) == 3  # one parse per file and request
+    capsys.readouterr()
+
+
+def test_config_error_is_reported_as_before(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("a = builtin:lie\nnot an entry\n")
+    calls = _count_config_parses(monkeypatch)
+    assert main(["dims", "--left", f"{cfg}:a", "--right", f"{cfg}:a", "-n", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: config line 2: cannot parse 'not an entry'\n")
+    assert len(calls) == 1
+    cfg.write_text("a = builtin:lie\n")
+    assert main(["basis", "--left", f"{cfg}:a", "--right", f"{cfg}:z", "-n", "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: operad 'z' not defined in {cfg}\n")
+
+
+def _requests(tmp_path):
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("nilp = [1, 0, 0]\n")
+    bad = tmp_path / "bad.rules"
+    bad.write_text("x(x(1 2) 3) = x(1 x(2 3)) + 2*x(x(1 3) 2)\n")
+    return [
+        ["dims", "--left", "lie", "--right", "com", "-n", "6"],
+        ["dims", "-n", "3", "--symbolic", "--format", "json"],
+        ["dims", "--left", f"{cfg}:nilp", "--right", "as", "-n", "4"],
+        ["confluence", "--rules", "lie-adm", "--max-arity", "5"],
+        ["confluence", "--rules", str(bad), "--format", "json"],
+        ["count-normal", "--rules", "lie-adm", "-n", "5"],
+        ["basis", "--left", "lie", "--right", "com", "-n", "3", "--list"],
+        ["sp", "-n", "5", "--list", "--format", "json"],
+        ["quotient", "--left", "lie", "--right", "com-as", "--pattern",
+         "bullet-composite-child", "-n", "5"],
+        ["dims", "--left", "lie", "--right", "com"],  # argparse: missing -n
+        ["nope"],  # argparse: unknown subcommand
+        ["sp", "-n", "4", "--format", "xml"],  # argparse: bad choice
+        ["quotient", "--left", "as", "--right", "as", "--pattern", "nope", "-n", "3"],
+        ["dims", "--left", f"{cfg}:missing", "--right", "as", "-n", "4"],
+        ["dims", "--left", "lie", "--right", "com", "-n", "6"],
+    ]
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+def _alone(argv):
+    src = str(Path(freeop.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "freeop.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return (proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_repeated_calls_answer_as_each_request_alone(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    requests = _requests(tmp_path)
+    answers = [_in_process(capsys, argv) for argv in requests]
+    assert {a[0] for a in answers} == {0, 1, 2}
+    for argv, answer in zip(requests, answers):
+        assert answer == _alone(argv), argv

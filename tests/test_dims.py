@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from freeop.dims import (
     OperadError,
@@ -189,3 +190,85 @@ def test_config_parsing():
         parse_operad_config("bad line here")
     with pytest.raises(OperadError):
         parse_operad_config("z = [1, two]")
+
+
+# --- config text round trips ---------------------------------------------
+
+_BUILTIN_IDS = ("as", "lie", "com", "com-as", "anti-com", "nov")
+_ARITIES = range(2, 9)
+
+
+def _dims(op):
+    """op's dimensions at arities 2..8, None past the end of a sequence."""
+    out = []
+    for k in _ARITIES:
+        try:
+            out.append(op.dim(k))
+        except OperadError:
+            out.append(None)
+    return out
+
+
+def _config_text(entries):
+    lines = ["# generated"]
+    for name, (seq, tail) in entries.items():
+        line = f"{name} ="
+        if seq is not None:
+            line += " [" + ", ".join(map(str, seq)) + "]"
+        if tail is not None:
+            line += f" builtin:{tail}"
+        lines.append(line)
+    return "\n".join(lines)
+
+
+_ENTRIES = st.dictionaries(
+    st.from_regex(r"[A-Za-z0-9_-]{1,6}", fullmatch=True),
+    st.tuples(
+        st.none() | st.lists(st.integers(0, 10**30), max_size=5),
+        st.none() | st.sampled_from(_BUILTIN_IDS),
+    ).filter(lambda entry: entry != (None, None)),
+    max_size=4,
+)
+
+
+@given(_ENTRIES)
+def test_config_text_round_trip(entries):
+    table = parse_operad_config(_config_text(entries))
+    assert sorted(table) == sorted(entries)
+    for name, (seq, tail) in entries.items():
+        seq = seq or []
+        expected = [
+            seq[k - 2] if k - 2 < len(seq) else builtin_operad(tail).dim(k) if tail else None
+            for k in _ARITIES
+        ]
+        assert table[name].name == name
+        assert _dims(table[name]) == expected
+
+
+@st.composite
+def _near_miss(draw, texts):
+    """A valid text with one character dropped."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + text[i + 1:]
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="ab_-=[]0123, #:builtin\n"),
+        _near_miss(_ENTRIES.map(_config_text)),
+    )
+)
+def test_parse_operad_config_returns_a_table_or_raises_operad_error(text):
+    try:
+        table = parse_operad_config(text)
+    except OperadError:
+        return
+    for name, op in table.items():
+        assert op.name == name
+        dims = _dims(op)
+        known = dims[: dims.index(None)] if None in dims else dims
+        assert all(d is None for d in dims[len(known):])
+        again = parse_operad_config(f"{name} = [{', '.join(map(str, known))}]")[name]
+        assert _dims(again) == dims

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from freeop.dims import builtin_operad, free_product_dims
 from freeop.shuffle import (
@@ -21,6 +22,7 @@ from freeop.shuffle import (
     find_divisor,
     is_normal,
     leaves,
+    min_leaf,
     monomial_key,
     normal_form,
     orient,
@@ -502,6 +504,14 @@ def test_parse_rules_with_coefficients_and_comments():
     assert rules[0].rhs.terms[parse_monomial("x(1 x(2 3))")] == Fraction(1, 2)
 
 
+def test_a_bare_leaf_parses_as_str_prints_it():
+    for e in (ShuffleElement({3: 1}), ShuffleElement({3: -1}), ShuffleElement({3: 2})):
+        assert parse_element(str(e)) == e
+    assert parse_element("2 3") == ShuffleElement({3: 2})
+    with pytest.raises(ParseError):
+        parse_element("1/2")
+
+
 def test_rules_alphabet():
     assert rules_alphabet(LIE_ADM) == [("x", 2), ("y", 2)]
     assert rules_alphabet(JACOBI) == [("x", 2)]
@@ -511,3 +521,87 @@ def test_element_validation():
     with pytest.raises(Exception):
         ShuffleElement({parse_monomial("x(1 2)"): 1, parse_monomial("x(x(1 2) 3)"): 1})
     assert not ShuffleElement({parse_monomial("x(1 2)"): 0})
+
+
+# --- text round trips ----------------------------------------------------
+
+
+@st.composite
+def _monomials(draw, labels):
+    """A valid shuffle monomial on the given distinct positive labels."""
+    if len(labels) == 1:
+        return labels[0]
+    labels = draw(st.permutations(labels))
+    cuts = sorted(draw(st.sets(st.integers(1, len(labels) - 1), min_size=1, max_size=2)))
+    blocks = [labels[a:b] for a, b in zip((0, *cuts), (*cuts, len(labels)))]
+    children = sorted((draw(_monomials(b)) for b in blocks), key=min_leaf)
+    return (draw(st.sampled_from(["x", "y", "_z", "Ab1"])), *children)
+
+
+_LABELS = st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True)
+
+
+@st.composite
+def _elements(draw):
+    """A shuffle element: nonzero rational coefficients on one label set."""
+    labels = draw(_LABELS)
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool)
+    return ShuffleElement(
+        draw(st.dictionaries(_monomials(labels), coeffs, min_size=0, max_size=4))
+    )
+
+
+@given(_LABELS.flatmap(_monomials))
+def test_monomial_text_round_trip(m):
+    validate_monomial(m)
+    assert parse_monomial(print_monomial(m)) == m
+
+
+@given(_elements())
+def test_element_text_round_trip(e):
+    if e:
+        assert parse_element(str(e)) == e
+    else:
+        assert str(e) == "0"
+
+
+@st.composite
+def _near_miss(draw, texts):
+    """A valid text with one character dropped."""
+    text = draw(texts)
+    i = draw(st.integers(0, len(text) - 1))
+    return text[:i] + text[i + 1:]
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="xy_(0123) "),
+        _near_miss(_LABELS.flatmap(_monomials).map(print_monomial)),
+    )
+)
+def test_parse_monomial_returns_a_monomial_or_raises_shuffle_error(text):
+    try:
+        m = parse_monomial(text)
+    except ShuffleError:
+        return
+    validate_monomial(m)
+    assert parse_monomial(print_monomial(m)) == m
+
+
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="xy(0123) +-*/"),
+        _near_miss(_elements().filter(bool).map(str)),
+    )
+)
+def test_parse_element_returns_an_element_or_raises_shuffle_error(text):
+    try:
+        e = parse_element(text)
+    except ShuffleError:
+        return
+    if e:
+        assert parse_element(str(e)) == e
+    else:
+        assert str(e) == "0"

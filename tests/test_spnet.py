@@ -15,6 +15,7 @@ from freeop.spnet import (
     format_network,
     macmahon,
     make_node,
+    network_lines,
     network_to_tree,
     parse_network,
     size,
@@ -194,3 +195,11 @@ def test_parse_network_returns_a_network_or_raises_value_error(text):
         return
     validate_network(net)
     assert parse_network(format_network(net)) == net
+
+
+def test_network_lines_are_the_formatted_enumeration():
+    for n in range(1, 13):
+        assert network_lines(n) == [format_network(t) for t in enumerate_networks(n)]
+    for n in (0, 13):
+        with pytest.raises(ValueError, match=f"n must be in \\[1, 12\\], got {n}"):
+            network_lines(n)

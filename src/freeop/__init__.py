@@ -1,7 +1,6 @@
 """Free products of binary operads: dimensions, explicit bases,
 shuffle-operad rewriting, and series-parallel network counting."""
 
-from .partitions import Partition, partitions, stabilizer_order, orbit_count
 from .dims import (
     OperadDims,
     DimTable,
@@ -17,10 +16,6 @@ from . import trees, shuffle, spnet
 __version__ = "0.1.0"
 
 __all__ = [
-    "Partition",
-    "partitions",
-    "stabilizer_order",
-    "orbit_count",
     "OperadDims",
     "DimTable",
     "builtin_operad",

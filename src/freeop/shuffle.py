@@ -155,10 +155,19 @@ class _Scanner:
 MAX_NESTING = 200
 
 
+def _int(num: str, sc: _Scanner) -> int:
+    """int(num) of digits the scanner just passed; a ParseError at them if
+    they are more than Python converts."""
+    try:
+        return int(num)
+    except ValueError:
+        raise ParseError(f"number too long ({len(num)} digits)", sc.pos - len(num)) from None
+
+
 def _parse_monomial_from(sc: _Scanner, depth: int = 1):
     num = sc.match(_INT_RE)
     if num is not None:
-        return int(num)
+        return _int(num, sc)
     sym = sc.match(_SYM_RE)
     if sym is None:
         raise ParseError("expected a leaf number or generator symbol", sc.pos)
@@ -790,20 +799,20 @@ def _parse_coefficient(sc: _Scanner, sign: int) -> Fraction:
     num = sc.match(_INT_RE)
     if num is None:
         return Fraction(sign)
+    value = Fraction(_int(num, sc))
     if sc.peek() in ("", "+", "-"):
         # A number that ends its term is the term itself, a leaf, as
         # str() prints a leaf with coefficient 1.
         sc.pos = start
         return Fraction(sign)
-    value = Fraction(int(num))
     if sc.peek() == "/":
         sc.take("/")
         den = sc.match(_INT_RE)
         if den is None:
             raise ParseError("expected denominator", sc.pos)
-        if int(den) == 0:
+        if not den.strip("0"):
             raise ParseError("zero denominator", sc.pos - len(den))
-        value /= int(den)
+        value /= _int(den, sc)
     if sc.peek() == "*":
         sc.take("*")
     return sign * value
@@ -865,7 +874,10 @@ def parse_rules(text: str) -> list[RewriteRule]:
             raise ShuffleError(
                 f"rule line {lineno}: every generator must take two arguments"
             )
-        equation = lhs - rhs
+        try:
+            equation = lhs - rhs
+        except ShuffleError as exc:  # the sides' terms have different labels
+            raise ShuffleError(f"rule line {lineno}: {exc}") from None
         if not equation:
             raise ShuffleError(f"rule line {lineno}: equation is trivially zero")
         if any(is_leaf(m) for m in equation.terms):

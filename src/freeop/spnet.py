@@ -7,12 +7,13 @@ the MacMahon numbers 1, 2, 4, 10, 24, 66, 180, ...
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import re
 from operator import itemgetter
 from typing import Iterator
 
 from . import trees
+from .dims import builtin_operad
 
 EDGE = "e"
 SERIES = "S"
@@ -77,6 +78,7 @@ def _joined(kind: str, keyed) -> tuple:
 
 
 _EDGE_KEYED = (network_key(EDGE), EDGE)
+_COM_AS = builtin_operad("com-as")
 
 
 def _checked_node(kind: str, keyed: list) -> tuple:
@@ -116,46 +118,22 @@ def network_lines(n: int) -> list[str]:
     return [text for _, text in _all_nets(n, _text_node)]
 
 
-def _all_nets(n: int, node) -> list:
+def _all_nets(n: int, node) -> Iterator:
+    """(network_key, item) pairs of the networks with n edges, in enumeration
+    order.  `node(kind, keyed)` builds a node's (key, item) from its
+    children's; the edge's item is "e", which is both the network and its
+    text."""
     if not 1 <= n <= 12:
         raise ValueError(f"n must be in [1, 12], got {n}")
-    return _nets(n, "any", {}, node)
-
-
-def _nets(n: int, root: str, cache: dict, node) -> list:
-    """(network_key, item) pairs of the networks with n edges and the given
-    root kind, in enumeration order.  `node(kind, keyed)` builds a node's
-    (key, item) from its children's; the edge's item is "e", which is
-    both the network and its text."""
-    key = (n, root)
-    if key in cache:
-        return cache[key]
-    if n == 1:
-        out = [_EDGE_KEYED] if root == "any" else []
-        cache[key] = out
-        return out
-    if root == "any":
-        out = _nets(n, SERIES, cache, node) + _nets(n, PARALLEL, cache, node)
-        cache[key] = out
-        return out
-    from .partitions import partitions
-
-    opposite = PARALLEL if root == SERIES else SERIES
-    out = []
-    for lam in partitions(n, 2):
-        per_size = []
-        for s, mult in sorted(lam.multiplicities().items(), reverse=True):
-            if s == 1:
-                per_size.append([(_EDGE_KEYED,) * mult])
-            else:
-                pool = _nets(s, opposite, cache, node)
-                per_size.append(
-                    list(itertools.combinations_with_replacement(pool, mult))
-                )
-        for groups in itertools.product(*per_size):
-            out.append(node(root, itertools.chain.from_iterable(groups)))
-    cache[key] = out
-    return out
+    # Networks are com-as*com-as trees with leaf labels forgotten.  The two
+    # colors are symmetric there, and mapping the first to series lists the
+    # series-rooted networks first; tree_to_network maps bullet to parallel
+    # instead, so that network_key mirrors trees.structural_key.
+    kinds = {trees.BULLET: SERIES, trees.CIRC: PARALLEL}
+    return trees._unlabeled(
+        _COM_AS, _COM_AS, n, "any", _EDGE_KEYED,
+        lambda color, dec: functools.partial(node, kinds[color]),
+    )
 
 
 def macmahon(n: int) -> int:
@@ -203,10 +181,7 @@ def network_to_tree(net):
     if is_edge(net):
         return 0
     color = trees.BULLET if net[0] == PARALLEL else trees.CIRC
-    children = tuple(
-        sorted((network_to_tree(c) for c in net[1]), key=trees.structural_key)
-    )
-    return (color, 0, children)
+    return trees._sorted_vertex(color, 0)(network_to_tree(c) for c in net[1])
 
 
 # --- text form ----------------------------------------------------------

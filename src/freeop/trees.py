@@ -183,21 +183,28 @@ def structural_key(t):
     return (arity(t), kind, dec, tuple(structural_key(c) for c in children))
 
 
-def enumerate_unlabeled(
-    x: OperadDims, y: OperadDims, n: int, root: str = "any"
-) -> Iterator:
-    """Basis trees up to forgetting leaf labels: canonical multisets of children."""
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n}")
-    if n == 1:
-        yield 0
-        return
+def _sorted_vertex(color: str, dec: int):
+    return lambda children: (color, dec, tuple(sorted(children, key=structural_key)))
+
+
+def _unlabeled(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertex) -> Iterator:
+    """`_basis` with leaf labels forgotten: `leaf` is the built leaf, and
+    a vertex's children, a multiset, come in no canonical order.  They are
+    listed by partition of the arity, part sizes descending, then the
+    product of one multiset of subtrees per part size."""
     from .partitions import partitions
 
+    if n < 1:
+        raise ValueError(f"arity must be >= 1, got {n}")
+    if root not in (BULLET, CIRC, "any"):
+        raise ValueError(f"bad root {root!r}")
+    if n == 1:
+        yield leaf
+        return
     dim_of = {BULLET: x.dim, CIRC: y.dim}
     cache: dict[tuple, list] = {}
 
-    def utrees(k: int, color: str) -> list:
+    def trees_for(k: int, color: str) -> list:
         key = (k, color)
         if key in cache:
             return cache[key]
@@ -209,24 +216,30 @@ def enumerate_unlabeled(
             per_size = []
             for size, mult in sorted(lam.multiplicities().items(), reverse=True):
                 if size == 1:
-                    per_size.append([(0,) * mult])
+                    per_size.append([(leaf,) * mult])
                 else:
-                    pool = utrees(size, other_color(color))
-                    per_size.append(
-                        [c for c in itertools.combinations_with_replacement(pool, mult)]
-                    )
+                    pool = trees_for(size, other_color(color))
+                    per_size.append(list(itertools.combinations_with_replacement(pool, mult)))
             for dec in range(d):
+                build = vertex(color, dec)
                 for groups in itertools.product(*per_size):
-                    children = tuple(
-                        sorted(itertools.chain.from_iterable(groups), key=structural_key)
-                    )
-                    out.append((color, dec, children))
+                    out.append(build(itertools.chain.from_iterable(groups)))
         cache[key] = out
         return out
 
-    for color in (BULLET, CIRC):
-        if root in (color, "any"):
-            yield from utrees(n, color)
+    try:
+        for color in (BULLET, CIRC):
+            if root in (color, "any"):
+                yield from trees_for(n, color)
+    finally:
+        cache.clear()  # as in _basis
+
+
+def enumerate_unlabeled(
+    x: OperadDims, y: OperadDims, n: int, root: str = "any"
+) -> Iterator:
+    """Basis trees up to forgetting leaf labels: canonical multisets of children."""
+    return _unlabeled(x, y, n, root, 0, _sorted_vertex)
 
 
 # --- grafting with suppression (the As*As planar model) -----------------

@@ -182,8 +182,23 @@ def test_rule_parse_error_names_line_and_side(tmp_path, capsys):
 def test_rule_with_mixed_leaf_labels_is_input_error(tmp_path, capsys):
     mixed = tmp_path / "mixed.rules"
     mixed.write_text("x(1 2) = x(1 3)\n")
-    code, out = run(capsys, "confluence", "--rules", str(mixed))
-    assert (code, out) == (2, "")
+    code = main(["confluence", "--rules", str(mixed)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: rule line 1: terms with different leaf labels: [[1, 2], [1, 3]]\n"
+    )
+
+
+def test_rule_with_an_overlong_coefficient_is_input_error(tmp_path, capsys):
+    rules = tmp_path / "long.rules"
+    rules.write_text(f"x(x(1 2) 3) = {'7' * 5000} * x(1 x(2 3))\n")
+    code = main(["confluence", "--rules", str(rules)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: rule line 1, right side: number too long (5000 digits) (at position 1)\n"
+    )
 
 
 def test_confluence_json(capsys):

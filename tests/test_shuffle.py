@@ -72,6 +72,14 @@ def test_parse_reports_syntax_error_with_position():
         parse_monomial("x(1 2) junk")
 
 
+def test_parse_refuses_numbers_past_the_int_string_limit():
+    with pytest.raises(ParseError, match=r"^number too long \(5000 digits\) \(at position 0\)$"):
+        parse_monomial("1" * 5000)
+    with pytest.raises(ParseError) as info:
+        parse_monomial("x(1 " + "2" * 5000 + ")")
+    assert info.value.position == 4
+
+
 def test_parse_refuses_deep_nesting_by_name():
     text = "x(1 2)"
     for i in range(3, 202):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,10 +28,12 @@ from freeop.trees import (
     leaf_labels,
     other_color,
     parse_tree,
+    structural_key,
     tree_matches,
     validate_tree,
 )
 from freeop import spnet
+from freeop.partitions import partitions
 
 LIE = builtin_operad("lie")
 COMAS = builtin_operad("com-as")
@@ -291,6 +294,65 @@ def test_unlabeled_comas_count_is_macmahon():
     for n in range(1, 9):
         count = sum(1 for _ in enumerate_unlabeled(COMAS, COMAS, n))
         assert count == spnet.macmahon(n)
+
+
+def _unlabeled_by_partitions(x, y, n, color, cache):
+    """Reference enumeration: children chosen per integer partition of the
+    arity (parts descending), one multiset of subtrees per part size."""
+    key = (n, color)
+    if key not in cache:
+        out = []
+        dim = x.dim if color == BULLET else y.dim
+        for lam in partitions(n, 2):
+            per_size = [
+                [(0,) * mult]
+                if s == 1
+                else list(
+                    itertools.combinations_with_replacement(
+                        _unlabeled_by_partitions(x, y, s, other_color(color), cache), mult
+                    )
+                )
+                for s, mult in sorted(lam.multiplicities().items(), reverse=True)
+            ]
+            for dec in range(dim(lam.m)):
+                for groups in itertools.product(*per_size):
+                    children = sorted(itertools.chain.from_iterable(groups), key=structural_key)
+                    out.append((color, dec, tuple(children)))
+        cache[key] = out
+    return cache[key]
+
+
+# Zero dimensions at every other arity, so whole partitions drop out.
+ZEROS_ODD = explicit_operad("zeros-odd", [1, 0, 2, 0, 1, 0, 1])
+ZEROS_EVEN = explicit_operad("zeros-even", [0, 1, 0, 3, 0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (COMAS, COMAS),
+        (LIE, builtin_operad("com")),
+        (ZEROS_ODD, ZEROS_EVEN),
+        (ZEROS_EVEN, ZEROS_ODD),
+    ],
+    ids=["comas-comas", "lie-com", "zeros-odd-even", "zeros-even-odd"],
+)
+def test_unlabeled_order_matches_partition_loop(x, y):
+    cache = {}
+    for n in range(1, 9):
+        bullet = [0] if n == 1 else _unlabeled_by_partitions(x, y, n, BULLET, cache)
+        circ = [0] if n == 1 else _unlabeled_by_partitions(x, y, n, CIRC, cache)
+        assert list(enumerate_unlabeled(x, y, n, BULLET)) == bullet
+        assert list(enumerate_unlabeled(x, y, n, CIRC)) == circ
+        any_root = list(enumerate_unlabeled(x, y, n))
+        assert any_root == ([0] if n == 1 else bullet + circ)
+
+
+def test_unlabeled_rejects_bad_requests():
+    with pytest.raises(ValueError, match="arity"):
+        list(enumerate_unlabeled(COMAS, COMAS, 0))
+    with pytest.raises(ValueError, match="bad root"):
+        list(enumerate_unlabeled(COMAS, COMAS, 3, "square"))
 
 
 # --- serialization -----------------------------------------------------

@@ -22,18 +22,20 @@ ENUM_MAX = 7
 # A listing holds every tree's text at once: building and encoding it
 # takes about 0.8 s and 230 MiB for 665k trees, 1.9 s and 570 MiB for 1.6M.
 LIST_MAX = 1_000_000
-# Counts take O(n^3) big-integer operations.  The dims recurrence for
-# as*as takes about 1 s at n=150, 4-5 s at n=200 and 40 s at n=300; the
-# quotient adds half of that again; the count-normal DP for lie-adm takes
-# 0.9 s at n=150 and 3 s at n=200 (rules it cannot count enumerate, n <= 7).
+# Counts take O(n^3) big-integer operations.  Measured with CPython 3.11
+# on a 2-CPU Xeon: the dims recurrence for as*as takes about 0.4 s at
+# n=150, 1.5 s at n=200 and 11 s at n=300; the quotient adds half of that
+# again; the count-normal DP for lie-adm takes 0.9 s at n=150 and 3 s at
+# n=200 (rules it cannot count enumerate, n <= 7).
 COUNT_MAX = 200
 # The count-normal DP takes O(n^3 |S|^2) operations for an alphabet S, and
 # COUNT_MAX was measured with two generators: larger alphabets get the
 # n at which n^3 |S|^2 stays within that cost (4 generators: n <= 125).
 COUNT_NORMAL_BUDGET = COUNT_MAX**3 * 2**2
 # macmahon(n) takes O(n^2) operations on integers of O(n) digits, about
-# n^3.3 measured: 0.3 s at n=1000, 1.4 s at 1500 and 4.4 s at 2000, the
-# cost of dims at COUNT_MAX.
+# n^3.9 measured on the same machine: 0.3 s at n=1000, 1.6 s at 1500 and
+# 4.9 s at 2000.  The bound was set where this matched dims at COUNT_MAX,
+# which now takes 1.5 s.
 SP_MAX = 2000
 
 

@@ -10,6 +10,7 @@ one color's Bell rows count the quotient by a pattern avoidance.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Callable
@@ -112,19 +113,26 @@ class DimTable:
         return [t[n] for n in range(1, self.n_max + 1)]
 
 
-def _bell_row(w, rows) -> list:
-    """Row n = len(rows) of the partial Bell polynomials over w[1], w[2], ...
+def _bell_row(cols, n: int) -> list:
+    """Row n of the partial Bell polynomials over the weights w = cols[1].
 
-    B(n, k) for 2 <= k <= n, at index k, by choosing the block that holds
-    leaf 1: B(n, k) = sum_i C(n-1, i-1) * w[i] * B(n-i, k-1); it reads
-    w[1..n-1] only.  Index 1, B(n, 1) = w[n], is left 0 for the caller.
+    The triangle is stored by column, cols[k][m] = B(m, k) for m < n;
+    column 1 is w itself, B(m, 1) = w[m], with w[1] = 1 for the bare leaf.
+    Choosing the block that holds leaf 1 gives B(n, k) = sum_i C(n-1, i-1)
+    * w[i] * B(n-i, k-1) for 2 <= k <= n: one dot product of the row's
+    weighted w[1..n-1] with column k-1 read upwards.  Each B(n, k) is
+    appended to cols[k] (cols[n] is opened here) and the row is returned
+    as [B(n, 2), ..., B(n, n)]; B(n, 1) = w[n] is the caller's to append.
     """
-    n = len(rows)
-    return [0, 0] + [
-        sum(math.comb(n - 1, i - 1) * w[i] * rows[n - i][k - 1]
-            for i in range(1, n - k + 2))
-        for k in range(2, n + 1)
-    ]
+    w = cols[1]
+    cw = [0] + [math.comb(n - 1, i - 1) * w[i] for i in range(1, n)]
+    cols.append([0] * n)
+    row = []
+    for k in range(2, n + 1):
+        b = sum(map(operator.mul, cw[1:n - k + 2], reversed(cols[k - 1][k - 1:n])))
+        cols[k].append(b)
+        row.append(b)
+    return row
 
 
 def _run_recursion(xdim, ydim, n_max):
@@ -136,22 +144,23 @@ def _run_recursion(xdim, ydim, n_max):
     Bell polynomial over (1, circ(2), circ(3), ...), and circ(n) likewise
     with the colors swapped (`_bell_row`).
 
-    xdim/ydim map an arity m >= 2 to a value supporting + and * with ints.
-    Returns (bullet, circ) dicts for 2 <= n <= n_max.
+    xdim/ydim map an arity m >= 2 to a value supporting + and * with ints;
+    each is read once per arity, xdim(n) before ydim(n).  Returns (bullet,
+    circ) dicts for 2 <= n <= n_max.
     """
     dims = (xdim, ydim)
-    # weights[c][m]: color c's dimension at arity m, 1 for the bare leaf;
-    # bell[c][m][k]: B(m, k) over weights[c].
-    weights = ([0, 1], [0, 1])
-    bell = ([[1], [0, 1]], [[1], [0, 1]])
+    # seen[c]: dims[c] at arities 2, 3, ...; cols[c][k][m]: B(m, k) over
+    # (1, d(2), d(3), ...), d(m) the dimension with a color-c root, which
+    # is column 1.
+    seen = ([], [])
+    cols = ([[1], [0, 1]], [[1], [0, 1]])
     for n in range(2, n_max + 1):
-        for w, rows in zip(weights, bell):
-            rows.append(_bell_row(w, rows))
         for c in (0, 1):
-            d = sum(dims[c](k) * bell[1 - c][n][k] for k in range(2, n + 1))
-            weights[c].append(d)
-            bell[c][n][1] = d
-    return tuple({n: w[n] for n in range(2, n_max + 1)} for w in weights)
+            seen[c].append(dims[c](n))
+        rows = [_bell_row(cols[c], n) for c in (0, 1)]
+        for c in (0, 1):
+            cols[c][1].append(sum(map(operator.mul, seen[c], rows[1 - c])))
+    return tuple({n: col[1][n] for n in range(2, n_max + 1)} for col in cols)
 
 
 def free_product_dims(x: OperadDims, y: OperadDims, n_max: int) -> DimTable:
@@ -201,12 +210,12 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
         return 1
     if color == "circ":
         x, y = y, x
-    w = [0, 1] + [x.dim(m) for m in range(2, n + 1)]
-    rows = [[1], [0, 1]]
+    # Column 1 holds all the weights at once; _bell_row(cols, m) reads
+    # only those below m.
+    cols = [[1], [0, 1] + [x.dim(m) for m in range(2, n + 1)]]
     for m in range(2, n + 1):
-        rows.append(_bell_row(w, rows))
-        rows[m][1] = w[m]
-    return w[n] + sum(y.dim(k) * rows[n][k] for k in range(2, n + 1))
+        row = _bell_row(cols, m)
+    return cols[1][n] + sum(map(operator.mul, [y.dim(k) for k in range(2, n + 1)], row))
 
 
 def symbolic_dims(n_max: int) -> dict[int, tuple[MultiPoly, MultiPoly]]:
@@ -252,11 +261,24 @@ def parse_operad_config(text: str) -> dict[str, OperadDims]:
             out[name] = OperadDims(name, tail.fn)
             continue
         body = m.group("seq")[1:-1].strip()
+        toks = body.split(",") if body else []
         try:
-            seq = [int(tok) for tok in body.split(",")] if body else []
+            seq = [int(tok) for tok in toks]
         except ValueError:
-            raise OperadError(
-                f"config line {lineno}: sequence entries must be integers"
-            ) from None
+            raise OperadError(f"config line {lineno}: {_refused_entry(toks)}") from None
         out[name] = explicit_operad(name, seq, tail)
     return out
+
+
+def _refused_entry(toks: list[str]) -> str:
+    """Why int() refused the first of toks it refused: not an integer, or
+    a digit string past Python's length limit."""
+    for tok in toks:
+        try:
+            int(tok)
+        except ValueError:
+            digits = re.fullmatch(r"\s*[+-]?(\d+)\s*", tok)
+            if digits:
+                return f"number too long ({len(digits[1])} digits)"
+            break
+    return "sequence entries must be integers"

@@ -421,15 +421,26 @@ def _pattern_vertices(pat, base: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
+    if node[0] != lhs[0] or len(node) != len(lhs):
+        return None
     slots: list = []
     if not _match_structure(node, lhs, slots):
         return None
     # order pattern: the lhs leaf labels must rank the hanging subtrees
-    # exactly by their minimal host labels
-    by_min = sorted(slots, key=lambda rs: min_leaf(rs[1]))
-    if [rank for rank, _ in by_min] != list(range(1, len(slots) + 1)):
-        return None
-    return Embedding(path, dict(slots))
+    # exactly by their minimal host labels.  The host is a shuffle tree, so
+    # a subtree's least label is its leftmost leaf.
+    by_label = dict(slots)
+    prev = 0
+    for rank in range(1, len(slots) + 1):
+        sub = by_label.get(rank)
+        if sub is None:
+            return None
+        while not is_leaf(sub):
+            sub = sub[1]
+        if sub <= prev:
+            return None
+        prev = sub
+    return Embedding(path, by_label)
 
 
 def all_embeddings(m, lhs) -> list[Embedding]:

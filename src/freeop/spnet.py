@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import re
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterator
 
 from . import trees
@@ -145,19 +145,23 @@ def macmahon(n: int) -> int:
     d * u_d.  A series network is a multiset of >= 2 non-series ones and,
     by the series/parallel symmetry, u_k of them exist: b_k = 2 * u_k for
     k >= 2, which leaves u_k = (sum_{j<k} c_j * b_{k-j} + c'_k) / k, c'_k
-    being c_k without its d = k term.
+    being c_k without its d = k term.  The count is b_n: the edge for
+    n = 1, otherwise u_n non-series networks and as many series ones.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    u = [0, 1]
     b = [1, 1]
     c = [0, 1]
+    # rest[k] = c'_k, filled by a sieve: once u_d is known, d * u_d goes to
+    # each proper multiple of d.  u_1 = 1 is already in.
+    rest = [0, 0] + [1] * (n - 1)
     for k in range(2, n + 1):
-        c_rest = sum(d * u[d] for d in range(1, k // 2 + 1) if k % d == 0)
-        u.append((sum(c[j] * b[k - j] for j in range(1, k)) + c_rest) // k)
-        b.append(2 * u[k])
-        c.append(c_rest + k * u[k])
-    return 1 if n == 1 else 2 * u[n]
+        u_k = (sum(map(mul, c[1:k], reversed(b[1:k]))) + rest[k]) // k
+        b.append(2 * u_k)
+        c.append(rest[k] + k * u_k)
+        for m in range(2 * k, n + 1, k):
+            rest[m] += k * u_k
+    return b[n]
 
 
 # --- bijection with unlabeled two-colored trees -------------------------

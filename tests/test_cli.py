@@ -557,6 +557,17 @@ def test_operands_from_one_config_file_parse_it_once(tmp_path, capsys, monkeypat
     capsys.readouterr()
 
 
+def test_config_number_too_long_has_its_own_message(tmp_path, capsys):
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("a = builtin:lie\nbig = [2, " + "9" * 5000 + "]\n")
+    assert main(["dims", "--left", f"{cfg}:a", "--right", f"{cfg}:big", "-n", "4"]) == 2
+    assert capsys.readouterr() == ("", "error: config line 2: number too long (5000 digits)\n")
+    cfg.write_text("z = [1, two]\n")
+    assert main(["dims", "--left", f"{cfg}:z", "--right", "lie", "-n", "4"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: config line 1: sequence entries must be integers\n")
+
+
 def test_config_error_is_reported_as_before(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "ops.cfg"
     cfg.write_text("a = builtin:lie\nnot an entry\n")

@@ -1,10 +1,15 @@
+import hashlib
+import math
 import random
+import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from freeop.dims import (
     OperadError,
+    avoiding_count,
     builtin_operad,
     explicit_operad,
     free_product_dims,
@@ -161,6 +166,89 @@ def test_symbolic_matches_partition_sum_oracle():
     table = symbolic_dims(6)
     for n in range(2, 7):
         assert table[n] == (bullet[n], circ[n])
+
+
+def _reversion(f, n_max):
+    """Compositional inverse g of the power series f = t + f_2 t^2 + ...,
+    coefficients [0, 1, g_2, ..., g_n_max] as Fractions.
+
+    [t^n] f(g) = 0 for n >= 2 gives g_n = -sum_{k>=2} f_k [t^n] g^k, and
+    [t^n] g^k = sum_j g_j [t^(n-j)] g^(k-1) reads only g_1..g_(n-1).
+    """
+    g = [Fraction(0), Fraction(1)]
+    # powers[k][m] = [t^m] g^k, filled in as m grows
+    powers = [None, g]
+    for n in range(2, n_max + 1):
+        powers.append([Fraction(0)] * n)
+        g_n = Fraction(0)
+        for k in range(2, n + 1):
+            p = sum(g[j] * powers[k - 1][n - j] for j in range(1, n - k + 2))
+            powers[k].append(p)
+            g_n -= f[k] * p
+        g.append(g_n)
+    return g
+
+
+def _egf_reversion_totals(xdim, ydim, n_max):
+    """Independent route: f_{P*Q}^{-1} = f_P^{-1} + f_Q^{-1} - t for the
+    exponential generating series f_P = sum_n dim_P(n) t^n / n!."""
+
+    def egf(dim):
+        return [Fraction(0), Fraction(1)] + [
+            Fraction(dim(n), math.factorial(n)) for n in range(2, n_max + 1)
+        ]
+
+    gx, gy = _reversion(egf(xdim), n_max), _reversion(egf(ydim), n_max)
+    inverse = [a + b for a, b in zip(gx, gy)]
+    inverse[1] -= 1
+    h = _reversion(inverse, n_max)
+    out = [h[n] * math.factorial(n) for n in range(1, n_max + 1)]
+    assert all(v.denominator == 1 for v in out)
+    return [int(v) for v in out]
+
+
+def test_numeric_matches_egf_reversion_to_n40():
+    rng = random.Random(9)
+    builtins = [builtin_operad(name) for name in _BUILTIN_IDS]
+    pairs = [(AS, AS), (LIE, COM), (NOV, COMAS)]
+    for i in range(6):
+        a = explicit_operad("a", [rng.randint(0, 10**6) for _ in range(39)])
+        b = explicit_operad("b", [rng.randint(0, 3) for _ in range(rng.randint(0, 6))],
+                            rng.choice(builtins))
+        pairs.append((a, b) if i % 2 else (b, a))
+    for a, b in pairs:
+        assert free_product_dims(a, b, 40).totals() == _egf_reversion_totals(a.dim, b.dim, 40)
+
+
+def _no_dimension(name, n):
+    return f"{name}: no dimension supplied for arity {n} (sequence covers up to {n - 1})"
+
+
+def test_first_operand_to_run_out_is_named_in_either_order():
+    a = explicit_operad("a", [1, 2, 3, 4])  # arities up to 5
+    b = explicit_operad("b", [1, 2])  # arities up to 3
+    for x_op, y_op in ((a, b), (b, a)):
+        # the recursion reads both operands arity by arity, so b runs out
+        # first even where a would run out later
+        with pytest.raises(OperadError, match=f"^{re.escape(_no_dimension('b', 4))}$"):
+            free_product_dims(x_op, y_op, 8)
+        for color in ("bullet", "circ"):
+            with pytest.raises(OperadError, match=f"^{re.escape(_no_dimension('b', 4))}$"):
+                avoiding_count(x_op, y_op, 5, color)
+    # at the same arity the left operand is read first
+    c = explicit_operad("c", [5, 6])
+    for x_op, y_op in ((b, c), (c, b)):
+        with pytest.raises(OperadError, match=f"^{re.escape(_no_dimension(x_op.name, 4))}$"):
+            free_product_dims(x_op, y_op, 8)
+
+
+def test_symbolic_d8_polynomials_are_pinned():
+    # sha256 of each d_n bullet and circ string, n = 2..8, one per line
+    table = symbolic_dims(8)
+    text = "".join(f"{table[n][0]}\n{table[n][1]}\n" for n in range(2, 9))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8da1d4d71d2f3a39001a67a68b329de231c610aff1cba4bdfa04604e07d988ca"
+    )
 
 
 def test_explicit_operad_bounds():

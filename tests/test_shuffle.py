@@ -45,6 +45,7 @@ LIE_ADM = parse_rules(
     " + y(1 y(2 3)) + x(1 x(2 3)) - x(1 y(2 3)) - x(y(1 3) 2) + x(x(1 3) 2)"
     " + y(y(1 3) 2) - y(x(1 3) 2)"
 )
+CUBIC = parse_rules("x(x(x(1 2) 3) 4) = x(1 x(2 x(3 4)))")
 
 
 # --- parsing -----------------------------------------------------------
@@ -231,6 +232,51 @@ def test_embeddings_inside_context():
     assert len(embs) == 2
     assert embs[0].path == ()  # leftmost-outermost first
     assert embs[1].path == (0,)
+
+
+def _sorted_embeddings(m, lhs):
+    """(path, slots) of every occurrence of lhs in m, preorder: the
+    structure matched first, then the hanging subtrees sorted by min_leaf
+    and their lhs labels required to read 1..k in that order."""
+
+    def match(node, pat, slots):
+        if isinstance(pat, int):
+            slots.append((pat, node))
+            return True
+        if isinstance(node, int) or node[0] != pat[0] or len(node) != len(pat):
+            return False
+        return all(match(cn, cp, slots) for cn, cp in zip(node[1:], pat[1:]))
+
+    out = []
+
+    def walk(node, path):
+        if isinstance(node, int):
+            return
+        slots = []
+        if match(node, lhs, slots):
+            by_min = sorted(slots, key=lambda rs: min_leaf(rs[1]))
+            if [rank for rank, _ in by_min] == list(range(1, len(slots) + 1)):
+                out.append((path, dict(slots)))
+        for i, c in enumerate(node[1:]):
+            walk(c, path + (i,))
+
+    walk(m, ())
+    return out
+
+
+def test_divisor_search_matches_sorted_order_check():
+    lhss = [r.lhs for r in JACOBI + LIE_ADM + CUBIC]
+    lhss += [parse_monomial(t) for t in ("y(x(1 2) 3)", "x(x(1 3) 4)")]
+    for n in range(1, 6):
+        for m in enumerate_shuffle_trees(XY, n):
+            for lhs in lhss:
+                expected = _sorted_embeddings(m, lhs)
+                assert [(e.path, e.slots) for e in all_embeddings(m, lhs)] == expected
+                emb = find_divisor(m, lhs)
+                if expected:
+                    assert (emb.path, emb.slots) == expected[0]
+                else:
+                    assert emb is None
 
 
 # --- rewriting ---------------------------------------------------------

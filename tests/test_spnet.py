@@ -37,6 +37,23 @@ def test_macmahon_values():
         macmahon(0)
 
 
+def _quadratic_macmahon(n_max):
+    """The Euler transform term by term: each c'_k by a scan of the
+    divisors of k, each u_k by the full convolution."""
+    u, b, c = [0, 1], [1, 1], [0, 1]
+    for k in range(2, n_max + 1):
+        c_rest = sum(d * u[d] for d in range(1, k // 2 + 1) if k % d == 0)
+        u.append((sum(c[j] * b[k - j] for j in range(1, k)) + c_rest) // k)
+        b.append(2 * u[k])
+        c.append(c_rest + k * u[k])
+    return b
+
+
+def test_macmahon_matches_quadratic_convolution():
+    b = _quadratic_macmahon(399)
+    assert [macmahon(n) for n in range(1, 400)] == b[1:]
+
+
 def test_enumeration_agrees_with_convolution():
     for n in range(1, 11):
         nets = list(enumerate_networks(n))

@@ -1,4 +1,4 @@
-"""Shuffle-tree monomials, rewriting, and confluence checking.
+r"""Shuffle-tree monomials, rewriting, and confluence checking.
 
 A monomial is a nested tuple: a leaf is a positive int, an internal node
 is (symbol, child, child, ...) with the symbol a generator name.  At
@@ -18,6 +18,17 @@ ones.
 Confluence checking builds each overlap directly from two left-hand
 sides, so the rules alone bound the arities it visits; rule files take
 binary generators only.
+
+Text is read as one list of tokens, separated by whitespace: a decimal
+number (\d+), a generator symbol ([A-Za-z_]\w*), or any other single
+character.  Over them
+
+    monomial := number | symbol "(" monomial+ ")"
+    element  := "0" | ["+" | "-"] term (("+" | "-") term)*
+    term     := [number ["/" number] ["*"]] monomial
+
+where a number directly before "+", "-" or the end is a leaf, not a
+coefficient, and "0" stands for any lone number of value 0.
 """
 from __future__ import annotations
 
@@ -75,25 +86,39 @@ def min_leaf(m) -> int:
 
 
 def validate_monomial(m) -> None:
-    """Check distinct positive leaves and the shuffle condition throughout."""
-    seen = leaves(m)
+    """Check distinct positive leaves and the shuffle condition throughout.
+
+    One walk collects the leaves and each subtree's least label; it raises
+    duplicates first, then labels below 1, then the first node in preorder
+    whose child minima do not increase.
+    """
+    seen: list[int] = []
+
+    def walk(node) -> tuple[int, tuple | None]:
+        """(least label, first offending (node, child minima) in preorder)."""
+        if is_leaf(node):
+            seen.append(node)
+            return node, None
+        mins = []
+        bad = None
+        for c in node[1:]:
+            low, below = walk(c)
+            mins.append(low)
+            bad = bad or below
+        if any(a >= b for a, b in zip(mins, mins[1:])):
+            bad = node, mins
+        return min(mins), bad
+
+    _, bad = walk(m)
     if len(set(seen)) != len(seen):
         raise ShuffleConditionError(f"duplicate leaf labels in {print_monomial(m)}")
     if any(label < 1 for label in seen):
         raise ShuffleConditionError("leaf labels must be positive")
-    _check_minima(m)
-
-
-def _check_minima(m) -> None:
-    if is_leaf(m):
-        return
-    mins = [min_leaf(c) for c in m[1:]]
-    if any(a >= b for a, b in zip(mins, mins[1:])):
+    if bad:
+        node, mins = bad
         raise ShuffleConditionError(
-            f"child minima not increasing at {print_monomial(m)}: {mins}"
+            f"child minima not increasing at {print_monomial(node)}: {mins}"
         )
-    for c in m[1:]:
-        _check_minima(c)
 
 
 def symbols_of(m) -> set[str]:
@@ -115,38 +140,14 @@ def print_monomial(m) -> str:
 
 
 _SYM_RE = re.compile(r"[A-Za-z_]\w*")
-_INT_RE = re.compile(r"\d+")
+_TOKEN_RE = re.compile(rf"(?P<num>\d+)|(?P<sym>{_SYM_RE.pattern})|(?P<op>\S)")
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def match(self, regex: re.Pattern) -> str | None:
-        self.skip_ws()
-        m = regex.match(self.text, self.pos)
-        if m:
-            self.pos = m.end()
-            return m.group(0)
-        return None
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token, closed by ("end", "", len(text))."""
+    toks = [(t.lastgroup, t.group(), t.start()) for t in _TOKEN_RE.finditer(text)]
+    toks.append(("end", "", len(text)))
+    return toks
 
 
 # The parser recurses once per level and later passes (validation, the
@@ -155,42 +156,44 @@ class _Scanner:
 MAX_NESTING = 200
 
 
-def _int(num: str, sc: _Scanner) -> int:
-    """int(num) of digits the scanner just passed; a ParseError at them if
-    they are more than Python converts."""
+def _int(num: str, pos: int) -> int:
+    """int(num) of the digits at pos; a ParseError there if they are more
+    than Python converts."""
     try:
         return int(num)
     except ValueError:
-        raise ParseError(f"number too long ({len(num)} digits)", sc.pos - len(num)) from None
+        raise ParseError(f"number too long ({len(num)} digits)", pos) from None
 
 
-def _parse_monomial_from(sc: _Scanner, depth: int = 1):
-    num = sc.match(_INT_RE)
-    if num is not None:
-        return _int(num, sc)
-    sym = sc.match(_SYM_RE)
-    if sym is None:
-        raise ParseError("expected a leaf number or generator symbol", sc.pos)
+def _monomial(toks: list, i: int, depth: int = 1):
+    """The monomial that starts at toks[i], and the index after it."""
+    kind, tok, pos = toks[i]
+    if kind == "num":
+        return _int(tok, pos), i + 1
+    if kind != "sym":
+        raise ParseError("expected a leaf number or generator symbol", pos)
     if depth > MAX_NESTING:
-        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", sc.pos - len(sym))
-    sc.take("(")
+        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+    if toks[i + 1][1] != "(":
+        raise ParseError("expected '('", toks[i + 1][2])
+    i += 2
     args = []
-    while sc.peek() != ")":
-        if sc.at_end():
-            raise ParseError("missing ')'", sc.pos)
-        args.append(_parse_monomial_from(sc, depth + 1))
-    sc.take(")")
+    while toks[i][1] != ")":
+        if toks[i][0] == "end":
+            raise ParseError("missing ')'", toks[i][2])
+        m, i = _monomial(toks, i, depth + 1)
+        args.append(m)
     if not args:
-        raise ParseError("generator application needs arguments", sc.pos)
-    return (sym, *args)
+        raise ParseError("generator application needs arguments", toks[i][2] + 1)
+    return (tok, *args), i + 1
 
 
 def parse_monomial(text: str):
     """Parse notation like "x(x(1 2) 3)"; validates the shuffle condition."""
-    sc = _Scanner(text)
-    m = _parse_monomial_from(sc)
-    if not sc.at_end():
-        raise ParseError("trailing input", sc.pos)
+    toks = _tokens(text)
+    m, i = _monomial(toks, 0)
+    if toks[i][0] != "end":
+        raise ParseError("trailing input", toks[i][2])
     validate_monomial(m)
     return m
 
@@ -805,57 +808,45 @@ def check_confluence(rules: list[RewriteRule], max_arity: int) -> ConfluenceRepo
 # Terms may carry rational coefficients: 2*x(...), -1/2 * x(...).
 
 
-def _parse_coefficient(sc: _Scanner, sign: int) -> Fraction:
-    start = sc.pos
-    num = sc.match(_INT_RE)
-    if num is None:
-        return Fraction(sign)
-    value = Fraction(_int(num, sc))
-    if sc.peek() in ("", "+", "-"):
-        # A number that ends its term is the term itself, a leaf, as
-        # str() prints a leaf with coefficient 1.
-        sc.pos = start
-        return Fraction(sign)
-    if sc.peek() == "/":
-        sc.take("/")
-        den = sc.match(_INT_RE)
-        if den is None:
-            raise ParseError("expected denominator", sc.pos)
-        if not den.strip("0"):
-            raise ParseError("zero denominator", sc.pos - len(den))
-        value /= _int(den, sc)
-    if sc.peek() == "*":
-        sc.take("*")
-    return sign * value
-
-
 def parse_element(text: str) -> ShuffleElement:
-    """Parse a signed sum of monomials with optional rational coefficients."""
-    sc = _Scanner(text)
+    """Parse a signed sum of monomials with optional rational coefficients,
+    or "0", the zero element as str() prints it."""
+    toks = _tokens(text)
+    kind, tok, pos = toks[0]
+    if len(toks) == 2 and kind == "num" and not _int(tok, pos):
+        return ShuffleElement()
     terms: dict = {}
-    sign = 1
-    if sc.peek() == "-":
-        sc.take("-")
-        sign = -1
-    elif sc.peek() == "+":
-        sc.take("+")
+    i = 0
     while True:
-        coeff = _parse_coefficient(sc, sign)
-        m = _parse_monomial_from(sc)
+        coeff = Fraction(-1 if toks[i][1] == "-" else 1)
+        if toks[i][1] in ("+", "-"):
+            i += 1
+        kind, tok, pos = toks[i]
+        # A number that ends its term is the term itself, a leaf, as str()
+        # prints a leaf with coefficient 1; any other is a coefficient.
+        if kind == "num" and toks[i + 1][1] not in ("", "+", "-"):
+            coeff *= _int(tok, pos)
+            i += 1
+            if toks[i][1] == "/":
+                kind, den, pos = toks[i + 1]
+                if kind != "num":
+                    raise ParseError("expected denominator", pos)
+                # ASCII zeros past the int string limit are still zero
+                value = _int(den, pos) if den.strip("0") else 0
+                if not value:
+                    raise ParseError("zero denominator", pos)
+                coeff /= value
+                i += 2
+            if toks[i][1] == "*":
+                i += 1
+        m, i = _monomial(toks, i)
         validate_monomial(m)
         terms[m] = terms.get(m, 0) + coeff
-        if sc.at_end():
-            break
-        nxt = sc.peek()
-        if nxt == "+":
-            sc.take("+")
-            sign = 1
-        elif nxt == "-":
-            sc.take("-")
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', got {nxt!r}", sc.pos)
-    return ShuffleElement(terms)
+        kind, tok, pos = toks[i]
+        if kind == "end":
+            return ShuffleElement(terms)
+        if tok not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {tok[0]!r}", pos)
 
 
 def _is_binary(m) -> bool:

@@ -422,6 +422,14 @@ def parse_tree(text: str):
         pos = m.end()
     idx = 0
 
+    def number(digits: str, pos: int) -> int:
+        try:
+            return int(digits)
+        except ValueError:  # past Python's int string limit
+            raise ValueError(
+                f"number too long ({len(digits)} digits) at position {pos}"
+            ) from None
+
     def expect(tok: str) -> None:
         nonlocal idx
         if idx >= len(tokens) or tokens[idx] != tok:
@@ -435,7 +443,7 @@ def parse_tree(text: str):
         tok = tokens[idx]
         if tok.isdigit():
             idx += 1
-            return int(tok)
+            return number(tok, starts[idx - 1])
         if tok not in (BULLET, CIRC):
             raise ValueError(f"expected color or leaf, got {tok!r}")
         if depth > MAX_NESTING:
@@ -446,8 +454,8 @@ def parse_tree(text: str):
         m = re.fullmatch(r"\[dec=(\d+)\]", tokens[idx]) if idx < len(tokens) else None
         if not m:
             raise ValueError(f"expected [dec=K] after {tok}")
+        dec = number(m.group(1), starts[idx] + m.start(1))
         idx += 1
-        dec = int(m.group(1))
         expect("(")
         children = [node(depth + 1)]
         while idx < len(tokens) and tokens[idx] == ",":

@@ -179,6 +179,35 @@ def test_rule_parse_error_names_line_and_side(tmp_path, capsys):
     assert captured.err == "error: rule line 3, right side: zero denominator (at position 3)\n"
 
 
+@pytest.mark.parametrize("zero", ["٠", "0" * 5000], ids=["arabic-indic", "5000-ascii"])
+@pytest.mark.parametrize(
+    "command", [["confluence"], ["count-normal", "-n", "4"]], ids=["confluence", "count-normal"]
+)
+def test_every_zero_denominator_is_input_error(tmp_path, capsys, zero, command):
+    rules = tmp_path / "zero.rules"
+    rules.write_text(f"x(x(1 2) 3) = 1/{zero} x(1 x(2 3))\n", encoding="utf-8")
+    code = main([command[0], "--rules", str(rules), *command[1:]])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: rule line 1, right side: zero denominator (at position 3)\n")
+
+
+@pytest.mark.parametrize(
+    "command, out",
+    [(["confluence"], "PASS: 0 overlap(s), all S-elements reduce to zero\n"),
+     (["count-normal", "--alphabet", "x,y", "-n", "4"], "15\n")],
+    ids=["confluence", "count-normal"],
+)
+def test_a_rule_may_equal_zero(tmp_path, capsys, command, out):
+    for rhs in ("0", "y(1 2) - y(1 2)"):
+        rules = tmp_path / "zero.rules"
+        rules.write_text(f"x(1 2) = {rhs}\n")
+        assert run(capsys, command[0], "--rules", str(rules), *command[1:]) == (0, out)
+    rules.write_text("0 = 0\n")
+    code = main([command[0], "--rules", str(rules), *command[1:]])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: rule line 1: equation is trivially zero\n")
+
+
 def test_rule_with_mixed_leaf_labels_is_input_error(tmp_path, capsys):
     mixed = tmp_path / "mixed.rules"
     mixed.write_text("x(1 2) = x(1 3)\n")

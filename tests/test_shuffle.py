@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from freeop import shuffle
 from freeop.dims import builtin_operad, free_product_dims
 from freeop.shuffle import (
     ParseError,
@@ -566,6 +569,14 @@ def test_a_bare_leaf_parses_as_str_prints_it():
         parse_element("1/2")
 
 
+def test_zero_parses_as_str_prints_it():
+    for text in ("0", " 00 ", "٠"):
+        assert parse_element(text) == ShuffleElement()
+    for text in ("-0", "2*0", "0 + x(1 2)"):
+        with pytest.raises(ShuffleConditionError, match="^leaf labels must be positive$"):
+            parse_element(text)
+
+
 def test_rules_alphabet():
     assert rules_alphabet(LIE_ADM) == [("x", 2), ("y", 2)]
     assert rules_alphabet(JACOBI) == [("x", 2)]
@@ -613,10 +624,7 @@ def test_monomial_text_round_trip(m):
 
 @given(_elements())
 def test_element_text_round_trip(e):
-    if e:
-        assert parse_element(str(e)) == e
-    else:
-        assert str(e) == "0"
+    assert parse_element(str(e)) == e
 
 
 @st.composite
@@ -655,7 +663,243 @@ def test_parse_element_returns_an_element_or_raises_shuffle_error(text):
         e = parse_element(text)
     except ShuffleError:
         return
-    if e:
-        assert parse_element(str(e)) == e
-    else:
-        assert str(e) == "0"
+    assert parse_element(str(e)) == e
+
+
+# --- the token parser against the character scanner -----------------------
+#
+# The reference: a parser that scans character by character and validates
+# in three walks (leaves, their signs, the child minima at each node).  The
+# token parser must return the same value, or raise the same class with the
+# same message and position, except on the two inputs it reads differently
+# on purpose: a zero denominator in non-ASCII digits (the reference divides
+# by zero) and a lone number of value 0 (the zero element as str() prints it).
+
+
+class _RefScanner:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self):
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, ch):
+        if self.peek() != ch:
+            raise ParseError(f"expected {ch!r}", self.pos)
+        self.pos += 1
+
+    def match(self, regex):
+        self.skip_ws()
+        m = regex.match(self.text, self.pos)
+        if m:
+            self.pos = m.end()
+            return m.group(0)
+        return None
+
+    def at_end(self):
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+
+_REF_SYM = re.compile(r"[A-Za-z_]\w*")
+_REF_INT = re.compile(r"\d+")
+
+
+def _ref_int(num, sc):
+    try:
+        return int(num)
+    except ValueError:
+        raise ParseError(f"number too long ({len(num)} digits)", sc.pos - len(num)) from None
+
+
+def _ref_monomial_from(sc, depth=1):
+    num = sc.match(_REF_INT)
+    if num is not None:
+        return _ref_int(num, sc)
+    sym = sc.match(_REF_SYM)
+    if sym is None:
+        raise ParseError("expected a leaf number or generator symbol", sc.pos)
+    if depth > 200:
+        raise ParseError("nesting deeper than 200 levels", sc.pos - len(sym))
+    sc.take("(")
+    args = []
+    while sc.peek() != ")":
+        if sc.at_end():
+            raise ParseError("missing ')'", sc.pos)
+        args.append(_ref_monomial_from(sc, depth + 1))
+    sc.take(")")
+    if not args:
+        raise ParseError("generator application needs arguments", sc.pos)
+    return (sym, *args)
+
+
+def _ref_validate(m):
+    seen = leaves(m)
+    if len(set(seen)) != len(seen):
+        raise ShuffleConditionError(f"duplicate leaf labels in {print_monomial(m)}")
+    if any(label < 1 for label in seen):
+        raise ShuffleConditionError("leaf labels must be positive")
+    _ref_check_minima(m)
+
+
+def _ref_check_minima(m):
+    if isinstance(m, int):
+        return
+    mins = [min_leaf(c) for c in m[1:]]
+    if any(a >= b for a, b in zip(mins, mins[1:])):
+        raise ShuffleConditionError(f"child minima not increasing at {print_monomial(m)}: {mins}")
+    for c in m[1:]:
+        _ref_check_minima(c)
+
+
+def _ref_parse_monomial(text):
+    sc = _RefScanner(text)
+    m = _ref_monomial_from(sc)
+    if not sc.at_end():
+        raise ParseError("trailing input", sc.pos)
+    _ref_validate(m)
+    return m
+
+
+def _ref_coefficient(sc, sign):
+    start = sc.pos
+    num = sc.match(_REF_INT)
+    if num is None:
+        return Fraction(sign)
+    value = Fraction(_ref_int(num, sc))
+    if sc.peek() in ("", "+", "-"):
+        sc.pos = start
+        return Fraction(sign)
+    if sc.peek() == "/":
+        sc.take("/")
+        den = sc.match(_REF_INT)
+        if den is None:
+            raise ParseError("expected denominator", sc.pos)
+        if not den.strip("0"):
+            raise ParseError("zero denominator", sc.pos - len(den))
+        value /= _ref_int(den, sc)
+    if sc.peek() == "*":
+        sc.take("*")
+    return sign * value
+
+
+def _ref_parse_element(text):
+    sc = _RefScanner(text)
+    terms = {}
+    sign = 1
+    if sc.peek() == "-":
+        sc.take("-")
+        sign = -1
+    elif sc.peek() == "+":
+        sc.take("+")
+    while True:
+        coeff = _ref_coefficient(sc, sign)
+        m = _ref_monomial_from(sc)
+        _ref_validate(m)
+        terms[m] = terms.get(m, 0) + coeff
+        if sc.at_end():
+            break
+        nxt = sc.peek()
+        if nxt == "+":
+            sc.take("+")
+            sign = 1
+        elif nxt == "-":
+            sc.take("-")
+            sign = -1
+        else:
+            raise ParseError(f"expected '+' or '-', got {nxt!r}", sc.pos)
+    return ShuffleElement(terms)
+
+
+def _ref_parse_rules(text):
+    """parse_rules with the reference element parser under it."""
+    with mock.patch.object(shuffle, "parse_element", _ref_parse_element):
+        return parse_rules(text)
+
+
+def _parse_outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the class, message and position are compared
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def _lone_zero(piece):
+    return re.fullmatch(r"\s*\d{1,50}\s*", piece) is not None and int(piece) == 0
+
+
+def _agrees_with_reference(text):
+    """Check parse_monomial, parse_element and parse_rules on text against
+    the reference; False if the text is one of the inputs changed on purpose."""
+    pairs = [(parse_monomial, _ref_parse_monomial), (parse_element, _ref_parse_element),
+             (parse_rules, _ref_parse_rules)]
+    if any(_lone_zero(piece) for piece in re.split(r"[=#\n]", text)):
+        pairs = pairs[:1]
+    compared = False
+    for fn, ref in pairs:
+        expected = _parse_outcome(ref, text)
+        if expected[0] is ZeroDivisionError:
+            continue
+        assert _parse_outcome(fn, text) == expected, (fn.__name__, text)
+        compared = True
+    return compared
+
+
+_MONOMIAL_TEXTS = _LABELS.flatmap(_monomials).map(print_monomial)
+_ELEMENT_TEXTS = _elements().filter(bool).map(str)
+_RULE_TEXTS = st.tuples(_ELEMENT_TEXTS, _ELEMENT_TEXTS).map(" = ".join)
+
+
+@given(
+    st.one_of(
+        _MONOMIAL_TEXTS, _ELEMENT_TEXTS, _RULE_TEXTS,
+        _near_miss(_MONOMIAL_TEXTS), _near_miss(_ELEMENT_TEXTS), _near_miss(_RULE_TEXTS),
+        st.text(alphabet="xy(0123) +-*/=#\t\n٣"),
+    )
+)
+@settings(max_examples=50)
+def test_token_parser_matches_the_reference_on_strategy_texts(text):
+    _agrees_with_reference(text)
+
+
+def test_token_parser_matches_the_reference_on_mutated_texts():
+    rng = random.Random(10)
+    chars = "xy_A1(0123456789) +-*/=#\t\n" + "٠٣۵०৩" + "éλж"
+    seeds = [
+        "x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)",
+        "-2/3*y(1 x(2 3)) + 5 x(x(1 3) 2) - y(y(1 2) 3)",
+        "x(1 2) = -1/2 * y(1 2)  # comment\nx(x(1 2) 3) = 0 x(1 x(2 3))",
+        "Ab1(_z(1 4) x(2 3)) - 3 _z(1 Ab1(2 x(3 4)))",
+        "x(1 2)\t=\ty(1 2)\n\ny(y(1 2) 3) = 7/9 y(1 y(2 3))",
+    ]
+    compared = 0
+    for _ in range(800):
+        text = rng.choice(seeds)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                text = text[:i] + text[i + 1:]
+            else:
+                text = text[:i] + rng.choice(chars) + text[i + (op == 2):]
+        compared += _agrees_with_reference(text)
+    assert compared > 700
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        0, -3, 7, ("x", 0, 1), ("x", -2, -1), ("x", 1, -1), ("x", 1, 2, 3), ("x", 1, 3, 2),
+        ("x", 2, 1), ("x", ("y", 2, 1), 3), ("x", ("y", 3, 2), 1),
+        ("x", ("y", 2, 1), 2), ("x", ("y", 1, 1), 0), ("x", 2, ("y", 2, 0)),
+        ("x", ("y", 1, ("z", 5, 4)), ("y", 3, 2)), ("x", 1, ("y", ("z", 2, 3), 4)),
+    ],
+)
+def test_validate_monomial_matches_the_reference(m):
+    assert _parse_outcome(validate_monomial, m) == _parse_outcome(_ref_validate, m)

@@ -412,6 +412,16 @@ def test_parse_rejects_malformed():
         parse_tree("green[dec=0](1, 2)")
 
 
+@pytest.mark.parametrize(
+    "text, pos",
+    [("bullet[dec=0](" + "1" * 5000 + ", 2)", 14), ("bullet[dec=" + "7" * 5000 + "](1, 2)", 11)],
+    ids=["leaf", "dec"],
+)
+def test_parse_refuses_numbers_past_the_int_string_limit(text, pos):
+    with pytest.raises(ValueError, match=rf"^number too long \(5000 digits\) at position {pos}$"):
+        parse_tree(text)
+
+
 def test_parse_refuses_deep_nesting_by_name():
     text = "1"
     for i in range(2, 202):

@@ -89,9 +89,14 @@ def validate_monomial(m) -> None:
     """Check distinct positive leaves and the shuffle condition throughout.
 
     One walk collects the leaves and each subtree's least label; it raises
-    duplicates first, then labels below 1, then the first node in preorder
-    whose child minima do not increase.
+    a node without children at once, then duplicates, then labels below 1,
+    then the first node in preorder whose child minima do not increase.
     """
+    _checked_leaves(m)
+
+
+def _checked_leaves(m) -> list[int]:
+    """validate_monomial's walk; the leaf labels in planar order."""
     seen: list[int] = []
 
     def walk(node) -> tuple[int, tuple | None]:
@@ -99,6 +104,8 @@ def validate_monomial(m) -> None:
         if is_leaf(node):
             seen.append(node)
             return node, None
+        if len(node) < 2:
+            raise ShuffleConditionError(f"a generator node needs children, got {node!r}")
         mins = []
         bad = None
         for c in node[1:]:
@@ -119,6 +126,7 @@ def validate_monomial(m) -> None:
         raise ShuffleConditionError(
             f"child minima not increasing at {print_monomial(node)}: {mins}"
         )
+    return seen
 
 
 def symbols_of(m) -> set[str]:
@@ -133,10 +141,26 @@ def symbols_of(m) -> set[str]:
 # --- printing and parsing ----------------------------------------------
 
 
+# repr() of a monomial whose symbols are words and whose leaves are
+# non-negative ints is made of these tokens only: "('x', " opens a node,
+# ", " separates siblings, ")" closes a node.  Three replacements then turn
+# it into the printed text in C, in one pass each.  A leaf's digits are one
+# token, (?!\d), so a failed match does not try every split of them.
+_REPR_RE = re.compile(r"(?:\('\w+', |\d+(?!\d)|, |\))+")
+
+
 def print_monomial(m) -> str:
+    text = repr(m)
+    if _REPR_RE.fullmatch(text):
+        return text.replace("('", "").replace("', ", "(").replace(", ", " ")
+    return _print_walk(m)
+
+
+def _print_walk(m) -> str:
+    """print_monomial one node at a time, for any other symbol or leaf."""
     if is_leaf(m):
         return str(m)
-    return m[0] + "(" + " ".join(print_monomial(c) for c in m[1:]) + ")"
+    return m[0] + "(" + " ".join(_print_walk(c) for c in m[1:]) + ")"
 
 
 _SYM_RE = re.compile(r"[A-Za-z_]\w*")
@@ -201,32 +225,34 @@ def parse_monomial(text: str):
 # --- the monomial order -------------------------------------------------
 
 
-# A path word is -ord(c) per symbol character, closed by _END below every
-# -ord(c), so an earlier symbol wins and an extension beats its prefix.
-_END = -0x110000
+# A path word is one str holding chr(0x10FFFF - ord(c)) per symbol
+# character c, so an alphabetically earlier symbol compares greater, and an
+# extension beats its prefix as a longer str does.
 
 
 @functools.lru_cache(maxsize=1024)
-def _symbol_word(sym: str) -> tuple:
-    return tuple(-ord(c) for c in sym)
+def _symbol_word(sym: str) -> str:
+    return "".join(chr(0x10FFFF - ord(c)) for c in sym)
 
 
 def _order_key(m) -> tuple:
     """Sort key: (arity, path word per leaf label, planar leaves)."""
-    words: dict[int, tuple] = {}
+    if type(m) is int:
+        return 1, ("",), (m,)
+    words: dict[int, str] = {}
     planar: list[int] = []
 
-    def walk(node, word: tuple) -> None:
-        if isinstance(node, int):
-            words[node] = word + (_END,)
-            planar.append(node)
-            return
+    def walk(node, word: str) -> None:
         word += _symbol_word(node[0])
         for c in node[1:]:
-            walk(c, word)
+            if type(c) is int:
+                words[c] = word
+                planar.append(c)
+            else:
+                walk(c, word)
 
-    walk(m, ())
-    return len(words), tuple(words[k] for k in sorted(words)), tuple(planar)
+    walk(m, "")
+    return len(words), tuple([words[k] for k in sorted(words)]), tuple(planar)
 
 
 def compare(a, b) -> int:
@@ -241,22 +267,32 @@ monomial_key = _order_key
 # --- elements -----------------------------------------------------------
 
 
-class ShuffleElement:
-    """A rational linear combination of monomials on one set of leaf labels."""
+def _one_label_set(label_sets: set) -> None:
+    """Refuse the terms of one element whose leaf label sets differ."""
+    if len(label_sets) > 1:
+        raise ShuffleError(
+            f"terms with different leaf labels: {sorted(sorted(s) for s in label_sets)}"
+        )
 
-    __slots__ = ("terms",)
+
+class ShuffleElement:
+    """A rational linear combination of monomials on one set of leaf labels.
+
+    `ordered` says that `terms` already lists its monomials largest first,
+    as normal_form finalises them, so printing need not sort by key again.
+    Every other element, arithmetic results included, sorts when printed.
+    """
+
+    __slots__ = ("terms", "ordered")
 
     def __init__(self, terms=None):
+        self.ordered = False
         clean: dict = {}
         for m, c in (terms or {}).items():
             c = Fraction(c)
             if c:
                 clean[m] = c
-        labels = {frozenset(leaves(m)) for m in clean}
-        if len(labels) > 1:
-            raise ShuffleError(
-                f"terms with different leaf labels: {sorted(sorted(s) for s in labels)}"
-            )
+        _one_label_set({frozenset(leaves(m)) for m in clean})
         self.terms = clean
 
     @classmethod
@@ -264,11 +300,12 @@ class ShuffleElement:
         return cls({m: Fraction(coeff)})
 
     @classmethod
-    def _of(cls, terms: dict) -> "ShuffleElement":
+    def _of(cls, terms: dict, ordered: bool = False) -> "ShuffleElement":
         """Wrap nonzero Fraction coefficients of monomials on one label set,
         as rewriting produces them, without checking again."""
         e = cls.__new__(cls)
         e.terms = terms
+        e.ordered = ordered
         return e
 
     def __bool__(self) -> bool:
@@ -300,21 +337,26 @@ class ShuffleElement:
         return max(self.terms, key=monomial_key)
 
     def sorted_terms(self) -> list:
+        if self.ordered:
+            return list(self.terms.items())
         return sorted(self.terms.items(), key=lambda t: monomial_key(t[0]), reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
+        # Coefficients are read as integers: Fraction arithmetic and
+        # comparisons cost more than the monomials' text.
+        text = []
         for m, c in self.sorted_terms():
-            body = print_monomial(m)
-            if abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            parts.append(("-" if c < 0 else "+", body))
-        text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            num, den = c.numerator, c.denominator
+            text.append(" - " if num < 0 else " + ")
+            if den != 1:
+                text.append(f"{abs(num)}/{den}*")
+            elif num != 1 and num != -1:
+                text.append(f"{abs(num)}*")
+            text.append(print_monomial(m))
+        text[0] = "-" if text[0] == " - " else ""
+        return "".join(text)
 
     def __repr__(self) -> str:
         return f"ShuffleElement({self})"
@@ -404,15 +446,22 @@ class Embedding(NamedTuple):
     slots: dict
 
 
+# The hot walks below test for a leaf inline, as type(x) is int: a call
+# to is_leaf per visited node costs more than the test itself.
+
+
 def _match_structure(node, pat, out: list) -> bool:
-    if is_leaf(pat):
+    if type(pat) is int:
         out.append((pat, node))
         return True
-    if is_leaf(node) or node[0] != pat[0] or len(node) != len(pat):
+    if type(node) is int or node[0] != pat[0] or len(node) != len(pat):
         return False
-    return all(
-        _match_structure(cn, cp, out) for cn, cp in zip(node[1:], pat[1:])
-    )
+    for cn, cp in zip(node[1:], pat[1:]):
+        if type(cp) is int:
+            out.append((cp, cn))
+        elif not _match_structure(cn, cp, out):
+            return False
+    return True
 
 
 def _pattern_vertices(pat, base: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -438,7 +487,7 @@ def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
         sub = by_label.get(rank)
         if sub is None:
             return None
-        while not is_leaf(sub):
+        while type(sub) is not int:
             sub = sub[1]
         if sub <= prev:
             return None
@@ -465,22 +514,23 @@ def all_embeddings(m, lhs) -> list[Embedding]:
 
 def find_divisor(m, lhs) -> Embedding | None:
     """Leftmost-outermost occurrence of lhs as a shuffle subtree, if any."""
-    if is_leaf(m):
+    if type(m) is int:
         return None
     emb = _embedding_at(m, (), lhs)
     if emb is not None:
         return emb
     for i, c in enumerate(m[1:]):
-        sub = find_divisor(c, lhs)
-        if sub is not None:
-            return Embedding((i,) + sub.path, sub.slots)
+        if type(c) is not int:
+            sub = find_divisor(c, lhs)
+            if sub is not None:
+                return Embedding((i,) + sub.path, sub.slots)
     return None
 
 
 def _substitute(pat, slots: dict):
-    if is_leaf(pat):
+    if type(pat) is int:
         return slots[pat]
-    return (pat[0], *(_substitute(c, slots) for c in pat[1:]))
+    return (pat[0], *[slots[c] if type(c) is int else _substitute(c, slots) for c in pat[1:]])
 
 
 def _replace_at(m, path: tuple[int, ...], sub):
@@ -563,7 +613,8 @@ def normal_form(
             else:
                 coeffs[new] = coeff * c
                 bisect.insort(pending, (memo[new], new), key=itemgetter(0))
-    return ShuffleElement._of(final)
+    # Terms were finalised largest first, so str() need not sort them.
+    return ShuffleElement._of(final, ordered=True)
 
 
 def _random_normal_form(e: ShuffleElement, rules: list[RewriteRule], rng) -> ShuffleElement:
@@ -816,6 +867,7 @@ def parse_element(text: str) -> ShuffleElement:
     if len(toks) == 2 and kind == "num" and not _int(tok, pos):
         return ShuffleElement()
     terms: dict = {}
+    labels: dict = {}  # monomial -> its leaf labels, from its validation
     i = 0
     while True:
         coeff = Fraction(-1 if toks[i][1] == "-" else 1)
@@ -840,11 +892,14 @@ def parse_element(text: str) -> ShuffleElement:
             if toks[i][1] == "*":
                 i += 1
         m, i = _monomial(toks, i)
-        validate_monomial(m)
+        if m not in labels:
+            labels[m] = frozenset(_checked_leaves(m))
         terms[m] = terms.get(m, 0) + coeff
         kind, tok, pos = toks[i]
         if kind == "end":
-            return ShuffleElement(terms)
+            terms = {m: c for m, c in terms.items() if c}
+            _one_label_set({labels[m] for m in terms})
+            return ShuffleElement._of(terms)
         if tok not in ("+", "-"):
             raise ParseError(f"expected '+' or '-', got {tok[0]!r}", pos)
 

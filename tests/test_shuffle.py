@@ -171,6 +171,37 @@ def test_order_is_graded_by_arity():
     assert compare(large, small) == 1
 
 
+def _ref_order_key(m):
+    """The order key with path words as tuples: -ord(c) per symbol
+    character, closed by a sentinel below every -ord(c)."""
+    words, planar = {}, []
+
+    def walk(node, word):
+        if isinstance(node, int):
+            words[node] = word + (-0x110000,)
+            planar.append(node)
+            return
+        word += tuple(-ord(c) for c in node[0])
+        for c in node[1:]:
+            walk(c, word)
+
+    walk(m, ())
+    return len(words), tuple(words[k] for k in sorted(words)), tuple(planar)
+
+
+def test_order_key_matches_path_word_tuples():
+    rng = random.Random(3)
+    symbols = ["x", "y", "a", "ab", "ab_1", "b", "é", "_z", "Ab1"]
+    monos = list(enumerate_shuffle_trees(XY, 4))
+    for _ in range(200):
+        low = rng.randint(1, 3)
+        labels = list(range(low, low + rng.randint(1, 7)))
+        monos.append(_random_monomial(rng, labels, symbols))
+    keys = [(monomial_key(m), _ref_order_key(m)) for m in monos]
+    for (ka, ra), (kb, rb) in itertools.combinations(keys, 2):
+        assert (ka > kb) - (ka < kb) == (ra > rb) - (ra < rb)
+
+
 def _insert_at_leaf(ctx, label, sub):
     """Plug sub into leaf `label` of ctx, relabeling to stay a shuffle tree."""
     k = arity(sub)
@@ -393,6 +424,112 @@ def test_normal_form_matches_resorting_route(rules, symbols):
             assert str(got) == str(expected)
 
 
+# --- printing against a reference --------------------------------------
+
+
+def _ref_print(m):
+    """The recursive printer, one call per node."""
+    if isinstance(m, int):
+        return str(m)
+    return m[0] + "(" + " ".join(_ref_print(c) for c in m[1:]) + ")"
+
+
+def _ref_str(e):
+    """str() of an element: terms sorted by the tuple order key, largest
+    first, with Fraction arithmetic for signs and coefficients."""
+    if not e.terms:
+        return "0"
+    parts = []
+    for m, c in sorted(e.terms.items(), key=lambda t: _ref_order_key(t[0]), reverse=True):
+        body = _ref_print(m)
+        if abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        parts.append(("-" if c < 0 else "+", body))
+    text = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        5, 0, -3, True, ("x", 1, 2), ("ab_1", ("y", 1, 2), 3), ("é", 1, 2), ("x",),
+        ("a b", 1, 2), ("a, b", ("x", 1, 2), 3), ("a', ('b", 1, 2), ("x\n", 1, 2),
+        ("x", -1, 2), ("x", ("y", 1), 2), ("x", 1, ("y", 2, 3, 4)),
+    ],
+)
+def test_print_monomial_matches_the_recursive_printer(m):
+    assert print_monomial(m) == _ref_print(m)
+
+
+def test_print_monomial_takes_linear_time_on_long_labels():
+    # A digit run the printer's pattern could split many ways would take
+    # exponential time here: the symbol "a b" fails the match after it.
+    m = ("x", int("1" * 60), ("a b", 2, 3))
+    assert print_monomial(m) == _ref_print(m) == "x(" + "1" * 60 + " a b(2 3))"
+
+
+LIE_AB = parse_rules(
+    "ab_1(ab_1(1 2) 3) = ab_1(1 ab_1(2 3)) + ab_1(ab_1(1 3) 2)"
+)
+LIE_ADM_AB = parse_rules(
+    "ab_1(ab_1(1 2) 3) = ab_1(y(1 2) 3) + y(ab_1(1 2) 3) - y(y(1 2) 3) - y(1 ab_1(2 3))"
+    " + y(1 y(2 3)) + ab_1(1 ab_1(2 3)) - ab_1(1 y(2 3)) - ab_1(y(1 3) 2)"
+    " + ab_1(ab_1(1 3) 2) + y(y(1 3) 2) - y(ab_1(1 3) 2)"
+)
+_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5), Fraction(-1, 9))
+
+
+@pytest.mark.parametrize(
+    "rules, symbols",
+    [(JACOBI, ["x"]), (LIE_ADM, ["x", "y"]), (LIE_AB, ["ab_1"]), (LIE_ADM_AB, ["ab_1", "y"])],
+    ids=["lie", "lie-adm", "lie-ab_1", "lie-adm-ab_1"],
+)
+def test_normal_form_text_matches_the_reference(rules, symbols):
+    rng = random.Random(11)
+    for arity_ in range(5, 8):
+        labels = list(range(1, arity_ + 1))
+        for _ in range(20):
+            e = ShuffleElement({
+                _random_monomial(rng, labels, symbols): rng.choice(_COEFFS)
+                for _ in range(rng.randint(1, 6))
+            })
+            nf = normal_form(e, rules)
+            assert str(nf) == _ref_str(nf)
+            assert str(e) == _ref_str(e)
+    zero = normal_form(ShuffleElement({rules[0].lhs: 1}) - rules[0].rhs, rules)
+    assert str(zero) == _ref_str(zero) == "0"
+    assert str(normal_form(ShuffleElement(), rules)) == "0"
+
+
+def test_confluence_failure_text_matches_the_reference():
+    report = check_confluence(BAD_JACOBI, 6)
+    assert not report.passed
+    lines = [f"FAIL: {len(report.failures)} of {report.overlap_count} overlap(s) do not resolve"]
+    lines += [f"  at {_ref_print(m)}: {_ref_str(nf)}" for m, nf in report.failures]
+    assert str(report) == "\n".join(lines)
+
+
+def test_normal_form_order_does_not_leak_into_derived_elements():
+    rng = random.Random(5)
+    labels = list(range(1, 7))
+    for _ in range(10):
+        nf = normal_form(ShuffleElement({
+            _random_monomial(rng, labels, "xy"): rng.choice(_COEFFS) for _ in range(4)
+        }), LIE_ADM)
+        other = ShuffleElement({
+            _random_monomial(rng, labels, "xy"): rng.choice(_COEFFS) for _ in range(4)
+        })
+        fresh = ShuffleElement(dict(nf.terms))
+        for derive in (lambda a: a + other, lambda a: other + a, lambda a: -a,
+                       lambda a: a * 2, lambda a: Fraction(-1, 3) * a, lambda a: a - a,
+                       lambda a: a - other):
+            got, expected = derive(nf), derive(fresh)
+            assert got == expected
+            assert str(got) == str(expected) == _ref_str(expected)
+
+
 # --- overlaps and confluence -------------------------------------------
 
 
@@ -575,6 +712,16 @@ def test_zero_parses_as_str_prints_it():
     for text in ("-0", "2*0", "0 + x(1 2)"):
         with pytest.raises(ShuffleConditionError, match="^leaf labels must be positive$"):
             parse_element(text)
+
+
+def test_parse_element_drops_cancelled_terms_before_the_label_check():
+    assert parse_element("x(1 2) - x(1 2)") == ShuffleElement()
+    assert str(parse_element("x(1 2) - 1/2*x(1 2) - 1/2*x(1 2)")) == "0"
+    e = parse_element("x(1 2) + y(1 3) - x(1 2)")
+    assert e == ShuffleElement({("y", 1, 3): 1})
+    message = "terms with different leaf labels: [[1, 2], [1, 3], [2, 3]]"
+    with pytest.raises(ShuffleError, match=f"^{re.escape(message)}$"):
+        parse_element("x(1 3) + x(2 3) - x(1 2) + 2*x(1 3)")
 
 
 def test_rules_alphabet():
@@ -903,3 +1050,12 @@ def test_token_parser_matches_the_reference_on_mutated_texts():
 )
 def test_validate_monomial_matches_the_reference(m):
     assert _parse_outcome(validate_monomial, m) == _parse_outcome(_ref_validate, m)
+
+
+@pytest.mark.parametrize(
+    "m, node", [(("x",), "('x',)"), (("x", 1, "a"), "'a'"), (("x", ("y",), 2), "('y',)")]
+)
+def test_validate_monomial_refuses_a_node_without_children(m, node):
+    message = f"a generator node needs children, got {node}"
+    with pytest.raises(ShuffleConditionError, match=f"^{re.escape(message)}$"):
+        validate_monomial(m)

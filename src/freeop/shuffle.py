@@ -36,6 +36,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import re
 from collections import defaultdict
 from dataclasses import dataclass
@@ -315,16 +316,27 @@ class ShuffleElement:
         return isinstance(other, ShuffleElement) and self.terms == other.terms
 
     def __add__(self, other: "ShuffleElement") -> "ShuffleElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return ShuffleElement(out)
+        return self._combined(other, operator.add)
 
     def __neg__(self) -> "ShuffleElement":
         return ShuffleElement({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "ShuffleElement") -> "ShuffleElement":
-        return self + (-other)
+        return self._combined(other, operator.sub)
+
+    def _combined(self, other: "ShuffleElement", op) -> "ShuffleElement":
+        """self op other, in one dict.  Each operand's terms share one label
+        set, so one term of each stands for its operand's."""
+        if self.terms and other.terms:
+            _one_label_set({frozenset(leaves(next(iter(e.terms)))) for e in (self, other)})
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            c = op(out.get(m, 0), c)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return ShuffleElement._of(out)
 
     def __mul__(self, scalar) -> "ShuffleElement":
         return ShuffleElement({m: c * Fraction(scalar) for m, c in self.terms.items()})
@@ -764,18 +776,30 @@ def _merge(a, b):
     return None if None in kids else (a[0], *kids)
 
 
-def _labelings(shape, labels: tuple[int, ...]) -> Iterator:
-    """Every shuffle tree of a binary shape on the given increasing labels."""
+def _sized(shape) -> tuple:
+    """(arity, shape with each vertex as (sym, left, right, arity of left))."""
     if is_leaf(shape):
+        return 1, shape
+    sym, left, right = shape
+    a, left = _sized(left)
+    b, right = _sized(right)
+    return a + b, (sym, left, right, a)
+
+
+def _labelings(node, labels: tuple[int, ...]) -> Iterator:
+    """Every shuffle tree of a binary shape, given as `_sized` returns it,
+    on the given increasing labels."""
+    if is_leaf(node):
         yield labels[0]
         return
-    sym, left, right = shape
+    sym, left, right, k = node
     first, rest = labels[0], labels[1:]
-    # the least label goes left; any arity(left) - 1 others go with it
-    for picked in itertools.combinations(rest, arity(left) - 1):
+    # the least label goes left; any k - 1 others go with it
+    for picked in itertools.combinations(rest, k - 1):
         others = tuple(x for x in rest if x not in picked)
+        rights = list(_labelings(right, others))
         for lt in _labelings(left, (first, *picked)):
-            for rt in _labelings(right, others):
+            for rt in rights:
                 yield (sym, lt, rt)
 
 
@@ -798,8 +822,8 @@ def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElem
             shape = _merge(_subtree_at(top.lhs, q), inner.lhs)
             if shape is None:
                 continue
-            shape = _replace_at(top.lhs, q, shape)
-            for m in _labelings(shape, tuple(range(1, arity(shape) + 1))):
+            n, shape = _sized(_replace_at(top.lhs, q, shape))
+            for m in _labelings(shape, tuple(range(1, n + 1))):
                 e_top = _embedding_at(m, (), top.lhs)
                 e_inner = _embedding_at(_subtree_at(m, q), q, inner.lhs)
                 if e_top is None or e_inner is None:

@@ -9,6 +9,7 @@ every internal vertex has at least two children.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -85,19 +86,22 @@ def _set_partitions(labels: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
     return results
 
 
-def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertex) -> Iterator:
-    """The basis enumeration, building each (label set, color) once.
+def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) -> Iterator:
+    """The basis enumeration, building each (label set, color) once: the
+    list of trees of each root color in turn.
 
-    `leaf(label)` builds a leaf; `vertex(color, dec)` returns the function
-    that builds a vertex from the tuple of its built children.  Every tree
-    that contains a subtree shares what was built for it.
+    `leaf(label)` builds a leaf.  For each partition of a vertex's labels
+    into blocks, `vertices(color, d, options)` builds the vertices of
+    decorations 0..d-1, decoration first, over every choice of one child
+    from each block's options.  Every tree that contains a subtree shares
+    what was built for it.
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     if root not in (BULLET, CIRC, "any"):
         raise ValueError(f"bad root {root!r}")
     if n == 1:
-        yield leaf(1)
+        yield [leaf(1)]
         return
     dim_of = {BULLET: x.dim, CIRC: y.dim}
     cache: dict[tuple, list] = {}
@@ -125,8 +129,7 @@ def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertex) -> Ite
                     options.append(subs)
             if options is None:
                 continue
-            for dec in range(d):
-                out.extend(map(vertex(color, dec), itertools.product(*options)))
+            out.extend(vertices(color, d, options))
         cache[key] = out
         return out
 
@@ -134,7 +137,7 @@ def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertex) -> Ite
     try:
         for color in (BULLET, CIRC):
             if root in (color, "any"):
-                yield from trees_for(labels, color)
+                yield trees_for(labels, color)
     finally:
         # trees_for refers to itself, so without this the cache lives
         # until the cycle collector runs, which text (untracked strings)
@@ -142,13 +145,19 @@ def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertex) -> Ite
         cache.clear()
 
 
-def _tuple_vertex(color: str, dec: int):
-    return lambda children: (color, dec, children)
+def _tuple_vertices(color: str, d: int, options):
+    return itertools.product((color,), range(d), itertools.product(*options))
 
 
-def _text_vertex(color: str, dec: int):
-    head = f"{color}[dec={dec}]("
-    return lambda children: head + ", ".join(children) + ")"
+def _text_vertices(color: str, d: int, options):
+    # A choice of children is joined once for all d decorations, and the
+    # last block's texts take the closing ")" once each, not once per tree.
+    *first, last = options
+    tails = map(", ".join, itertools.product(*first, [t + ")" for t in last]))
+    if d == 1:  # the tails stream through, never all held at once
+        return map(f"{color}[dec=0](".__add__, tails)
+    heads = [f"{color}[dec={dec}](" for dec in range(d)]
+    return itertools.starmap(operator.add, itertools.product(heads, tails))
 
 
 def enumerate_basis(
@@ -160,7 +169,8 @@ def enumerate_basis(
     subtree.  `root` restricts the root color ("bullet", "circ", "any");
     arity 1 yields the bare leaf regardless.
     """
-    return _basis(x, y, n, root, int, _tuple_vertex)
+    for trees in _basis(x, y, n, root, int, _tuple_vertices):
+        yield from trees
 
 
 def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list[str]:
@@ -168,7 +178,8 @@ def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list
 
     Each shared subtree's text is built once, not once per tree holding it.
     """
-    return list(_basis(x, y, n, root, str, _text_vertex))
+    return list(itertools.chain.from_iterable(
+        _basis(x, y, n, root, str, _text_vertices)))
 
 
 # --- unlabeled mode -----------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -20,6 +21,8 @@ from freeop.cli import build_parser, load_rules, main, resolve_operad
 SCHEMA = json.loads(
     resources.files("freeop").joinpath("schemas", "output.schema.json").read_text()
 )
+# Built once: jsonschema.validate checks the schema itself on every call.
+VALIDATOR = jsonschema and jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 def run(capsys, *args):
@@ -31,8 +34,8 @@ def run(capsys, *args):
 def run_json(capsys, *args):
     code, out = run(capsys, *args, "--format", "json")
     payload = json.loads(out)
-    if jsonschema is not None:
-        jsonschema.validate(payload, SCHEMA)
+    if VALIDATOR:
+        VALIDATOR.validate(payload)
     return code, payload
 
 
@@ -431,6 +434,67 @@ def test_sp_json(capsys):
     code, payload = run_json(capsys, "sp", "-n", "6")
     assert code == 0
     assert payload["count"] == 66
+
+
+# --- listings ----------------------------------------------------------
+
+
+def _check_listing(capsys, argv, payload, items):
+    """`argv` prints payload, `items` last, as json.dumps would, and one
+    item per line as a table."""
+    code, out = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (0, json.dumps(payload, sort_keys=True) + "\n")
+    if VALIDATOR:
+        VALIDATOR.validate(payload)
+    assert run(capsys, *argv) == (0, "".join(item + "\n" for item in items))
+
+
+def test_basis_listing_is_written_as_json_dumps(tmp_path, capsys):
+    from freeop.trees import enumerate_basis, format_tree
+
+    rng = random.Random(12)
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("".join(
+        f"z{i} = [{', '.join(str(rng.choice((0, 0, 1, 2))) for _ in range(4))}]\n"
+        for i in range(6)
+    ))
+    pairs = [("lie", "com-as"), ("as", "as")]
+    pairs += [(f"{cfg}:z{i}", f"{cfg}:z{i + 1}") for i in range(0, 6, 2)]
+    empty = 0
+    for left, right in pairs:
+        x, y = resolve_operad(left), resolve_operad(right)
+        for n in range(1, 6):
+            for root in ("bullet", "circ", "any"):
+                trees = [format_tree(t) for t in enumerate_basis(x, y, n, root)]
+                payload = {"command": "basis", "left": x.name, "right": y.name, "n": n,
+                           "root": root, "count": len(trees), "trees": trees}
+                argv = ["basis", "--left", left, "--right", right, "-n", str(n),
+                        "--root", root, "--list"]
+                _check_listing(capsys, argv, payload, trees)
+                empty += not trees
+    assert empty
+
+
+def test_sp_listing_is_written_as_json_dumps(capsys):
+    from freeop.spnet import enumerate_networks, format_network
+
+    for n in range(1, 10):
+        nets = [format_network(t) for t in enumerate_networks(n)]
+        payload = {"command": "sp", "n": n, "count": len(nets), "networks": nets}
+        _check_listing(capsys, ["sp", "-n", str(n), "--list"], payload, nets)
+
+
+def test_listing_escapes_a_non_ascii_operand_name(tmp_path, capsys):
+    from freeop.trees import basis_lines
+
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("é = [1, 1] builtin:lie\n", encoding="utf-8")
+    x, y = resolve_operad(f"{cfg}:é"), resolve_operad("com-as")
+    trees = basis_lines(x, y, 3)
+    payload = {"command": "basis", "left": x.name, "right": y.name, "n": 3,
+               "root": "any", "count": len(trees), "trees": trees}
+    argv = ["basis", "--left", f"{cfg}:é", "--right", "com-as", "-n", "3", "--list"]
+    _check_listing(capsys, argv, payload, trees)
 
 
 # --- quotient ----------------------------------------------------------

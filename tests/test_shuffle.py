@@ -724,6 +724,22 @@ def test_parse_element_drops_cancelled_terms_before_the_label_check():
         parse_element("x(1 3) + x(2 3) - x(1 2) + 2*x(1 3)")
 
 
+def test_sums_and_differences_drop_cancelled_terms_and_refuse_mixed_labels():
+    e = parse_element("x(1 2) - 2*y(1 2)")
+    f = parse_element("x(1 2) + y(1 2)")
+    zero = ShuffleElement()
+    assert (e - e).terms == {} and (e + -e).terms == {}
+    assert (e - f).terms == {("y", 1, 2): -3}
+    assert (e + f).terms == {("x", 1, 2): 2, ("y", 1, 2): -1}
+    assert e - zero == e + zero == e and zero - e == -e and zero + zero == zero
+    message = "terms with different leaf labels: [[1, 2], [1, 3]]"
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ShuffleError, match=f"^{re.escape(message)}$"):
+            combine(e, parse_element("x(1 3)"))
+        with pytest.raises(ShuffleError, match=f"^{re.escape(message)}$"):
+            combine(parse_element("x(1 3)"), e)
+
+
 def test_rules_alphabet():
     assert rules_alphabet(LIE_ADM) == [("x", 2), ("y", 2)]
     assert rules_alphabet(JACOBI) == [("x", 2)]

@@ -154,8 +154,6 @@ def _text_vertices(color: str, d: int, options):
     # last block's texts take the closing ")" once each, not once per tree.
     *first, last = options
     tails = map(", ".join, itertools.product(*first, [t + ")" for t in last]))
-    if d == 1:  # the tails stream through, never all held at once
-        return map(f"{color}[dec=0](".__add__, tails)
     heads = [f"{color}[dec={dec}](" for dec in range(d)]
     return itertools.starmap(operator.add, itertools.product(heads, tails))
 

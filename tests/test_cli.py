@@ -21,8 +21,13 @@ from freeop.cli import build_parser, load_rules, main, resolve_operad
 SCHEMA = json.loads(
     resources.files("freeop").joinpath("schemas", "output.schema.json").read_text()
 )
-# Built once: jsonschema.validate checks the schema itself on every call.
-VALIDATOR = jsonschema and jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+# The schema is checked, and its validator built, once: jsonschema.validate
+# would do both again on every call.
+VALIDATOR = None
+if jsonschema is not None:
+    _validator_cls = jsonschema.validators.validator_for(SCHEMA)
+    _validator_cls.check_schema(SCHEMA)
+    VALIDATOR = _validator_cls(SCHEMA)
 
 
 def run(capsys, *args):

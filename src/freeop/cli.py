@@ -18,11 +18,16 @@ from . import spnet
 from . import trees
 from .dims import OperadError
 
-ENUM_MAX = 7
-# A listing holds every tree's text at once.  Measured with CPython 3.11
-# on a 2-CPU Xeon, building and writing it (JSON, to a file) takes about
-# 0.4 s and 140 MiB peak for 665k trees (com*com, n=7), 1.0 s and
-# 320 MiB for 1.6M (as*lie, n=7).
+# The one listing bound, checked by check_listing against each listing's
+# work.  A listing holds every tree's or network's text at once: measured
+# with CPython 3.11 on a 2-CPU Xeon, building and writing it (JSON, to a
+# file) takes about 0.4 s and 140 MiB peak for 665k trees (com*com, n=7)
+# and 1.0 s and 320 MiB for 1.6M (as*lie, n=7); a network costs about ten
+# times as much, and `sp -n 14 --list` (437,502 networks) takes 4.1-4.3 s
+# and 222 MiB.  Before that, the basis walk visits up to
+# trees.basis_walk(n) set partitions however few trees come out: the
+# W(9) = 231,930 of n=9 take 0.4-0.5 s, the W(10) = 1,357,118 of n=10
+# 3.2 s, so n >= 10 is refused from n alone.
 LIST_MAX = 1_000_000
 # Counts take O(n^3) big-integer operations.  Measured with CPython 3.11
 # on a 2-CPU Xeon: the dims recurrence for as*as takes about 0.4 s at
@@ -215,10 +220,22 @@ def cmd_count_normal(args) -> int:
     return 0
 
 
+def check_listing(size: int, excess: str) -> None:
+    """Refuse a --list whose work, `size` trees or networks printed or set
+    partitions walked, exceeds LIST_MAX; `excess` names what is listed and
+    how far it goes over."""
+    if size > LIST_MAX:
+        raise CliError(f"--list prints at most {LIST_MAX} {excess}")
+
+
 def cmd_basis(args) -> int:
-    limit = ENUM_MAX if args.list else COUNT_MAX
-    if args.n > limit:
-        raise CliError(f"-n must be <= {limit}")
+    if args.n > COUNT_MAX:
+        raise CliError(f"-n must be <= {COUNT_MAX}")
+    if args.list:
+        check_listing(
+            trees.basis_walk(args.n),
+            f"trees and walks as many set partitions, n={args.n} walks more",
+        )
     x, y = resolve_operands(args)
     count = dims_mod.basis_count(x, y, args.n, args.root)
     payload = {
@@ -230,8 +247,7 @@ def cmd_basis(args) -> int:
         "count": count,
     }
     if args.list:
-        if count > LIST_MAX:
-            raise CliError(f"--list prints at most {LIST_MAX} trees, this basis has {count}")
+        check_listing(count, f"trees, this basis has {count}")
         lines = trees.basis_lines(x, y, args.n, args.root)
         payload["trees"] = lines
     else:
@@ -243,16 +259,12 @@ def cmd_basis(args) -> int:
 def cmd_sp(args) -> int:
     if args.n > SP_MAX:
         raise CliError(f"-n must be <= {SP_MAX}")
-    payload = {"command": "sp", "n": args.n, "count": spnet.macmahon(args.n)}
-    lines = [str(payload["count"])]
+    count = spnet.macmahon(args.n)
+    payload = {"command": "sp", "n": args.n, "count": count}
+    lines = [str(count)]
     if args.list:
-        if payload["count"] > LIST_MAX:
-            raise CliError(
-                f"--list prints at most {LIST_MAX} networks, n={args.n} has {payload['count']}"
-            )
-        nets = spnet.network_lines(args.n)
-        payload["networks"] = nets
-        lines = nets
+        check_listing(count, f"networks, n={args.n} has {count}")
+        lines = payload["networks"] = spnet.network_lines(args.n)
     emit(payload, lines, args.format)
     return 0
 
@@ -265,7 +277,7 @@ def cmd_quotient(args) -> int:
             f"unknown pattern {args.pattern!r}; choose from {sorted(trees.PATTERNS_BY_NAME)}"
         )
     x, y = resolve_operands(args)
-    color = trees.PATTERNS_BY_NAME[args.pattern].color
+    color = trees.PATTERNS_BY_NAME[args.pattern]
     total = dims_mod.basis_count(x, y, args.n)
     avoiding = dims_mod.avoiding_count(x, y, args.n, color)
     payload = {

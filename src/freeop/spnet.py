@@ -123,8 +123,6 @@ def _all_nets(n: int, node) -> Iterator:
     order.  `node(kind, keyed)` builds a node's (key, item) from its
     children's; the edge's item is "e", which is both the network and its
     text."""
-    if not 1 <= n <= 12:
-        raise ValueError(f"n must be in [1, 12], got {n}")
     # Networks are com-as*com-as trees with leaf labels forgotten.  The two
     # colors are symmetric there, and mapping the first to series lists the
     # series-rooted networks first; tree_to_network maps bullet to parallel

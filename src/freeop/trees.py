@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from .dims import OperadDims
@@ -143,6 +142,24 @@ def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) -> I
         # until the cycle collector runs, which text (untracked strings)
         # rarely triggers: listings would pile up across calls.
         cache.clear()
+
+
+def basis_walk(n: int) -> int:
+    """W(n) = 2 (Bell(n + 1) - n - 1): the set partitions `_basis` walks at
+    arity n, at most.
+
+    `_set_partitions` runs once per (label set, color) that `_basis`
+    visits, and yields Bell(k) partitions of a k-label set, however few
+    trees they give.  Summing Bell(k) over every subset of the n labels
+    with k >= 2, for both colors, gives W(n); com-as*com-as visits them
+    all, other operands and one root color visit fewer.
+    """
+    row = [1]  # row m of the Bell triangle starts with Bell(m)
+    walk = 0
+    for m in range(1, n + 2):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+        walk = 2 * (row[0] - m)  # W(m - 1)
+    return walk
 
 
 def _tuple_vertices(color: str, d: int, options):
@@ -295,42 +312,21 @@ def graft(t, args: list):
 # --- pattern-avoidance counting ----------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexPattern:
-    """Local predicate on an internal vertex.
-
-    Matches a vertex of the given color that has at least one composite
-    (non-leaf) child, optionally of a specific color.  With
-    requires_composite_child=False it matches every vertex of the color.
-    """
-
-    color: str
-    requires_composite_child: bool = True
-    child_color: str | None = None
-
-    def matches(self, node) -> bool:
-        if is_leaf(node) or node[0] != self.color:
-            return False
-        if not self.requires_composite_child:
-            return True
-        return any(
-            not is_leaf(c) and (self.child_color is None or c[0] == self.child_color)
-            for c in node[2]
-        )
+# A pattern is a color c: it matches every c vertex with a composite
+# child.  In an alternating tree that child always has the other color.
 
 
 def tree_matches(t, patterns) -> bool:
     """Does any vertex of t match any of the patterns?"""
     if is_leaf(t):
         return False
-    return any(p.matches(t) for p in patterns) or any(
-        tree_matches(c, patterns) for c in t[2]
-    )
+    children = t[2]
+    if t[0] in patterns and not all(map(is_leaf, children)):
+        return True
+    return any(tree_matches(c, patterns) for c in children)
 
 
-def count_avoiding(
-    x: OperadDims, y: OperadDims, n: int, patterns: list[VertexPattern]
-) -> int:
+def count_avoiding(x: OperadDims, y: OperadDims, n: int, patterns: list[str]) -> int:
     """Number of basis trees containing no vertex matching any pattern.
 
     Computed by filtered enumeration: the test oracle for
@@ -345,33 +341,18 @@ def count_avoiding(
 
 
 def count_avoiding_recursive(
-    x: OperadDims, y: OperadDims, n: int, patterns: list[VertexPattern]
+    x: OperadDims, y: OperadDims, n: int, patterns: list[str]
 ) -> int:
     """Independent oracle: the avoidance count via a partition recursion.
 
-    Works because the patterns are local: in an alternating tree, whether
-    a vertex of color c over a block-size profile matches depends only on
-    (c, profile).
+    Works because the patterns are local: whether a vertex of color c
+    over a block-size profile matches depends only on (c, profile).
     """
     from .partitions import partitions, orbit_count
 
     if n == 1:
         return 1
     dim_of = {BULLET: x.dim, CIRC: y.dim}
-
-    def profile_matches(color: str, lam) -> bool:
-        for p in patterns:
-            if p.color != color:
-                continue
-            if not p.requires_composite_child:
-                return True
-            if any(s > 1 for s in lam.parts) and p.child_color in (
-                None,
-                other_color(color),
-            ):
-                return True
-        return False
-
     cache: dict[tuple, int] = {}
 
     def avoid(k: int, color: str) -> int:
@@ -380,7 +361,7 @@ def count_avoiding_recursive(
             return cache[key]
         total = 0
         for lam in partitions(k, 2):
-            if profile_matches(color, lam):
+            if color in patterns and any(s > 1 for s in lam.parts):
                 continue
             term = orbit_count(lam) * dim_of[color](lam.m)
             for s in lam.parts:
@@ -394,8 +375,8 @@ def count_avoiding_recursive(
 
 
 PATTERNS_BY_NAME = {
-    "bullet-composite-child": VertexPattern(BULLET),
-    "circ-composite-child": VertexPattern(CIRC),
+    "bullet-composite-child": BULLET,
+    "circ-composite-child": CIRC,
 }
 
 

@@ -16,6 +16,7 @@ except ImportError:  # pragma: no cover
 
 import freeop
 from freeop import dims as dims_mod
+from freeop import trees as trees_mod
 from freeop.cli import build_parser, load_rules, main, resolve_operad
 
 SCHEMA = json.loads(
@@ -359,6 +360,22 @@ def test_basis_list_refuses_past_its_tree_bound(capsys):
     )
 
 
+@pytest.mark.parametrize("n, message", [
+    ("10", "--list prints at most 1000000 trees and walks as many set partitions, n=10 walks more"),
+    ("200", "--list prints at most 1000000 trees and walks as many set partitions, n=200 walks more"),
+    ("201", "-n must be <= 200"),
+])
+def test_basis_list_refuses_a_long_walk_from_n_alone(capsys, monkeypatch, n, message):
+    # Refused before the operands are resolved, counted or walked.
+    def no_work(*args):
+        raise AssertionError("work done before the walk bound")
+
+    monkeypatch.setattr(trees_mod, "_set_partitions", no_work)
+    monkeypatch.setattr(dims_mod, "basis_count", no_work)
+    assert main(["basis", "--left", "nosuch", "--right", "as", "-n", n, "--list"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_basis_root_filter(capsys):
     _, bullet = run(
         capsys,
@@ -435,6 +452,11 @@ def test_sp_refuses_past_its_bounds_before_counting(capsys):
         "", "error: --list prints at most 1000000 networks, n=15 has 1399068\n")
 
 
+def test_sp_lists_every_network_under_the_bound(capsys):
+    code, out = run(capsys, "sp", "-n", "13", "--list")
+    assert (code, out.count("\n")) == (0, 137908)
+
+
 def test_sp_json(capsys):
     code, payload = run_json(capsys, "sp", "-n", "6")
     assert code == 0
@@ -487,6 +509,18 @@ def test_sp_listing_is_written_as_json_dumps(capsys):
         nets = [format_network(t) for t in enumerate_networks(n)]
         payload = {"command": "sp", "n": n, "count": len(nets), "networks": nets}
         _check_listing(capsys, ["sp", "-n", str(n), "--list"], payload, nets)
+
+
+def test_basis_list_answers_past_n7_when_walk_and_count_fit(tmp_path, capsys):
+    # d8 alone: two corollas, from a walk of 2 * Bell(8) set partitions.
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("s = [0, 0, 0, 0, 0, 0, 1]\n")
+    x = resolve_operad(f"{cfg}:s")
+    trees = [f"{color}[dec=0](1, 2, 3, 4, 5, 6, 7, 8)" for color in ("bullet", "circ")]
+    payload = {"command": "basis", "left": x.name, "right": x.name, "n": 8,
+               "root": "any", "count": 2, "trees": trees}
+    argv = ["basis", "--left", f"{cfg}:s", "--right", f"{cfg}:s", "-n", "8", "--list"]
+    _check_listing(capsys, argv, payload, trees)
 
 
 def test_listing_escapes_a_non_ascii_operand_name(tmp_path, capsys):

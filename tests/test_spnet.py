@@ -217,6 +217,5 @@ def test_parse_network_returns_a_network_or_raises_value_error(text):
 def test_network_lines_are_the_formatted_enumeration():
     for n in range(1, 13):
         assert network_lines(n) == [format_network(t) for t in enumerate_networks(n)]
-    for n in (0, 13):
-        with pytest.raises(ValueError, match=f"n must be in \\[1, 12\\], got {n}"):
-            network_lines(n)
+    with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
+        network_lines(0)

@@ -16,9 +16,9 @@ from freeop.trees import (
     BULLET,
     CIRC,
     PATTERNS_BY_NAME,
-    VertexPattern,
     arity,
     basis_lines,
+    basis_walk,
     count_avoiding,
     count_avoiding_recursive,
     enumerate_basis,
@@ -33,6 +33,7 @@ from freeop.trees import (
     validate_tree,
 )
 from freeop import spnet
+from freeop import trees as trees_mod
 from freeop.partitions import partitions
 
 LIE = builtin_operad("lie")
@@ -108,6 +109,40 @@ def test_basis_lines_are_the_formatted_enumeration():
             for root in (BULLET, CIRC, "any"):
                 expected = [format_tree(t) for t in enumerate_basis(a, b, n, root)]
                 assert basis_lines(a, b, n, root) == expected
+
+
+def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
+    seen = []
+    set_partitions = trees_mod._set_partitions
+
+    def counted(labels):
+        blocks = set_partitions(labels)
+        seen.append(len(blocks))
+        return blocks
+
+    def walked(a, b, n, root):
+        seen.clear()
+        basis_lines(a, b, n, root)
+        return sum(seen)
+
+    monkeypatch.setattr(trees_mod, "_set_partitions", counted)
+    # com-as*com-as visits every label set of size >= 2 in both colors.
+    for n in range(1, 8):
+        assert walked(COMAS, COMAS, n, "any") == basis_walk(n), n
+    rng = random.Random(13)
+    for _ in range(2):
+        a, b = (
+            explicit_operad(name, [rng.choice((0, 0, 1)) for _ in range(7)])
+            for name in "ab"
+        )
+        for n in range(1, 9):
+            for root in (BULLET, CIRC, "any"):
+                assert walked(a, b, n, root) <= basis_walk(n), (n, root)
+
+
+def test_basis_walk_values():
+    assert [basis_walk(n) for n in range(-1, 11)] == [
+        0, 0, 0, 4, 22, 94, 394, 1740, 8264, 42276, 231930, 1357118]
 
 
 def test_enumerated_trees_are_canonical_and_alternating():
@@ -219,16 +254,10 @@ def test_empty_pattern_list_counts_everything():
 
 def test_avoiding_matches_recursive_oracle():
     rng = random.Random(5)
-    named = list(PATTERNS_BY_NAME.values())
-    extra = [
-        VertexPattern(BULLET, requires_composite_child=False),
-        VertexPattern(CIRC, child_color=BULLET),
-        VertexPattern(CIRC, child_color=CIRC),  # never matches: trees alternate
-    ]
     for _ in range(5):
         a = explicit_operad("a", [rng.randint(0, 3) for _ in range(4)])
         b = explicit_operad("b", [rng.randint(0, 3) for _ in range(4)])
-        for pattern in named + extra:
+        for pattern in PATTERNS_BY_NAME.values():
             for n in range(1, 6):
                 assert count_avoiding(a, b, n, [pattern]) == count_avoiding_recursive(
                     a, b, n, [pattern]
@@ -242,7 +271,7 @@ def test_avoiding_count_matches_both_oracles(seed):
     b = explicit_operad("b", [rng.randint(0, 2) for _ in range(5)])
     for name, pattern in PATTERNS_BY_NAME.items():
         for n in range(1, 7):
-            got = avoiding_count(a, b, n, pattern.color)
+            got = avoiding_count(a, b, n, pattern)
             assert got == count_avoiding(a, b, n, [pattern]), (name, n)
             assert got == count_avoiding_recursive(a, b, n, [pattern]), (name, n)
 

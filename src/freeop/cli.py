@@ -22,9 +22,9 @@ from .dims import OperadError
 # work.  A listing holds every tree's or network's text at once: measured
 # with CPython 3.11 on a 2-CPU Xeon, building and writing it (JSON, to a
 # file) takes about 0.4 s and 140 MiB peak for 665k trees (com*com, n=7)
-# and 1.0 s and 320 MiB for 1.6M (as*lie, n=7); a network costs about ten
-# times as much, and `sp -n 14 --list` (437,502 networks) takes 4.1-4.3 s
-# and 222 MiB.  Before that, the basis walk visits up to
+# and 1.0 s and 320 MiB for 1.6M (as*lie, n=7); a network costs three to
+# four times as much, and `sp -n 14 --list` (437,502 networks) takes
+# 0.7-1.1 s and 105 MiB.  Before that, the basis walk visits up to
 # trees.basis_walk(n) set partitions however few trees come out: the
 # W(9) = 231,930 of n=9 take 0.4-0.5 s, the W(10) = 1,357,118 of n=10
 # 3.2 s, so n >= 10 is refused from n alone.

@@ -7,7 +7,7 @@ the MacMahon numbers 1, 2, 4, 10, 24, 66, 180, ...
 """
 from __future__ import annotations
 
-import functools
+import itertools
 import re
 from operator import itemgetter, mul
 from typing import Iterator
@@ -31,59 +31,34 @@ def size(net) -> int:
     return sum(size(c) for c in net[1])
 
 
-def network_key(net):
-    # Mirrors trees.structural_key so the bijection preserves sort order:
-    # series <-> circ (kind 1), parallel <-> bullet (kind 2).
-    if is_edge(net):
-        return (1, 0)
-    kind = 1 if net[0] == SERIES else 2
-    return (size(net), kind, 0, tuple(network_key(c) for c in net[1]))
-
-
 def make_node(kind: str, children) -> tuple:
-    """Build a canonical S/P node; rejects like-kinded nesting."""
-    return _keyed_node(kind, [(network_key(c), c) for c in children])[1]
+    """Build a canonical S/P node over canonical children in any order."""
+    return _keyed_node(kind, [(_validated_key(c), c) for c in children])[1]
 
 
 def _keyed_node(kind: str, keyed) -> tuple:
-    """(network_key, node) of the canonical node over (key, child) pairs.
-
-    The node's key is built from its children's, so a caller that keeps
-    keys computes each one once instead of once per enclosing node.
-    """
+    """(key, node) of the canonical node over (key, child) pairs; rejects
+    like-kinded nesting.  The key, built from the children's, mirrors
+    trees.structural_key, so the bijection preserves sort order: series
+    <-> circ (kind 1), parallel <-> bullet (kind 2)."""
     if kind not in (SERIES, PARALLEL):
         raise ValueError(f"bad kind {kind!r}")
-    key, children = _joined(kind, keyed)
-    if len(children) < 2:
+    keyed = sorted(keyed, key=itemgetter(0))
+    if len(keyed) < 2:
         raise ValueError("series/parallel node needs at least two children")
+    keys, children = zip(*keyed)
     for c in children:
         if not is_edge(c) and c[0] == kind:
             raise ValueError(f"{kind} node may not contain a {kind} child")
-    return key, (kind, children)
+    return (sum(k[0] for k in keys), 1 if kind == SERIES else 2, 0, keys), (kind, children)
 
 
-def _text_node(kind: str, keyed) -> tuple:
-    """(network_key, format_network text) of the node over (key, text) pairs."""
-    key, texts = _joined(kind, keyed)
-    return key, f"{kind}(" + " ".join(texts) + ")"
-
-
-def _joined(kind: str, keyed) -> tuple:
-    """The key of a `kind` node over (key, item) pairs, and its items in
-    canonical order."""
-    keyed = sorted(keyed, key=itemgetter(0))
-    keys = tuple(k for k, _ in keyed)
-    key = (sum(k[0] for k in keys), 1 if kind == SERIES else 2, 0, keys)
-    return key, tuple(item for _, item in keyed)
-
-
-_EDGE_KEYED = (network_key(EDGE), EDGE)
+_EDGE_KEYED = ((1, 0), EDGE)
 _COM_AS = builtin_operad("com-as")
 
 
 def _checked_node(kind: str, keyed: list) -> tuple:
-    """_keyed_node over (key, child) pairs that must already be in
-    canonical order."""
+    """_keyed_node over (key, child) pairs already in canonical order."""
     key, net = _keyed_node(kind, keyed)
     if net[1] != tuple(c for _, c in keyed):
         raise ValueError("children not in canonical order")
@@ -96,10 +71,12 @@ def validate_network(net) -> None:
 
 
 def _validated_key(net):
-    """network_key of a canonical net, each subtree's key built once."""
+    """The key of a canonical net, each subtree's key built once."""
     if is_edge(net):
         return _EDGE_KEYED[0]
     kind, children = net
+    if not isinstance(children, tuple):
+        raise ValueError(f"children must be a tuple, got {type(children).__name__}")
     return _checked_node(kind, [(_validated_key(c), c) for c in children])[0]
 
 
@@ -108,29 +85,28 @@ def _validated_key(net):
 
 def enumerate_networks(n: int) -> Iterator:
     """All canonical networks with n edges, deterministic order."""
-    yield from (net for _, net in _all_nets(n, _keyed_node))
+    return _all_nets(n, lambda kind, choices: itertools.product((kind,), choices))
 
 
 def network_lines(n: int) -> list[str]:
     """`format_network` of each network of `enumerate_networks`, in the same
-    order.  Each shared subnetwork's text is built once, not once per
-    network holding it."""
-    return [text for _, text in _all_nets(n, _text_node)]
+    order, each shared subnetwork's text built once."""
+    return list(_all_nets(
+        n, lambda kind, choices: map(f"{kind}({{}})".format, map(" ".join, choices))))
 
 
-def _all_nets(n: int, node) -> Iterator:
-    """(network_key, item) pairs of the networks with n edges, in enumeration
-    order.  `node(kind, keyed)` builds a node's (key, item) from its
-    children's; the edge's item is "e", which is both the network and its
-    text."""
-    # Networks are com-as*com-as trees with leaf labels forgotten.  The two
-    # colors are symmetric there, and mapping the first to series lists the
-    # series-rooted networks first; tree_to_network maps bullet to parallel
-    # instead, so that network_key mirrors trees.structural_key.
+def _all_nets(n: int, nodes) -> Iterator:
+    """The networks with n edges, as `nodes(kind, choices)` builds the
+    nodes of a kind over choices of children in canonical order; the edge
+    is "e", both the network and its text."""
+    # Networks are com-as*com-as trees (one decoration per arity) without
+    # leaf labels.  Mapping the first color to series lists series-rooted
+    # networks first, though tree_to_network maps bullet to parallel: kind
+    # never decides between siblings, as those of equal size share it.
     kinds = {trees.BULLET: SERIES, trees.CIRC: PARALLEL}
     return trees._unlabeled(
-        _COM_AS, _COM_AS, n, "any", _EDGE_KEYED,
-        lambda color, dec: functools.partial(node, kinds[color]),
+        _COM_AS, _COM_AS, n, "any", EDGE,
+        lambda color, d, choices: nodes(kinds[color], choices),
     )
 
 
@@ -171,7 +147,7 @@ def tree_to_network(t):
 
 
 def _keyed_network(t) -> tuple:
-    """(network_key, network) of tree_to_network(t)."""
+    """(key, network) of tree_to_network(t)."""
     if trees.is_leaf(t):
         return _EDGE_KEYED
     kind = PARALLEL if t[0] == trees.BULLET else SERIES
@@ -179,11 +155,12 @@ def _keyed_network(t) -> tuple:
 
 
 def network_to_tree(net):
-    """Inverse of tree_to_network, producing canonical unlabeled trees."""
+    """Inverse of tree_to_network, producing canonical unlabeled trees: the
+    children of a canonical network are already in structural_key order."""
     if is_edge(net):
         return 0
     color = trees.BULLET if net[0] == PARALLEL else trees.CIRC
-    return trees._sorted_vertex(color, 0)(network_to_tree(c) for c in net[1])
+    return (color, 0, tuple(network_to_tree(c) for c in net[1]))
 
 
 # --- text form ----------------------------------------------------------
@@ -215,7 +192,7 @@ def parse_network(text: str):
     idx = 0
 
     def node(depth: int = 1):
-        """(network_key, network) of the node starting at token idx."""
+        """(key, network) of the node starting at token idx."""
         nonlocal idx
         if idx >= len(tokens):
             raise ValueError("unexpected end of input")

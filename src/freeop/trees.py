@@ -8,6 +8,7 @@ every internal vertex has at least two children.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -48,6 +49,8 @@ def validate_tree(t) -> None:
     if is_leaf(t):
         return
     color, dec, children = t
+    if not isinstance(children, tuple):
+        raise ValueError(f"children must be a tuple, got {type(children).__name__}")
     if color not in (BULLET, CIRC):
         raise ValueError(f"bad color {color!r}")
     if dec < 0:
@@ -209,15 +212,18 @@ def structural_key(t):
     return (arity(t), kind, dec, tuple(structural_key(c) for c in children))
 
 
-def _sorted_vertex(color: str, dec: int):
-    return lambda children: (color, dec, tuple(sorted(children, key=structural_key)))
+def _unlabeled(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) -> Iterator:
+    """`_basis` with leaf labels forgotten: `leaf` is the built leaf.
 
-
-def _unlabeled(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertex) -> Iterator:
-    """`_basis` with leaf labels forgotten: `leaf` is the built leaf, and
-    a vertex's children, a multiset, come in no canonical order.  They are
-    listed by partition of the arity, part sizes descending, then the
-    product of one multiset of subtrees per part size."""
+    A vertex's children, a multiset, are listed by partition of the arity,
+    part sizes descending, then the product of one multiset of subtrees
+    per part size.  `vertices(color, d, choices)` builds the vertices of
+    decorations 0..d-1, decoration first, over each choice of children in
+    the order of `structural_key`: by size, then by rank, a subtree's
+    place in its (size, color) list sorted by decoration, then by its
+    children's (size, rank)s (siblings of equal size have one color).
+    Only siblings of equal size need ranks: lists up to size n/2.
+    """
     from .partitions import partitions
 
     if n < 1:
@@ -228,44 +234,59 @@ def _unlabeled(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertex) ->
         yield leaf
         return
     dim_of = {BULLET: x.dim, CIRC: y.dim}
-    cache: dict[tuple, list] = {}
 
-    def trees_for(k: int, color: str) -> list:
-        key = (k, color)
-        if key in cache:
-            return cache[key]
+    @functools.cache
+    def multisets(size: int, mult: int, color: str) -> tuple:
+        """Each multiset of mult subtrees of (size, color), in enumeration
+        order: its subtrees by rank, and their (size, rank)s in one flat
+        tuple, which sorts as the pairs do."""
+        subtrees, ranks = ((leaf,), [(1, 0)]) if size == 1 else trees_for(size, color)
+        if mult == 1:
+            return list(zip(subtrees)), ranks
+        sets = [sorted(s) for s in itertools.combinations_with_replacement(
+            zip(ranks, subtrees), mult)]
+        return ([tuple(t for _, t in s) for s in sets],
+                [sum((r for r, _ in s), ()) for s in sets])
+
+    @functools.cache
+    def trees_for(k: int, color: str) -> tuple:
+        """The trees of (k, color), and if 2k <= n the (k, rank) of each."""
         out: list = []
+        order: list = []  # (decoration, children's flat (size, rank)s) per tree
         for lam in partitions(k, 2):
             d = dim_of[color](lam.m)
             if d == 0:
                 continue
-            per_size = []
-            for size, mult in sorted(lam.multiplicities().items(), reverse=True):
-                if size == 1:
-                    per_size.append([(leaf,) * mult])
-                else:
-                    pool = trees_for(size, other_color(color))
-                    per_size.append(list(itertools.combinations_with_replacement(pool, mult)))
-            for dec in range(d):
-                build = vertex(color, dec)
-                for groups in itertools.product(*per_size):
-                    out.append(build(itertools.chain.from_iterable(groups)))
-        cache[key] = out
-        return out
+            subtrees, ranks = zip(*[
+                multisets(size, mult, other_color(color))
+                for size, mult in sorted(lam.multiplicities().items(), reverse=True)])
+            out.extend(vertices(color, d, _ascending(subtrees)))
+            if 2 * k <= n:
+                order.extend(itertools.product(range(d), _ascending(ranks)))
+        rank = {o: (k, r) for r, o in enumerate(sorted(order))}
+        return out, [rank[o] for o in order]
 
     try:
         for color in (BULLET, CIRC):
             if root in (color, "any"):
-                yield from trees_for(n, color)
+                yield from trees_for(n, color)[0]
     finally:
-        cache.clear()  # as in _basis
+        trees_for.cache_clear()  # as in _basis
+        multisets.cache_clear()
+
+
+def _ascending(groups) -> Iterator[tuple]:
+    """Each of product(*groups), its groups joined in reverse order."""
+    return map(tuple, map(itertools.chain.from_iterable,
+                          map(reversed, itertools.product(*groups))))
 
 
 def enumerate_unlabeled(
     x: OperadDims, y: OperadDims, n: int, root: str = "any"
 ) -> Iterator:
     """Basis trees up to forgetting leaf labels: canonical multisets of children."""
-    return _unlabeled(x, y, n, root, 0, _sorted_vertex)
+    return _unlabeled(x, y, n, root, 0, lambda color, d, choices: itertools.product(
+        (color,), range(d), choices))
 
 
 # --- grafting with suppression (the As*As planar model) -----------------

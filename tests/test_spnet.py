@@ -163,6 +163,14 @@ def test_validate_network_rejects_children_out_of_order():
     validate_network((PARALLEL, (EDGE, (SERIES, (EDGE, EDGE)))))
     with pytest.raises(ValueError, match="children not in canonical order"):
         validate_network((PARALLEL, ((SERIES, (EDGE, EDGE)), EDGE)))
+    # make_node orders its own children, but each must already be canonical.
+    with pytest.raises(ValueError, match="children not in canonical order"):
+        make_node(SERIES, (EDGE, (PARALLEL, ((SERIES, (EDGE, EDGE)), EDGE))))
+
+
+def test_validate_network_rejects_list_children():
+    with pytest.raises(ValueError, match="children must be a tuple, got list"):
+        validate_network((SERIES, [EDGE, EDGE]))
 
 
 def test_validate_network_builds_each_key_once():
@@ -217,5 +225,10 @@ def test_parse_network_returns_a_network_or_raises_value_error(text):
 def test_network_lines_are_the_formatted_enumeration():
     for n in range(1, 13):
         assert network_lines(n) == [format_network(t) for t in enumerate_networks(n)]
+    # The make_node route does not share _unlabeled's ordering of children.
+    cache = {}
+    for n in range(1, 11):
+        expected = [format_network(t) for t in _networks_by_make_node(n, "any", cache)]
+        assert network_lines(n) == expected
     with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
         network_lines(0)

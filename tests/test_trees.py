@@ -441,6 +441,12 @@ def test_parse_rejects_malformed():
         parse_tree("green[dec=0](1, 2)")
 
 
+def test_validate_tree_rejects_list_children():
+    validate_tree((BULLET, 0, (1, (CIRC, 0, (2, 3)))))
+    with pytest.raises(ValueError, match="children must be a tuple, got list"):
+        validate_tree((BULLET, 0, (1, (CIRC, 0, [2, 3]))))
+
+
 @pytest.mark.parametrize(
     "text, pos",
     [("bullet[dec=0](" + "1" * 5000 + ", 2)", 14), ("bullet[dec=" + "7" * 5000 + "](1, 2)", 11)],

@@ -21,13 +21,12 @@ from .dims import OperadError
 # The one listing bound, checked by check_listing against each listing's
 # work.  A listing holds every tree's or network's text at once: measured
 # with CPython 3.11 on a 2-CPU Xeon, building and writing it (JSON, to a
-# file) takes about 0.4 s and 140 MiB peak for 665k trees (com*com, n=7)
-# and 1.0 s and 320 MiB for 1.6M (as*lie, n=7); a network costs three to
-# four times as much, and `sp -n 14 --list` (437,502 networks) takes
-# 0.7-1.1 s and 105 MiB.  Before that, the basis walk visits up to
-# trees.basis_walk(n) set partitions however few trees come out: the
-# W(9) = 231,930 of n=9 take 0.4-0.5 s, the W(10) = 1,357,118 of n=10
-# 3.2 s, so n >= 10 is refused from n alone.
+# file) takes 0.35-0.4 s and 122 MiB peak for the 665k trees of com*com at
+# n=7, and `sp -n 14 --list` (437,502 networks, three to four times the
+# cost of a tree each) 0.8-0.9 s and 106 MiB.  Before that, the basis walk
+# visits up to trees.basis_walk(n) set partitions however few trees come
+# out: walking the W(9) = 231,930 of n=9 alone takes 0.5-0.8 s, the
+# W(10) = 1,357,118 of n=10 3.7-4.7 s, so n >= 10 is refused from n alone.
 LIST_MAX = 1_000_000
 # Counts take O(n^3) big-integer operations.  Measured with CPython 3.11
 # on a 2-CPU Xeon: the dims recurrence for as*as takes about 0.4 s at
@@ -44,6 +43,11 @@ COUNT_NORMAL_BUDGET = COUNT_MAX**3 * 2**2
 # 4.9 s at 2000.  The bound was set where this matched dims at COUNT_MAX,
 # which now takes 1.5 s.
 SP_MAX = 2000
+
+
+# The separator between a listing's items, by format: emit writes a JSON
+# listing's items between the `["` and `"]` of its array.
+LISTING_SEP = {"table": "\n", "json": '", "'}
 
 
 class CliError(Exception):
@@ -105,11 +109,14 @@ def emit(payload: dict, text_lines: list[str], fmt: str) -> None:
     A listing is a payload whose last key holds text_lines itself (`trees`,
     `networks`).  Its items are tree or network text, which JSON does not
     escape, so the array is spliced in as text, not encoded item by item.
+    A line of a listing may hold many items, already joined by the
+    format's LISTING_SEP (`trees.basis_pieces`): text_lines joined by it
+    is the listing either way.
     """
     write = sys.stdout.write
     if fmt != "json":
         if text_lines:
-            _write_joined("\n", text_lines)
+            _write_joined(LISTING_SEP[fmt], text_lines)
             write("\n")
         return
     last = max(payload)
@@ -118,13 +125,14 @@ def emit(payload: dict, text_lines: list[str], fmt: str) -> None:
         return
     rest = json.dumps({k: v for k, v in payload.items() if k != last}, sort_keys=True)
     write(f'{rest[:-1]}, {json.dumps(last)}: ["')
-    _write_joined('", "', text_lines)
+    _write_joined(LISTING_SEP[fmt], text_lines)
     write('"]}\n')
 
 
 def _write_joined(sep: str, items: list[str]) -> None:
-    """Write sep.join(items) a slice of items at a time: a listing's text
-    is never held whole next to the output buffer."""
+    """Write sep.join(items) 4096 items at a time: a listing of one item a
+    line is not copied whole into one string.  4096 basis pieces may hold
+    a whole listing, whose text is then copied once."""
     write = sys.stdout.write
     for start in range(0, len(items), 4096):
         if start:
@@ -248,8 +256,8 @@ def cmd_basis(args) -> int:
     }
     if args.list:
         check_listing(count, f"trees, this basis has {count}")
-        lines = trees.basis_lines(x, y, args.n, args.root)
-        payload["trees"] = lines
+        lines = payload["trees"] = trees.basis_pieces(
+            x, y, args.n, args.root, LISTING_SEP[args.format])
     else:
         lines = [str(count)]
     emit(payload, lines, args.format)

@@ -66,21 +66,23 @@ def validate_tree(t) -> None:
 # --- labeled basis enumeration -----------------------------------------
 
 
-def _set_partitions(labels: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """Set partitions of labels; blocks sorted internally and by minimum."""
+def _set_partitions(k: int) -> list[tuple]:
+    """The set partitions of range(k), blocks sorted internally and by
+    minimum, as index blocks: a block of one is its index, a larger block
+    the itemgetter that picks its labels out of a k-label tuple."""
     parts: list[list[int]] = []
     results: list[tuple] = []
 
     def rec(i: int) -> None:
-        if i == len(labels):
-            results.append(tuple(tuple(b) for b in parts))
+        if i == k:
+            results.append(tuple(
+                b[0] if len(b) == 1 else operator.itemgetter(*b) for b in parts))
             return
-        x = labels[i]
         for b in parts:
-            b.append(x)
+            b.append(i)
             rec(i + 1)
             b.pop()
-        parts.append([x])
+        parts.append([i])
         rec(i + 1)
         parts.pop()
 
@@ -88,15 +90,18 @@ def _set_partitions(labels: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]
     return results
 
 
-def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) -> Iterator:
+def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices,
+           roots=None) -> Iterator:
     """The basis enumeration, building each (label set, color) once: the
     list of trees of each root color in turn.
 
     `leaf(label)` builds a leaf.  For each partition of a vertex's labels
     into blocks, `vertices(color, d, options)` builds the vertices of
     decorations 0..d-1, decoration first, over every choice of one child
-    from each block's options.  Every tree that contains a subtree shares
-    what was built for it.
+    from each block's options; `roots`, if given, builds the root's
+    instead.  Every tree that contains a subtree shares what was built
+    for it.  The set partitions of each size are computed once, and each
+    dimension is read once, when a vertex first needs it.
     """
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
@@ -105,15 +110,22 @@ def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) -> I
     if n == 1:
         yield [leaf(1)]
         return
-    dim_of = {BULLET: x.dim, CIRC: y.dim}
+    dim_of = {BULLET: functools.cache(x.dim), CIRC: functools.cache(y.dim)}
+    roots = roots or vertices
+    leaves = [None] + [(leaf(label),) for label in range(1, n + 1)]
+    partitions: dict[int, list] = {}
     cache: dict[tuple, list] = {}
 
     def trees_for(labels: tuple[int, ...], color: str) -> list:
         key = (labels, color)
         if key in cache:
             return cache[key]
+        k = len(labels)
+        if k not in partitions:
+            partitions[k] = _set_partitions(k)
+        build = roots if k == n else vertices
         out: list = []
-        for blocks in _set_partitions(labels):
+        for blocks in partitions[k]:
             if len(blocks) < 2:
                 continue
             d = dim_of[color](len(blocks))
@@ -121,17 +133,15 @@ def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) -> I
                 continue
             options: list = []
             for b in blocks:
-                if len(b) == 1:
-                    options.append((leaf(b[0]),))
-                else:
-                    subs = trees_for(b, other_color(color))
-                    if not subs:
-                        options = None
-                        break
-                    options.append(subs)
-            if options is None:
-                continue
-            out.extend(vertices(color, d, options))
+                if type(b) is int:
+                    options.append(leaves[labels[b]])
+                    continue
+                subs = trees_for(b(labels), other_color(color))
+                if not subs:
+                    break
+                options.append(subs)
+            else:
+                out.extend(build(color, d, options))
         cache[key] = out
         return out
 
@@ -145,15 +155,15 @@ def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) -> I
         # until the cycle collector runs, which text (untracked strings)
         # rarely triggers: listings would pile up across calls.
         cache.clear()
+        partitions.clear()
 
 
 def basis_walk(n: int) -> int:
     """W(n) = 2 (Bell(n + 1) - n - 1): the set partitions `_basis` walks at
     arity n, at most.
 
-    `_set_partitions` runs once per (label set, color) that `_basis`
-    visits, and yields Bell(k) partitions of a k-label set, however few
-    trees they give.  Summing Bell(k) over every subset of the n labels
+    `_basis` walks the Bell(k) set partitions of a k-label set once per
+    (label set, color) it visits, however few trees they give.  Summing Bell(k) over every subset of the n labels
     with k >= 2, for both colors, gives W(n); com-as*com-as visits them
     all, other operands and one root color visit fewer.
     """
@@ -178,6 +188,25 @@ def _text_vertices(color: str, d: int, options):
     return itertools.starmap(operator.add, itertools.product(heads, tails))
 
 
+def _joined_vertices(sep: str, color: str, d: int, options):
+    """`_text_vertices` for the root, its trees joined by sep in pieces.
+
+    The blocks after the last one with more than one option are the same
+    in every tree, so each choice of decoration and of the children before
+    that block is one piece: the text of all the trees it starts, joined
+    by sep in one call.
+    """
+    last = len(options) - 1
+    while last and len(options[last]) == 1:
+        last -= 1
+    suffix = "".join(", " + o[0] for o in options[last + 1:]) + ")"
+    firsts = list(map("".join, itertools.product(
+        *[[t + ", " for t in o] for o in options[:last]])))
+    prefixes = [f"{color}[dec={dec}](" + f for dec in range(d) for f in firsts]
+    block = options[last]
+    return [p + (suffix + sep + p).join(block) + suffix for p in prefixes]
+
+
 def enumerate_basis(
     x: OperadDims, y: OperadDims, n: int, root: str = "any"
 ) -> Iterator:
@@ -198,6 +227,16 @@ def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list
     """
     return list(itertools.chain.from_iterable(
         _basis(x, y, n, root, str, _text_vertices)))
+
+
+def basis_pieces(
+    x: OperadDims, y: OperadDims, n: int, root: str = "any", sep: str = "\n"
+) -> list[str]:
+    """Text whose sep.join is sep.join(basis_lines(x, y, n, root)): each
+    piece joins the root trees that differ only in one block's child."""
+    return list(itertools.chain.from_iterable(
+        _basis(x, y, n, root, str, _text_vertices,
+               functools.partial(_joined_vertices, sep))))
 
 
 # --- unlabeled mode -----------------------------------------------------

@@ -400,6 +400,10 @@ def test_basis_root_count_skips_other_operad_at_top_arity(tmp_path, capsys):
     assert (code, out) == (0, "4\n")
     code, _ = run(capsys, "basis", "--left", left, "--right", right, "-n", "3")
     assert code == 2
+    # The count reads every dimension the listing would: nothing is printed.
+    for fmt in ("table", "json"):
+        argv = ["basis", "--left", left, "--right", right, "-n", "3", "--list"]
+        assert run(capsys, *argv, "--format", fmt) == (2, "")
 
 
 def test_arity_one_counts(capsys):

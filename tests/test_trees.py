@@ -18,6 +18,7 @@ from freeop.trees import (
     PATTERNS_BY_NAME,
     arity,
     basis_lines,
+    basis_pieces,
     basis_walk,
     count_avoiding,
     count_avoiding_recursive,
@@ -74,7 +75,8 @@ def test_counts_match_dims_for_random_sequences():
 
 
 def test_basis_count_matches_enumeration_or_fails_with_it():
-    # Zeros and short sequences: a count reads no dimension listing would not.
+    # Zeros and short sequences: a count reads no dimension a listing, of
+    # trees or of text, would not.
     rng = random.Random(9)
 
     def op(name):
@@ -82,48 +84,91 @@ def test_basis_count_matches_enumeration_or_fails_with_it():
             name, [rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(0, 4))]
         )
 
+    def listed_trees(a, b, n, root):
+        return sum(1 for _ in enumerate_basis(a, b, n, root))
+
+    def listed_text(a, b, n, root):
+        text = "\n".join(basis_pieces(a, b, n, root, "\n"))
+        return text.count("\n") + 1 if text else 0
+
     for _ in range(60):
         a, b, n = op("a"), op("b"), rng.randint(1, 5)
         for root in (BULLET, CIRC, "any"):
-            try:
-                listed = sum(1 for _ in enumerate_basis(a, b, n, root))
-            except OperadError:
-                with pytest.raises(OperadError):
-                    basis_count(a, b, n, root)
-            else:
-                assert basis_count(a, b, n, root) == listed
+            for listed in (listed_trees, listed_text):
+                try:
+                    count = listed(a, b, n, root)
+                except OperadError:
+                    with pytest.raises(OperadError):
+                        basis_count(a, b, n, root)
+                else:
+                    assert basis_count(a, b, n, root) == count
 
 
-def test_basis_lines_are_the_formatted_enumeration():
-    # Zero dimensions drop whole label blocks; every root, list and order.
+def _zero_laden_pairs():
     rng = random.Random(5)
-    pairs = [(LIE, COMAS)] + [
+    return [
         tuple(
             explicit_operad(name, [rng.choice((0, 0, 1, 2)) for _ in range(5)])
             for name in "ab"
         )
         for _ in range(8)
     ]
-    for a, b in pairs:
+
+
+def test_basis_lines_are_the_formatted_enumeration():
+    # Zero dimensions drop whole label blocks; every root, list and order.
+    for a, b in [(LIE, COMAS)] + _zero_laden_pairs():
         for n in range(1, 7):
             for root in (BULLET, CIRC, "any"):
                 expected = [format_tree(t) for t in enumerate_basis(a, b, n, root)]
                 assert basis_lines(a, b, n, root) == expected
 
 
+def test_basis_pieces_join_as_the_lines():
+    zero = explicit_operad("z", [0] * 5)
+    corolla = explicit_operad("s", [0, 0, 0, 0, 0, 0, 1])
+    cases = [(a, b, n) for a, b in [(LIE, COMAS), (zero, LIE)] + _zero_laden_pairs()
+             for n in range(1, 7)]
+    for a, b, n in cases + [(corolla, corolla, 8)]:
+        for root in (BULLET, CIRC, "any"):
+            lines = basis_lines(a, b, n, root)
+            for sep in ("\n", '", "'):
+                pieces = basis_pieces(a, b, n, root, sep)
+                assert sep.join(pieces) == sep.join(lines), (a.name, b.name, n, root)
+                assert len(pieces) <= len(lines)
+    assert basis_pieces(zero, LIE, 4, BULLET) == []
+    assert basis_pieces(corolla, corolla, 8, CIRC) == ["circ[dec=0](1, 2, 3, 4, 5, 6, 7, 8)"]
+    # A bullet root over the blocks {1, 2, 3} and {4}: lie's d2 = 1, so one
+    # piece holds the four circ subtrees on {1, 2, 3}, each before the leaf 4.
+    piece = "\n".join(
+        f"bullet[dec=0]({t}, 4)" for t in basis_lines(LIE, COMAS, 3, CIRC))
+    assert piece.count("\n") == 3
+    assert piece in basis_pieces(LIE, COMAS, 4, BULLET)
+
+
 def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
-    seen = []
+    # The (label set, color, partition) visits: each (label set, color)
+    # walks the partitions of its size, computed once per size and call.
+    sizes = []
+    visits = [0]
     set_partitions = trees_mod._set_partitions
 
-    def counted(labels):
-        blocks = set_partitions(labels)
-        seen.append(len(blocks))
-        return blocks
+    class Walked(list):
+        def __iter__(self):
+            for blocks in super().__iter__():
+                visits[0] += 1
+                yield blocks
+
+    def counted(k):
+        sizes.append(k)
+        return Walked(set_partitions(k))
 
     def walked(a, b, n, root):
-        seen.clear()
-        basis_lines(a, b, n, root)
-        return sum(seen)
+        sizes.clear()
+        visits[0] = 0
+        basis_pieces(a, b, n, root)
+        assert len(sizes) == len(set(sizes))
+        return visits[0]
 
     monkeypatch.setattr(trees_mod, "_set_partitions", counted)
     # com-as*com-as visits every label set of size >= 2 in both colors.

@@ -16,8 +16,9 @@ the three Jacobi monomials and ranks x-rooted monomials above y-rooted
 ones.
 
 Confluence checking builds each overlap directly from two left-hand
-sides, so the rules alone bound the arities it visits; rule files take
-binary generators only.
+sides, placing leaf labels only where both occurrences keep their order
+pattern, so it builds no other labeling and the rules alone bound the
+arities it visits; rule files take binary generators only.
 
 Text is read as one list of tokens, separated by whitespace: a decimal
 number (\d+), a generator symbol ([A-Za-z_]\w*), or any other single
@@ -86,18 +87,14 @@ def min_leaf(m) -> int:
     return min(min_leaf(c) for c in m[1:])
 
 
-def validate_monomial(m) -> None:
-    """Check distinct positive leaves and the shuffle condition throughout.
+def validate_monomial(m) -> list[int]:
+    """Check distinct positive leaves and the shuffle condition throughout;
+    return the leaf labels in planar order.
 
     One walk collects the leaves and each subtree's least label; it raises
     a node without children at once, then duplicates, then labels below 1,
     then the first node in preorder whose child minima do not increase.
     """
-    _checked_leaves(m)
-
-
-def _checked_leaves(m) -> list[int]:
-    """validate_monomial's walk; the leaf labels in planar order."""
     seen: list[int] = []
 
     def walk(node) -> tuple[int, tuple | None]:
@@ -476,12 +473,20 @@ def _match_structure(node, pat, out: list) -> bool:
     return True
 
 
-def _pattern_vertices(pat, base: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _internal_vertices(m, base: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """The paths to m's internal vertices, in preorder."""
+    if is_leaf(m):
+        return []
     out = [base]
-    for i, c in enumerate(pat[1:]):
-        if not is_leaf(c):
-            out.extend(_pattern_vertices(c, base + (i,)))
+    for i, c in enumerate(m[1:]):
+        out.extend(_internal_vertices(c, base + (i,)))
     return out
+
+
+def _subtree_at(m, path: tuple[int, ...]):
+    for i in path:
+        m = m[i + 1]
+    return m
 
 
 def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
@@ -509,19 +514,7 @@ def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
 
 def all_embeddings(m, lhs) -> list[Embedding]:
     """Every occurrence of lhs in m, preorder (leftmost-outermost first)."""
-    out: list[Embedding] = []
-
-    def walk(node, path: tuple[int, ...]) -> None:
-        if is_leaf(node):
-            return
-        emb = _embedding_at(node, path, lhs)
-        if emb is not None:
-            out.append(emb)
-        for i, c in enumerate(node[1:]):
-            walk(c, path + (i,))
-
-    walk(m, ())
-    return out
+    return [e for p in _internal_vertices(m) if (e := _embedding_at(_subtree_at(m, p), p, lhs))]
 
 
 def find_divisor(m, lhs) -> Embedding | None:
@@ -637,13 +630,10 @@ def _random_normal_form(e: ShuffleElement, rules: list[RewriteRule], rng) -> Shu
         for m in sorted(terms, key=monomial_key, reverse=True):
             if m in normal:
                 continue
-            found = False
-            for rule in rules:
-                for emb in all_embeddings(m, rule.lhs):
-                    choices.append((m, rule, emb))
-                    found = True
+            found = [(m, rule, emb) for rule in rules for emb in all_embeddings(m, rule.lhs)]
             if not found:
                 normal.add(m)
+            choices += found
         if not choices:
             return ShuffleElement(terms)
         m, rule, emb = rng.choice(choices)
@@ -758,12 +748,6 @@ def _count_quadratic(symbols: list[str], patterns, n: int) -> int:
 # --- overlaps and confluence -------------------------------------------
 
 
-def _subtree_at(m, path: tuple[int, ...]):
-    for i in path:
-        m = m[i + 1]
-    return m
-
-
 def _merge(a, b):
     """The smallest shape with shapes a and b at one root; None if they clash."""
     if is_leaf(a):
@@ -776,31 +760,48 @@ def _merge(a, b):
     return None if None in kids else (a[0], *kids)
 
 
-def _sized(shape) -> tuple:
-    """(arity, shape with each vertex as (sym, left, right, arity of left))."""
+def _numbered(shape, count):
+    """shape with its leaves renumbered by count, in planar order."""
     if is_leaf(shape):
-        return 1, shape
-    sym, left, right = shape
-    a, left = _sized(left)
-    b, right = _sized(right)
-    return a + b, (sym, left, right, a)
+        return next(count)
+    return (shape[0], *[_numbered(c, count) for c in shape[1:]])
 
 
-def _labelings(node, labels: tuple[int, ...]) -> Iterator:
-    """Every shuffle tree of a binary shape, given as `_sized` returns it,
-    on the given increasing labels."""
-    if is_leaf(node):
-        yield labels[0]
-        return
-    sym, left, right, k = node
-    first, rest = labels[0], labels[1:]
-    # the least label goes left; any k - 1 others go with it
-    for picked in itertools.combinations(rest, k - 1):
-        others = tuple(x for x in rest if x not in picked)
-        rights = list(_labelings(right, others))
-        for lt in _labelings(left, (first, *picked)):
-            for rt in rights:
-                yield (sym, lt, rt)
+def _occurrence(m, path: tuple[int, ...], lhs) -> Embedding:
+    """The occurrence of lhs at path in m, whose shape has lhs there."""
+    slots: list = []
+    _match_structure(_subtree_at(m, path), lhs, slots)
+    return Embedding(path, dict(slots))
+
+
+def _pattern_labelings(shape, placed) -> list:
+    """The shuffle trees of shape in which each lhs placed at its path
+    keeps its order pattern: its slots take their least labels in the
+    order of their lhs labels.  Labels 1..n are placed in increasing order
+    on the leaves, numbered in planar order, and a leaf takes the next one
+    only if, in each occurrence, its slot already has a label or is the
+    next to start.  Every vertex lies in an occurrence of a shuffle tree,
+    so every labeling built is one.  They are sorted by each vertex's
+    left-child labels in preorder, combinations compared lexicographically,
+    so that a refusal in overlaps names a fixed overlap.
+    """
+    shape = _numbered(shape, itertools.count())
+    slot_of = [{leaf: k for k, sub in _occurrence(shape, *p).slots.items()
+                for leaf in leaves(sub)} for p in placed]
+    rows = [[s.get(leaf, 0) for s in slot_of] for leaf in range(arity(shape))]
+    labels = [0] * len(rows)
+
+    def place(k: int, started: list[int]) -> Iterator:
+        if k > len(rows):
+            yield _substitute(shape, labels)
+        for leaf, row in enumerate(rows):
+            if not labels[leaf] and all(s <= t + 1 for s, t in zip(row, started)):
+                labels[leaf] = k
+                yield from place(k + 1, list(map(max, row, started)))
+                labels[leaf] = 0
+
+    return sorted(place(1, [0] * len(placed)), key=lambda m: [
+        sorted(leaves(_subtree_at(m, p)[1])) for p in _internal_vertices(m)])
 
 
 def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElement]]:
@@ -808,26 +809,24 @@ def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElem
 
     An overlap, a small common multiple (Dotsenko-Khoroshkin 2010), puts
     one lhs at the root and the other at one of its internal vertices,
-    merges the two shapes and takes each shuffle labeling in which both
-    occurrences keep their order pattern.  Pairs of two rules are ordered,
-    of one rule unordered; a root-root pair counts once.  The S-element
-    is r1's one-step reduction minus r2's.
+    merges the two shapes and builds each shuffle labeling in which both
+    occurrences keep their order pattern (_pattern_labelings).  Pairs of
+    two rules are ordered, of one rule unordered; a root-root pair counts
+    once.  The S-element is r1's one-step reduction minus r2's.  Both
+    lhs's must be monomials, shuffle trees, as parse_rules gives them.
     """
     same = r1 == r2
     found = []
     for top, inner in ((r1, r2),) if same else ((r1, r2), (r2, r1)):
-        for q in _pattern_vertices(top.lhs, ()):
+        for q in _internal_vertices(top.lhs):
             if q == () and (same or top is not r1):
                 continue
             shape = _merge(_subtree_at(top.lhs, q), inner.lhs)
             if shape is None:
                 continue
-            n, shape = _sized(_replace_at(top.lhs, q, shape))
-            for m in _labelings(shape, tuple(range(1, n + 1))):
-                e_top = _embedding_at(m, (), top.lhs)
-                e_inner = _embedding_at(_subtree_at(m, q), q, inner.lhs)
-                if e_top is None or e_inner is None:
-                    continue
+            placed = ((), top.lhs), (q, inner.lhs)
+            for m in _pattern_labelings(_replace_at(top.lhs, q, shape), placed):
+                e_top, e_inner = [_occurrence(m, *p) for p in placed]
                 e1, e2 = (e_top, e_inner) if top is r1 else (e_inner, e_top)
                 s_elem = rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)
                 found.append((m, s_elem))
@@ -917,7 +916,7 @@ def parse_element(text: str) -> ShuffleElement:
                 i += 1
         m, i = _monomial(toks, i)
         if m not in labels:
-            labels[m] = frozenset(_checked_leaves(m))
+            labels[m] = frozenset(validate_monomial(m))
         terms[m] = terms.get(m, 0) + coeff
         kind, tok, pos = toks[i]
         if kind == "end":

@@ -14,7 +14,7 @@ import operator
 import re
 from typing import Iterator
 
-from .dims import OperadDims
+from .dims import OperadDims, avoiding_count, basis_count
 
 BULLET = "bullet"
 CIRC = "circ"
@@ -389,15 +389,15 @@ def tree_matches(t, patterns) -> bool:
 def count_avoiding(x: OperadDims, y: OperadDims, n: int, patterns: list[str]) -> int:
     """Number of basis trees containing no vertex matching any pattern.
 
-    Computed by filtered enumeration: the test oracle for
-    `dims.avoiding_count`, which the `quotient` command uses, and for
-    count_avoiding_recursive.
+    Answered from `dims`: with no color among the patterns, the basis
+    count; with one, `dims.avoiding_count`; with both, every vertex is
+    over leaves only, which leaves the root corollas, dim_x(n) + dim_y(n)
+    (1 at n = 1, as avoiding_count gives it).
     """
-    if n == 1:
-        return 1
-    return sum(
-        1 for t in enumerate_basis(x, y, n) if not tree_matches(t, patterns)
-    )
+    colors = [c for c in (BULLET, CIRC) if c in patterns]
+    if len(colors) == 2 and n > 1:
+        return x.dim(n) + y.dim(n)
+    return avoiding_count(x, y, n, colors[0]) if colors else basis_count(x, y, n)
 
 
 def count_avoiding_recursive(

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -136,6 +137,19 @@ def test_confluence_never_passes_unchecked_overlaps(
     cubic.write_text(CUBIC)
     got, out = run(capsys, "confluence", "--rules", str(cubic), "--max-arity", max_arity)
     assert (got, out.split("\n")[0]) == (code, first_line)
+
+
+def test_confluence_counts_the_comb_6_overlaps_above_the_bound_in_time(tmp_path, capsys):
+    # The arity-6 comb rule's four self-overlaps sit at arities 7-10; they
+    # are built from the glued shapes, not found among every labeling.
+    comb = tmp_path / "comb6.rules"
+    comb.write_text("x(x(x(x(x(1 2) 3) 4) 5) 6) = x(1 x(2 x(3 x(4 x(5 6)))))\n")
+    started = time.monotonic()
+    code = main(["confluence", "--rules", str(comb), "--max-arity", "5"])
+    elapsed = time.monotonic() - started
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: 4 overlap(s) lie above max_arity 5\n")
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("max_arity", ["4", "7"])

@@ -608,6 +608,131 @@ def test_overlaps_match_enumeration(seed, symbols, arities):
         assert _outcome(overlaps, r1, r2) == _outcome(_overlaps_by_enumeration, r1, r2)
 
 
+def _sized(shape):
+    """(arity, shape with each vertex as (sym, left, right, arity of left))."""
+    if isinstance(shape, int):
+        return 1, shape
+    sym, left, right = shape
+    a, left = _sized(left)
+    b, right = _sized(right)
+    return a + b, (sym, left, right, a)
+
+
+def _labelings(node, labels):
+    """Every shuffle tree of a binary shape, given as _sized returns it, on
+    the given increasing labels: the left child takes the least label and
+    any others, in lexicographic order of the combinations."""
+    if isinstance(node, int):
+        yield labels[0]
+        return
+    sym, left, right, k = node
+    first, rest = labels[0], labels[1:]
+    for picked in itertools.combinations(rest, k - 1):
+        others = tuple(x for x in rest if x not in picked)
+        rights = list(_labelings(right, others))
+        for lt in _labelings(left, (first, *picked)):
+            for rt in rights:
+                yield (sym, lt, rt)
+
+
+def _overlaps_by_filter(r1, r2):
+    """Reference route: every shuffle labeling of each merged shape, kept
+    when both occurrences pass the divisor search's order-pattern check."""
+    same = r1 == r2
+    found = []
+    for top, inner in ((r1, r2),) if same else ((r1, r2), (r2, r1)):
+        for q in shuffle._internal_vertices(top.lhs):
+            if q == () and (same or top is not r1):
+                continue
+            shape = shuffle._merge(shuffle._subtree_at(top.lhs, q), inner.lhs)
+            if shape is None:
+                continue
+            n, shape = _sized(shuffle._replace_at(top.lhs, q, shape))
+            for m in _labelings(shape, tuple(range(1, n + 1))):
+                e_top = shuffle._embedding_at(m, (), top.lhs)
+                e_inner = shuffle._embedding_at(shuffle._subtree_at(m, q), q, inner.lhs)
+                if e_top is None or e_inner is None:
+                    continue
+                e1, e2 = (e_top, e_inner) if top is r1 else (e_inner, e_top)
+                found.append((m, rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)))
+    found.sort(key=lambda pair: monomial_key(pair[0]), reverse=True)
+    return found
+
+
+def _outcome_with_message(fn, r1, r2):
+    try:
+        return fn(r1, r2)
+    except ShuffleError as exc:
+        return str(exc)
+
+
+def _comb_rule(k):
+    """x(...x(x(1 2) 3)... k) = x(1 x(2 ... x(k-1 k)...)), the arity-k comb."""
+    left, right = "1", str(k)
+    for i in range(2, k + 1):
+        left = f"x({left} {i})"
+    for i in range(k - 1, 0, -1):
+        right = f"x({i} {right})"
+    return parse_rules(f"{left} = {right}")[0]
+
+
+def _random_pairs(count):
+    """Seeded rule pairs, lhs arity 3-4 over one or two generators, with a
+    rule against itself in every third pair."""
+    rng = random.Random(16)
+    pairs = []
+    for i in range(count):
+        alphabet = XY[: 1 + i % 2]
+        r1 = _random_rule(rng, alphabet, rng.randint(3, 4))
+        pairs.append((r1, r1 if i % 3 == 0 else _random_rule(rng, alphabet, rng.randint(3, 4))))
+    return pairs
+
+
+# The construction puts the overlaps, S-elements and any refusal message
+# in the filter route's order, so every outcome compares whole.
+@pytest.mark.parametrize(
+    "r1, r2",
+    _random_pairs(40)
+    + [(_comb_rule(k),) * 2 for k in (4, 5)]
+    + [(JACOBI[0], JACOBI[0]), (LIE_ADM[0], LIE_ADM[0]), (JACOBI[0], CUBIC[0])],
+    ids=[f"random-{i}" for i in range(40)] + ["comb-4", "comb-5", "lie", "lie-adm", "lie-cubic"],
+)
+def test_overlaps_match_the_filter_route(r1, r2):
+    assert _outcome_with_message(overlaps, r1, r2) == _outcome_with_message(
+        _overlaps_by_filter, r1, r2
+    )
+
+
+def test_overlap_refusal_names_the_filter_routes_first_overlap():
+    # Two overlaps of one glued shape rewrite upwards; the filter route
+    # meets them in the other order than labels are placed.
+    r1 = RewriteRule(parse_monomial("y(y(1 5) y(y(2 3) 4))"),
+                     parse_element("y(y(1 2) x(x(3 5) 4))"))
+    r2 = RewriteRule(parse_monomial("y(x(1 2) y(3 y(4 5)))"),
+                     parse_element("y(y(1 x(2 3)) y(4 5))"))
+    message = ("rewrite does not decrease: y(y(1 6) y(y(x(2 3) y(4 y(7 8))) 5))"
+               " -> y(y(1 x(2 3)) x(x(y(4 y(7 8)) 6) 5))")
+    assert _outcome_with_message(overlaps, r1, r2) == message
+    assert _outcome_with_message(_overlaps_by_filter, r1, r2) == message
+
+
+def test_comb_6_overlaps_are_pinned():
+    # The filter route builds 408,960 labelings here to keep these 4.
+    rule = _comb_rule(6)
+    assert [(print_monomial(m), str(e)) for m, e in overlaps(rule, rule)] == [
+        ("x(x(x(x(x(x(x(x(x(1 2) 3) 4) 5) 6) 7) 8) 9) 10)",
+         "-x(x(x(x(x(1 x(2 x(3 x(4 x(5 6))))) 7) 8) 9) 10)"
+         " + x(x(x(x(x(1 2) 3) 4) 5) x(6 x(7 x(8 x(9 10)))))"),
+        ("x(x(x(x(x(x(x(x(1 2) 3) 4) 5) 6) 7) 8) 9)",
+         "-x(x(x(x(1 x(2 x(3 x(4 x(5 6))))) 7) 8) 9)"
+         " + x(x(x(x(1 2) 3) 4) x(5 x(6 x(7 x(8 9)))))"),
+        ("x(x(x(x(x(x(x(1 2) 3) 4) 5) 6) 7) 8)",
+         "-x(x(x(1 x(2 x(3 x(4 x(5 6))))) 7) 8) + x(x(x(1 2) 3) x(4 x(5 x(6 x(7 8)))))"),
+        ("x(x(x(x(x(x(1 2) 3) 4) 5) 6) 7)",
+         "-x(x(1 x(2 x(3 x(4 x(5 6))))) 7) + x(x(1 2) x(3 x(4 x(5 x(6 7)))))"),
+    ]
+
+
 @pytest.mark.parametrize("rules", [JACOBI, LIE_ADM], ids=["jacobi", "lie-adm"])
 def test_confluence_passes(rules):
     report = check_confluence(rules, 5)
@@ -909,6 +1034,7 @@ def _ref_validate(m):
     if any(label < 1 for label in seen):
         raise ShuffleConditionError("leaf labels must be positive")
     _ref_check_minima(m)
+    return list(seen)
 
 
 def _ref_check_minima(m):

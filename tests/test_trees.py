@@ -297,6 +297,13 @@ def test_empty_pattern_list_counts_everything():
     assert count_avoiding(LIE, COMAS, 4, []) == 67
 
 
+def _count_avoiding_by_enumeration(x, y, n, patterns):
+    """Oracle: the basis trees of enumerate_basis that tree_matches rejects."""
+    if n == 1:
+        return 1
+    return sum(1 for t in enumerate_basis(x, y, n) if not tree_matches(t, patterns))
+
+
 def test_avoiding_matches_recursive_oracle():
     rng = random.Random(5)
     for _ in range(5):
@@ -304,9 +311,9 @@ def test_avoiding_matches_recursive_oracle():
         b = explicit_operad("b", [rng.randint(0, 3) for _ in range(4)])
         for pattern in PATTERNS_BY_NAME.values():
             for n in range(1, 6):
-                assert count_avoiding(a, b, n, [pattern]) == count_avoiding_recursive(
+                assert _count_avoiding_by_enumeration(
                     a, b, n, [pattern]
-                )
+                ) == count_avoiding_recursive(a, b, n, [pattern])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -318,7 +325,30 @@ def test_avoiding_count_matches_both_oracles(seed):
         for n in range(1, 7):
             got = avoiding_count(a, b, n, pattern)
             assert got == count_avoiding(a, b, n, [pattern]), (name, n)
+            assert got == _count_avoiding_by_enumeration(a, b, n, [pattern]), (name, n)
             assert got == count_avoiding_recursive(a, b, n, [pattern]), (name, n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_count_avoiding_matches_enumeration_for_any_pattern_list(seed):
+    rng = random.Random(seed)
+    a = explicit_operad("a", [rng.randint(0, 2) for _ in range(5)])
+    b = explicit_operad("b", [rng.randint(0, 2) for _ in range(5)])
+    pattern_lists = [[], [BULLET, CIRC], [CIRC, BULLET, "other"], ["other"]]
+    for patterns in pattern_lists:
+        for n in range(1, 7):
+            assert count_avoiding(a, b, n, patterns) == _count_avoiding_by_enumeration(
+                a, b, n, patterns
+            ), (patterns, n)
+
+
+def test_both_colors_leave_the_root_corollas():
+    both = [BULLET, CIRC]
+    assert count_avoiding(LIE, COMAS, 1, both) == 1
+    for n in range(2, 6):
+        assert count_avoiding(LIE, COMAS, n, both) == LIE.dim(n) + COMAS.dim(n)
+    with pytest.raises(OperadError):
+        count_avoiding(LIE, COMAS, 0, both)
 
 
 def test_poisson_dimension_is_factorial_up_to_5():

@@ -20,13 +20,16 @@ from .dims import OperadError
 
 # The one listing bound, checked by check_listing against each listing's
 # work.  A listing holds every tree's or network's text at once: measured
-# with CPython 3.11 on a 2-CPU Xeon, building and writing it (JSON, to a
-# file) takes 0.35-0.4 s and 122 MiB peak for the 665k trees of com*com at
-# n=7, and `sp -n 14 --list` (437,502 networks, three to four times the
-# cost of a tree each) 0.8-0.9 s and 106 MiB.  Before that, the basis walk
-# visits up to trees.basis_walk(n) set partitions however few trees come
-# out: walking the W(9) = 231,930 of n=9 alone takes 0.5-0.8 s, the
-# W(10) = 1,357,118 of n=10 3.7-4.7 s, so n >= 10 is refused from n alone.
+# with CPython 3.11 on a 2-CPU Xeon, building and writing it (JSON, to
+# /dev/null) takes 0.2-0.25 s and 81 MiB peak for the 665k trees of
+# com*com at n=7, and `sp -n 14 --list` (437,502 networks) 0.6-0.75 s and
+# 96 MiB.
+# Before that, the basis walk visits up to trees.basis_walk(n) set
+# partitions however few trees come out, 2 Bell(k) for each size k <= n:
+# with d_n alone (2 trees), walking 2 Bell(10) = 231,950 at n=10 takes
+# 0.5-0.6 s and 2 Bell(11) = 1,357,140 at n=11 4.2 s.  W(10) = 284,832
+# passes the bound and W(11) = 1,641,972 does not, so n >= 11 is refused
+# from n alone.
 LIST_MAX = 1_000_000
 # Counts take O(n^3) big-integer operations.  Measured with CPython 3.11
 # on a 2-CPU Xeon: the dims recurrence for as*as takes about 0.4 s at
@@ -40,8 +43,8 @@ COUNT_MAX = 200
 COUNT_NORMAL_BUDGET = COUNT_MAX**3 * 2**2
 # macmahon(n) takes O(n^2) operations on integers of O(n) digits, about
 # n^3.9 measured on the same machine: 0.3 s at n=1000, 1.6 s at 1500 and
-# 4.9 s at 2000.  The bound was set where this matched dims at COUNT_MAX,
-# which now takes 1.5 s.
+# 4.9 s at 2000, three times the 1.5 s of dims at COUNT_MAX, against which
+# the bound was once set.
 SP_MAX = 2000
 
 
@@ -130,14 +133,16 @@ def emit(payload: dict, text_lines: list[str], fmt: str) -> None:
 
 
 def _write_joined(sep: str, items: list[str]) -> None:
-    """Write sep.join(items) 4096 items at a time: a listing of one item a
-    line is not copied whole into one string.  4096 basis pieces may hold
-    a whole listing, whose text is then copied once."""
+    """Write sep.join(items) in chunks of at most 4096 items and, unless one
+    item is longer, about 16 KiB: short items (lines) take few writes, and
+    the text is never copied whole into one string, nor a long item (a
+    basis piece) copied at all."""
     write = sys.stdout.write
-    for start in range(0, len(items), 4096):
+    step = max(1, min(4096, len(items) * 2**14 // max(1, sum(map(len, items)))))
+    for start in range(0, len(items), step):
         if start:
             write(sep)
-        write(sep.join(items[start:start + 4096]))
+        write(sep.join(items[start:start + step]))
 
 
 def cmd_dims(args) -> int:

@@ -377,9 +377,15 @@ class RewriteRule(NamedTuple):
 
 
 def orient(e: ShuffleElement) -> RewriteRule:
-    """Turn an equation e = 0 into a rule: leading monomial -> minus rest."""
+    """Turn an equation e = 0 into a rule: leading monomial -> minus rest.
+
+    Every term must be a shuffle tree (validate_monomial): `overlaps` and
+    `rewrite_at` trust a rule's monomials to be.
+    """
     if not e:
         raise ShuffleError("cannot orient the zero element")
+    for m in e.terms:
+        validate_monomial(m)
     lead = e.leading_monomial()
     coeff = e.terms[lead]
     rest = ShuffleElement({m: c for m, c in e.terms.items() if m != lead})

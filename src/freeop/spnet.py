@@ -54,6 +54,7 @@ def _keyed_node(kind: str, keyed) -> tuple:
 
 
 _EDGE_KEYED = ((1, 0), EDGE)
+_REVERSED = itemgetter(slice(None, None, -1))
 _COM_AS = builtin_operad("com-as")
 
 
@@ -85,28 +86,32 @@ def _validated_key(net):
 
 def enumerate_networks(n: int) -> Iterator:
     """All canonical networks with n edges, deterministic order."""
-    return _all_nets(n, lambda kind, choices: itertools.product((kind,), choices))
+    return _all_nets(n, tuple, lambda kind, groups: itertools.product(
+        (kind,), trees._ascending(groups)))
 
 
 def network_lines(n: int) -> list[str]:
     """`format_network` of each network of `enumerate_networks`, in the same
-    order, each shared subnetwork's text built once."""
-    return list(_all_nets(
-        n, lambda kind, choices: map(f"{kind}({{}})".format, map(" ".join, choices))))
+    order: each shared subnetwork's text, and each multiset of them, is
+    joined once, and a network joins one multiset per size."""
+    return list(_all_nets(n, " ".join, lambda kind, groups: map(
+        f"{kind}({{}})".format,
+        map(" ".join, map(_REVERSED, itertools.product(*groups))))))
 
 
-def _all_nets(n: int, nodes) -> Iterator:
-    """The networks with n edges, as `nodes(kind, choices)` builds the
-    nodes of a kind over choices of children in canonical order; the edge
-    is "e", both the network and its text."""
+def _all_nets(n: int, group, nodes) -> Iterator:
+    """The networks with n edges, as `group(children)` builds a multiset
+    of children of one size and `nodes(kind, groups)` the nodes of a kind
+    over trees._unlabeled's groups of them; the edge is "e", both the
+    network and its text."""
     # Networks are com-as*com-as trees (one decoration per arity) without
     # leaf labels.  Mapping the first color to series lists series-rooted
     # networks first, though tree_to_network maps bullet to parallel: kind
     # never decides between siblings, as those of equal size share it.
     kinds = {trees.BULLET: SERIES, trees.CIRC: PARALLEL}
     return trees._unlabeled(
-        _COM_AS, _COM_AS, n, "any", EDGE,
-        lambda color, d, choices: nodes(kinds[color], choices),
+        _COM_AS, _COM_AS, n, "any", EDGE, group,
+        lambda color, d, groups: nodes(kinds[color], groups),
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import re
 from typing import Iterator
 
@@ -68,15 +67,15 @@ def validate_tree(t) -> None:
 
 def _set_partitions(k: int) -> list[tuple]:
     """The set partitions of range(k), blocks sorted internally and by
-    minimum, as index blocks: a block of one is its index, a larger block
-    the itemgetter that picks its labels out of a k-label tuple."""
+    minimum, each as (composition, order): its block sizes in block
+    order, and its blocks' indices concatenated."""
     parts: list[list[int]] = []
     results: list[tuple] = []
 
     def rec(i: int) -> None:
         if i == k:
-            results.append(tuple(
-                b[0] if len(b) == 1 else operator.itemgetter(*b) for b in parts))
+            results.append((tuple(map(len, parts)),
+                            tuple(itertools.chain.from_iterable(parts))))
             return
         for b in parts:
             b.append(i)
@@ -90,29 +89,30 @@ def _set_partitions(k: int) -> list[tuple]:
     return results
 
 
-def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices,
-           roots=None) -> Iterator:
-    """The basis enumeration, building each (label set, color) once: the
-    list of trees of each root color in turn.
-
-    `leaf(label)` builds a leaf.  For each partition of a vertex's labels
-    into blocks, `vertices(color, d, options)` builds the vertices of
-    decorations 0..d-1, decoration first, over every choice of one child
-    from each block's options; `roots`, if given, builds the root's
-    instead.  Every tree that contains a subtree shares what was built
-    for it.  The set partitions of each size are computed once, and each
-    dimension is read once, when a vertex first needs it.
-    """
+def _check_request(n: int, root: str) -> None:
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     if root not in (BULLET, CIRC, "any"):
         raise ValueError(f"bad root {root!r}")
+
+
+def enumerate_basis(
+    x: OperadDims, y: OperadDims, n: int, root: str = "any"
+) -> Iterator:
+    """Yield every canonical basis tree of arity n exactly once.
+
+    Canonical form: children ordered by the smallest leaf label in each
+    subtree.  `root` restricts the root color ("bullet", "circ", "any");
+    arity 1 yields the bare leaf regardless.  The trees of each root color
+    come by set partition of the labels into the root's blocks, then
+    decoration, then one child from each block's trees; each (label set,
+    color) is built once and shared by every tree that holds it.
+    """
+    _check_request(n, root)
     if n == 1:
-        yield [leaf(1)]
+        yield 1
         return
     dim_of = {BULLET: functools.cache(x.dim), CIRC: functools.cache(y.dim)}
-    roots = roots or vertices
-    leaves = [None] + [(leaf(label),) for label in range(1, n + 1)]
     partitions: dict[int, list] = {}
     cache: dict[tuple, list] = {}
 
@@ -123,78 +123,158 @@ def _basis(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices,
         k = len(labels)
         if k not in partitions:
             partitions[k] = _set_partitions(k)
-        build = roots if k == n else vertices
         out: list = []
-        for blocks in partitions[k]:
-            if len(blocks) < 2:
+        for comp, order in partitions[k]:
+            if len(comp) < 2:
                 continue
-            d = dim_of[color](len(blocks))
+            d = dim_of[color](len(comp))
             if d == 0:
                 continue
+            ordered = [labels[i] for i in order]
             options: list = []
-            for b in blocks:
-                if type(b) is int:
-                    options.append(leaves[labels[b]])
-                    continue
-                subs = trees_for(b(labels), other_color(color))
+            start = 0
+            for size in comp:
+                block = ordered[start:start + size]
+                start += size
+                subs = block if size == 1 else trees_for(tuple(block), other_color(color))
                 if not subs:
                     break
                 options.append(subs)
             else:
-                out.extend(build(color, d, options))
+                out.extend(itertools.product(
+                    (color,), range(d), itertools.product(*options)))
         cache[key] = out
         return out
 
-    labels = tuple(range(1, n + 1))
     try:
         for color in (BULLET, CIRC):
             if root in (color, "any"):
-                yield trees_for(labels, color)
+                yield from trees_for(tuple(range(1, n + 1)), color)
     finally:
         # trees_for refers to itself, so without this the cache lives
-        # until the cycle collector runs, which text (untracked strings)
-        # rarely triggers: listings would pile up across calls.
+        # until the cycle collector runs.
         cache.clear()
         partitions.clear()
 
 
-def basis_walk(n: int) -> int:
-    """W(n) = 2 (Bell(n + 1) - n - 1): the set partitions `_basis` walks at
-    arity n, at most.
+# The text of a listing is built over placeholder labels, the first k of
+# these for k leaves, then relabeled by str.translate.  Uppercase ASCII
+# appears in no tree text and in neither listing separator, and keeps
+# translate on CPython's ASCII fast path.
+_PLACEHOLDERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_CODES = [ord(c) for c in _PLACEHOLDERS]
 
-    `_basis` walks the Bell(k) set partitions of a k-label set once per
-    (label set, color) it visits, however few trees they give.  Summing Bell(k) over every subset of the n labels
-    with k >= 2, for both colors, gives W(n); com-as*com-as visits them
-    all, other operands and one root color visit fewer.
+
+def basis_pieces(
+    x: OperadDims, y: OperadDims, n: int, root: str = "any", sep: str = "\n"
+) -> list[str]:
+    """Text whose sep.join is sep.join(basis_lines(x, y, n, root)): one
+    piece per root color and set partition of the labels into the root's
+    blocks that has trees.
+
+    The trees over a set partition are an order-preserving relabeling of
+    the trees over its composition, the block sizes in block order, each
+    block's labels made consecutive.  So the text of each (size, color)
+    and of each (composition, color) is built once over placeholders,
+    and each set partition's is one translate of its composition's.  The
+    set partitions of each size are walked once per color (basis_walk),
+    and each dimension is read once, when a vertex first needs it.
     """
-    row = [1]  # row m of the Bell triangle starts with Bell(m)
+    _check_request(n, root)
+    if n == 1:
+        return ["1"]
+    if n > len(_PLACEHOLDERS):
+        raise ValueError(f"a listing's arity must be <= {len(_PLACEHOLDERS)}, got {n}")
+    dim_of = {BULLET: functools.cache(x.dim), CIRC: functools.cache(y.dim)}
+    partitions = functools.cache(_set_partitions)
+
+    def walk(k: int, color: str, sep: str, labels) -> list[str]:
+        """The text of the (k, color) trees over labels, one piece per set
+        partition of range(k) that has trees."""
+        out = []
+        for comp, order in partitions(k):
+            text = composed(comp, color, sep)
+            if text:
+                out.append(text.translate(dict(zip(_CODES, map(labels.__getitem__, order)))))
+        return out
+
+    @functools.cache
+    def subtrees(k: int, color: str, offset: int) -> list[str]:
+        """The (k, color) trees over the placeholders from offset on."""
+        if k == 1:
+            return [_PLACEHOLDERS[offset]]
+        if offset:
+            text = "\n".join(subtrees(k, color, 0))
+            shift = dict(zip(_CODES, _PLACEHOLDERS[offset:]))
+            return text.translate(shift).split("\n") if text else []
+        text = "\n".join(walk(k, color, "\n", _PLACEHOLDERS))
+        return text.split("\n") if text else []
+
+    @functools.cache
+    def composed(comp: tuple, color: str, sep: str) -> str:
+        """The color-rooted trees whose root's blocks are consecutive
+        placeholders of sizes comp, joined by sep."""
+        if len(comp) < 2:
+            return ""
+        d = dim_of[color](len(comp))
+        if d == 0:
+            return ""
+        options = []
+        offset = 0
+        for size in comp:
+            subs = subtrees(size, other_color(color), offset)
+            if not subs:
+                return ""
+            options.append(subs)
+            offset += size
+        return _vertices_text(sep, color, d, options)
+
+    labels = [str(label) for label in range(1, n + 1)]
+    try:
+        return [piece for color in (BULLET, CIRC) if root in (color, "any")
+                for piece in walk(n, color, sep, labels)]
+    finally:
+        # The closures refer to each other, so without this their caches
+        # live until the cycle collector runs, which text (untracked
+        # strings) rarely triggers: listings would pile up across calls.
+        subtrees.cache_clear()
+        composed.cache_clear()
+        partitions.cache_clear()
+
+
+def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list[str]:
+    """`format_tree` of each tree of `enumerate_basis`, in the same order:
+    the "\\n" pieces of basis_pieces, split."""
+    text = "\n".join(basis_pieces(x, y, n, root))
+    return text.split("\n") if text else []
+
+
+def basis_walk(n: int) -> int:
+    """W(n) = 2 (Bell(2) + ... + Bell(n)): the set partitions basis_pieces
+    walks at arity n, at most.
+
+    basis_pieces walks the Bell(k) set partitions of range(k) once per
+    (size k, color) it visits, however few trees they give: com-as*com-as
+    visits every size from 2 to n in both colors, other operands and one
+    root color fewer.
+    """
+    row = [1]
     walk = 0
-    for m in range(1, n + 2):
+    for m in range(2, n + 1):
+        # Row m - 1 of the Bell triangle, which ends with Bell(m).
         row = list(itertools.accumulate(row, initial=row[-1]))
-        walk = 2 * (row[0] - m)  # W(m - 1)
+        walk += 2 * row[-1]
     return walk
 
 
-def _tuple_vertices(color: str, d: int, options):
-    return itertools.product((color,), range(d), itertools.product(*options))
-
-
-def _text_vertices(color: str, d: int, options):
-    # A choice of children is joined once for all d decorations, and the
-    # last block's texts take the closing ")" once each, not once per tree.
-    *first, last = options
-    tails = map(", ".join, itertools.product(*first, [t + ")" for t in last]))
-    heads = [f"{color}[dec={dec}](" for dec in range(d)]
-    return itertools.starmap(operator.add, itertools.product(heads, tails))
-
-
-def _joined_vertices(sep: str, color: str, d: int, options):
-    """`_text_vertices` for the root, its trees joined by sep in pieces.
+def _vertices_text(sep: str, color: str, d: int, options) -> str:
+    """The text of the color vertices of decorations 0..d-1, decoration
+    first, over every choice of one child from each block's options,
+    joined by sep.
 
     The blocks after the last one with more than one option are the same
     in every tree, so each choice of decoration and of the children before
-    that block is one piece: the text of all the trees it starts, joined
-    by sep in one call.
+    that block joins the text of all the trees it starts in one call.
     """
     last = len(options) - 1
     while last and len(options[last]) == 1:
@@ -204,39 +284,7 @@ def _joined_vertices(sep: str, color: str, d: int, options):
         *[[t + ", " for t in o] for o in options[:last]])))
     prefixes = [f"{color}[dec={dec}](" + f for dec in range(d) for f in firsts]
     block = options[last]
-    return [p + (suffix + sep + p).join(block) + suffix for p in prefixes]
-
-
-def enumerate_basis(
-    x: OperadDims, y: OperadDims, n: int, root: str = "any"
-) -> Iterator:
-    """Yield every canonical basis tree of arity n exactly once.
-
-    Canonical form: children ordered by the smallest leaf label in each
-    subtree.  `root` restricts the root color ("bullet", "circ", "any");
-    arity 1 yields the bare leaf regardless.
-    """
-    for trees in _basis(x, y, n, root, int, _tuple_vertices):
-        yield from trees
-
-
-def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list[str]:
-    """`format_tree` of each tree of `enumerate_basis`, in the same order.
-
-    Each shared subtree's text is built once, not once per tree holding it.
-    """
-    return list(itertools.chain.from_iterable(
-        _basis(x, y, n, root, str, _text_vertices)))
-
-
-def basis_pieces(
-    x: OperadDims, y: OperadDims, n: int, root: str = "any", sep: str = "\n"
-) -> list[str]:
-    """Text whose sep.join is sep.join(basis_lines(x, y, n, root)): each
-    piece joins the root trees that differ only in one block's child."""
-    return list(itertools.chain.from_iterable(
-        _basis(x, y, n, root, str, _text_vertices,
-               functools.partial(_joined_vertices, sep))))
+    return sep.join(p + (suffix + sep + p).join(block) + suffix for p in prefixes)
 
 
 # --- unlabeled mode -----------------------------------------------------
@@ -251,24 +299,25 @@ def structural_key(t):
     return (arity(t), kind, dec, tuple(structural_key(c) for c in children))
 
 
-def _unlabeled(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) -> Iterator:
-    """`_basis` with leaf labels forgotten: `leaf` is the built leaf.
+def _unlabeled(
+    x: OperadDims, y: OperadDims, n: int, root: str, leaf, group, vertices
+) -> Iterator:
+    """`enumerate_basis` with leaf labels forgotten: `leaf` is the built leaf.
 
     A vertex's children, a multiset, are listed by partition of the arity,
     part sizes descending, then the product of one multiset of subtrees
-    per part size.  `vertices(color, d, choices)` builds the vertices of
-    decorations 0..d-1, decoration first, over each choice of children in
-    the order of `structural_key`: by size, then by rank, a subtree's
-    place in its (size, color) list sorted by decoration, then by its
-    children's (size, rank)s (siblings of equal size have one color).
-    Only siblings of equal size need ranks: lists up to size n/2.
+    per part size, each built once by `group(subtrees)`.  `vertices(color,
+    d, groups)` builds the vertices of decorations 0..d-1, decoration
+    first, over each choice of product(*groups), whose children are its
+    multisets' in reverse order (`_ascending`).  That is the order of
+    `structural_key`: by size, then by rank, a subtree's place in its
+    (size, color) list sorted by decoration, then by its children's
+    (size, rank)s (siblings of equal size have one color).  Only siblings
+    of equal size need ranks: lists up to size n/2.
     """
     from .partitions import partitions
 
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n}")
-    if root not in (BULLET, CIRC, "any"):
-        raise ValueError(f"bad root {root!r}")
+    _check_request(n, root)
     if n == 1:
         yield leaf
         return
@@ -277,14 +326,14 @@ def _unlabeled(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) 
     @functools.cache
     def multisets(size: int, mult: int, color: str) -> tuple:
         """Each multiset of mult subtrees of (size, color), in enumeration
-        order: its subtrees by rank, and their (size, rank)s in one flat
-        tuple, which sorts as the pairs do."""
+        order: the group of its subtrees by rank, and their (size, rank)s
+        in one flat tuple, which sorts as the pairs do."""
         subtrees, ranks = ((leaf,), [(1, 0)]) if size == 1 else trees_for(size, color)
         if mult == 1:
-            return list(zip(subtrees)), ranks
+            return list(map(group, zip(subtrees))), ranks
         sets = [sorted(s) for s in itertools.combinations_with_replacement(
             zip(ranks, subtrees), mult)]
-        return ([tuple(t for _, t in s) for s in sets],
+        return ([group([t for _, t in s]) for s in sets],
                 [sum((r for r, _ in s), ()) for s in sets])
 
     @functools.cache
@@ -299,7 +348,7 @@ def _unlabeled(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) 
             subtrees, ranks = zip(*[
                 multisets(size, mult, other_color(color))
                 for size, mult in sorted(lam.multiplicities().items(), reverse=True)])
-            out.extend(vertices(color, d, _ascending(subtrees)))
+            out.extend(vertices(color, d, subtrees))
             if 2 * k <= n:
                 order.extend(itertools.product(range(d), _ascending(ranks)))
         rank = {o: (k, r) for r, o in enumerate(sorted(order))}
@@ -310,7 +359,7 @@ def _unlabeled(x: OperadDims, y: OperadDims, n: int, root: str, leaf, vertices) 
             if root in (color, "any"):
                 yield from trees_for(n, color)[0]
     finally:
-        trees_for.cache_clear()  # as in _basis
+        trees_for.cache_clear()  # as in basis_pieces
         multisets.cache_clear()
 
 
@@ -324,8 +373,8 @@ def enumerate_unlabeled(
     x: OperadDims, y: OperadDims, n: int, root: str = "any"
 ) -> Iterator:
     """Basis trees up to forgetting leaf labels: canonical multisets of children."""
-    return _unlabeled(x, y, n, root, 0, lambda color, d, choices: itertools.product(
-        (color,), range(d), choices))
+    return _unlabeled(x, y, n, root, 0, tuple, lambda color, d, groups: itertools.product(
+        (color,), range(d), _ascending(groups)))
 
 
 # --- grafting with suppression (the As*As planar model) -----------------

@@ -375,7 +375,7 @@ def test_basis_list_refuses_past_its_tree_bound(capsys):
 
 
 @pytest.mark.parametrize("n, message", [
-    ("10", "--list prints at most 1000000 trees and walks as many set partitions, n=10 walks more"),
+    ("11", "--list prints at most 1000000 trees and walks as many set partitions, n=11 walks more"),
     ("200", "--list prints at most 1000000 trees and walks as many set partitions, n=200 walks more"),
     ("201", "-n must be <= 200"),
 ])
@@ -539,6 +539,28 @@ def test_basis_list_answers_past_n7_when_walk_and_count_fit(tmp_path, capsys):
                "root": "any", "count": 2, "trees": trees}
     argv = ["basis", "--left", f"{cfg}:s", "--right", f"{cfg}:s", "-n", "8", "--list"]
     _check_listing(capsys, argv, payload, trees)
+
+
+def test_basis_list_answers_at_n10_with_two_digit_labels(tmp_path, capsys):
+    # d4 and d10 alone: the walk, W(10) = 284832 set partitions, passes
+    # the bound, and the 11552 trees decide.
+    from freeop.trees import leaf_labels, parse_tree
+
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text("s = [0, 0, 1, 0, 0, 0, 0, 0, 1]\n")
+    spec = f"{cfg}:s"
+    code, payload = run_json(capsys, "basis", "--left", spec, "--right", spec,
+                             "-n", "10", "--list")
+    x = resolve_operad(spec)
+    assert code == 0
+    assert payload["count"] == dims_mod.basis_count(x, x, 10) == 11552
+    trees = payload["trees"]
+    assert len(trees) == len(set(trees)) == 11552
+    for text in trees:
+        t = parse_tree(text)
+        assert trees_mod.format_tree(t) == text
+        assert sorted(leaf_labels(t)) == list(range(1, 11))
+    assert "circ[dec=0](1, 2, 3, 4, 5, 6, 7, 8, 9, 10)" in trees
 
 
 def test_listing_escapes_a_non_ascii_operand_name(tmp_path, capsys):

@@ -812,6 +812,22 @@ def test_orient_puts_leading_monomial_left():
     assert rule.rhs == parse_element("x(1 x(2 3)) + x(x(1 3) 2)")
 
 
+@pytest.mark.parametrize("term, message", [
+    (("x", ("x", 2, 1), 3), "child minima not increasing at x(2 1)"),
+    (("x", ("x", 1, 2), 2), "duplicate leaf labels"),
+    (("x", 0, 1), "leaf labels must be positive"),
+])
+def test_orient_rejects_a_term_that_is_not_a_shuffle_tree(term, message):
+    with pytest.raises(ShuffleConditionError, match=re.escape(message)):
+        orient(ShuffleElement({term: 1}))
+
+
+def test_orient_rejects_a_non_shuffle_term_beside_a_shuffle_lead():
+    e = ShuffleElement({parse_monomial("x(x(1 2) 3)"): 1, ("x", ("x", 2, 1), 3): 1})
+    with pytest.raises(ShuffleError, match=re.escape("x(2 1)")):
+        orient(e)
+
+
 def test_parse_rules_with_coefficients_and_comments():
     rules = parse_rules(
         """

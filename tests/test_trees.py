@@ -33,6 +33,7 @@ from freeop.trees import (
     tree_matches,
     validate_tree,
 )
+from freeop import dims as dims_mod
 from freeop import spnet
 from freeop import trees as trees_mod
 from freeop.partitions import partitions
@@ -146,9 +147,33 @@ def test_basis_pieces_join_as_the_lines():
     assert piece in basis_pieces(LIE, COMAS, 4, BULLET)
 
 
+def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte():
+    # The relabeled text against the independent route, format_tree over
+    # enumerate_basis: every builtin and two sparse operands, each pair,
+    # at n = 1..7 where the basis has at most 600 trees (the sparse pairs
+    # reach n = 7), every root and both listing separators.
+    operands = [builtin_operad(name) for name in sorted(dims_mod._BUILTINS)]
+    operands += [explicit_operad("s", [1, 0, 0, 1, 0, 2]),
+                 explicit_operad("t", [0, 1, 0, 0, 1, 0])]
+    for a, b in itertools.product(operands, repeat=2):
+        for n in range(1, 8):
+            if basis_count(a, b, n) > 600:
+                continue
+            for root in (BULLET, CIRC, "any"):
+                lines = [format_tree(t) for t in enumerate_basis(a, b, n, root)]
+                for sep in ("\n", '", "'):
+                    text = sep.join(basis_pieces(a, b, n, root, sep))
+                    assert text == sep.join(lines), (a.name, b.name, n, root, sep)
+
+
+def test_basis_pieces_refuse_more_leaves_than_placeholders():
+    with pytest.raises(ValueError, match="arity must be <= 26, got 27"):
+        basis_pieces(COMAS, COMAS, 27)
+
+
 def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
-    # The (label set, color, partition) visits: each (label set, color)
-    # walks the partitions of its size, computed once per size and call.
+    # The (size, color, partition) visits: each (size, color) walks the
+    # partitions of its size, computed once per size and call.
     sizes = []
     visits = [0]
     set_partitions = trees_mod._set_partitions
@@ -163,17 +188,19 @@ def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
         sizes.append(k)
         return Walked(set_partitions(k))
 
-    def walked(a, b, n, root):
+    def walked(a, b, n, root, sep="\n"):
         sizes.clear()
         visits[0] = 0
-        basis_pieces(a, b, n, root)
+        basis_pieces(a, b, n, root, sep)
         assert len(sizes) == len(set(sizes))
         return visits[0]
 
     monkeypatch.setattr(trees_mod, "_set_partitions", counted)
-    # com-as*com-as visits every label set of size >= 2 in both colors.
-    for n in range(1, 8):
+    # com-as*com-as visits every size from 2 to n in both colors, once
+    # whatever the separator.
+    for n in range(1, 9):
         assert walked(COMAS, COMAS, n, "any") == basis_walk(n), n
+        assert walked(COMAS, COMAS, n, "any", '", "') == basis_walk(n), n
     rng = random.Random(13)
     for _ in range(2):
         a, b = (
@@ -186,8 +213,9 @@ def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
 
 
 def test_basis_walk_values():
-    assert [basis_walk(n) for n in range(-1, 11)] == [
-        0, 0, 0, 4, 22, 94, 394, 1740, 8264, 42276, 231930, 1357118]
+    # 2 (Bell(2) + ... + Bell(n)).
+    assert [basis_walk(n) for n in range(-1, 12)] == [
+        0, 0, 0, 4, 14, 44, 148, 554, 2308, 10588, 52882, 284832, 1641972]
 
 
 def test_enumerated_trees_are_canonical_and_alternating():

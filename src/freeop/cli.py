@@ -57,11 +57,15 @@ class CliError(Exception):
     """Bad user input; reported on stderr with exit code 2."""
 
 
-def resolve_operad(spec: str, tables: dict | None = None) -> dims_mod.OperadDims:
+def resolve_operad(
+    spec: str, tables: dict | None = None, names=None
+) -> dims_mod.OperadDims:
     """Resolve a builtin id, `builtin:<id>`, or `<config-file>:<name>`.
 
     `tables` maps each config file already parsed in this request to its
     table, so that operands named from one file read and parse it once.
+    A file's table holds only the entries in `names`, by default the one
+    that spec names; every line of it is checked all the same.
     """
     if spec.startswith("builtin:"):
         return dims_mod.builtin_operad(spec.split(":", 1)[1])
@@ -72,7 +76,7 @@ def resolve_operad(spec: str, tables: dict | None = None) -> dims_mod.OperadDims
             if not os.path.exists(path):
                 raise CliError(f"operad config file not found: {path}")
             text = _read_text(path, "operad config file")
-            tables[path] = dims_mod.parse_operad_config(text)
+            tables[path] = dims_mod.parse_operad_config(text, names or {name})
         table = tables[path]
         if name not in table:
             raise CliError(f"operad {name!r} not defined in {path}")
@@ -83,7 +87,8 @@ def resolve_operad(spec: str, tables: dict | None = None) -> dims_mod.OperadDims
 def resolve_operands(args) -> tuple[dims_mod.OperadDims, dims_mod.OperadDims]:
     """`--left` and `--right`, in that order; a shared config file is read once."""
     tables: dict = {}
-    return resolve_operad(args.left, tables), resolve_operad(args.right, tables)
+    names = {args.left.rsplit(":", 1)[-1], args.right.rsplit(":", 1)[-1]}
+    return resolve_operad(args.left, tables, names), resolve_operad(args.right, tables, names)
 
 
 def load_rules(path: str) -> list[sh.RewriteRule]:

@@ -245,29 +245,54 @@ _ENTRY_RE = re.compile(
 )
 
 
-def parse_operad_config(text: str) -> dict[str, OperadDims]:
-    """Parse a config file body into named dimension sequences."""
-    out: dict[str, OperadDims] = {}
+# A line that surely parses: its sequence is plain digits, no more of them
+# than int() converts under any int string limit (640 is its least nonzero
+# value), and its builtin tail exists.
+_PLAIN_SEQ = r"\[[ \t]*(?:[0-9]{1,640}[ \t]*(?:,[ \t]*[0-9]{1,640}[ \t]*)*)?\]"
+_PLAIN_TAIL = "builtin:(?:" + "|".join(map(re.escape, _BUILTINS)) + ")"
+_PLAIN_ENTRY_RE = re.compile(
+    rf"([\w-]+)[ \t]*=[ \t]*(?:{_PLAIN_SEQ}(?:[ \t]*{_PLAIN_TAIL})?|{_PLAIN_TAIL})"
+)
+
+
+def parse_operad_config(text: str, names=None) -> dict[str, OperadDims]:
+    """Parse a config file body into named dimension sequences.
+
+    Every line is checked, so a malformed line anywhere is refused; with
+    `names`, only the entries named there are built.  A line that
+    _PLAIN_ENTRY_RE does not vouch for is built to be checked.
+    """
+    entries: dict[str, tuple[int, str]] = {}  # name -> its last line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = _ENTRY_RE.match(line)
-        if not m or (m.group("seq") is None and m.group("builtin") is None):
-            raise OperadError(f"config line {lineno}: cannot parse {raw!r}")
-        name = m.group("name")
-        tail = builtin_operad(m.group("builtin")) if m.group("builtin") else None
-        if m.group("seq") is None:
-            out[name] = OperadDims(name, tail.fn)
-            continue
-        body = m.group("seq")[1:-1].strip()
-        toks = body.split(",") if body else []
-        try:
-            seq = [int(tok) for tok in toks]
-        except ValueError:
-            raise OperadError(f"config line {lineno}: {_refused_entry(toks)}") from None
-        out[name] = explicit_operad(name, seq, tail)
-    return out
+        plain = _PLAIN_ENTRY_RE.fullmatch(line)
+        entries[plain[1] if plain else _entry(lineno, raw).name] = lineno, raw
+    return {
+        name: _entry(*entry)
+        for name, entry in entries.items()
+        if names is None or name in names
+    }
+
+
+def _entry(lineno: int, raw: str) -> OperadDims:
+    """The operad that config line lineno, raw, defines."""
+    line = raw.split("#", 1)[0].strip()
+    m = _ENTRY_RE.match(line)
+    if not m or (m.group("seq") is None and m.group("builtin") is None):
+        raise OperadError(f"config line {lineno}: cannot parse {raw!r}")
+    name = m.group("name")
+    tail = builtin_operad(m.group("builtin")) if m.group("builtin") else None
+    if m.group("seq") is None:
+        return OperadDims(name, tail.fn)
+    body = m.group("seq")[1:-1].strip()
+    toks = body.split(",") if body else []
+    try:
+        seq = [int(tok) for tok in toks]
+    except ValueError:
+        raise OperadError(f"config line {lineno}: {_refused_entry(toks)}") from None
+    return explicit_operad(name, seq, tail)
 
 
 def _refused_entry(toks: list[str]) -> str:

@@ -167,7 +167,7 @@ _TOKEN_RE = re.compile(rf"(?P<num>\d+)|(?P<sym>{_SYM_RE.pattern})|(?P<op>\S)")
 
 def _tokens(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) per token, closed by ("end", "", len(text))."""
-    toks = [(t.lastgroup, t.group(), t.start()) for t in _TOKEN_RE.finditer(text)]
+    toks = [(t.lastgroup, t[0], t.start()) for t in _TOKEN_RE.finditer(text)]
     toks.append(("end", "", len(text)))
     return toks
 
@@ -187,11 +187,19 @@ def _int(num: str, pos: int) -> int:
         raise ParseError(f"number too long ({len(num)} digits)", pos) from None
 
 
-def _monomial(toks: list, i: int, depth: int = 1):
-    """The monomial that starts at toks[i], and the index after it."""
+def _monomial(toks: list, i: int, seen: list, depth: int = 1):
+    """The monomial that starts at toks[i], the index after it, its least
+    label, and whether the child minima increase at every node of it.
+
+    The leaf labels are appended to seen in planar order.  A node's least
+    label is its first child's, which is the least only while the minima
+    increase; once they do not, the caller validates and does not use it.
+    """
     kind, tok, pos = toks[i]
     if kind == "num":
-        return _int(tok, pos), i + 1
+        label = _int(tok, pos)
+        seen.append(label)
+        return label, i + 1, label, True
     if kind != "sym":
         raise ParseError("expected a leaf number or generator symbol", pos)
     if depth > MAX_NESTING:
@@ -199,24 +207,41 @@ def _monomial(toks: list, i: int, depth: int = 1):
     if toks[i + 1][1] != "(":
         raise ParseError("expected '('", toks[i + 1][2])
     i += 2
+    if toks[i][1] == ")":
+        raise ParseError("generator application needs arguments", toks[i][2] + 1)
     args = []
+    least = last = -1
+    ok = True
     while toks[i][1] != ")":
         if toks[i][0] == "end":
             raise ParseError("missing ')'", toks[i][2])
-        m, i = _monomial(toks, i, depth + 1)
+        m, i, low, good = _monomial(toks, i, seen, depth + 1)
         args.append(m)
-    if not args:
-        raise ParseError("generator application needs arguments", toks[i][2] + 1)
-    return (tok, *args), i + 1
+        ok = ok and good and low > last
+        if last < 0:
+            least = low
+        last = low
+    return (tok, *args), i + 1, least, ok
+
+
+def _leaf_set(m, seen: list, low: int, ok: bool) -> frozenset:
+    """The leaf labels of m, as _monomial built it; validate_monomial
+    raises where its inline checks fail (the minima, a duplicate or a
+    label below 1), so every refusal has one wording."""
+    labels = frozenset(seen)
+    if not ok or low < 1 or len(labels) != len(seen):
+        validate_monomial(m)
+    return labels
 
 
 def parse_monomial(text: str):
     """Parse notation like "x(x(1 2) 3)"; validates the shuffle condition."""
     toks = _tokens(text)
-    m, i = _monomial(toks, 0)
+    seen: list[int] = []
+    m, i, low, ok = _monomial(toks, 0, seen)
     if toks[i][0] != "end":
         raise ParseError("trailing input", toks[i][2])
-    validate_monomial(m)
+    _leaf_set(m, seen, low, ok)
     return m
 
 
@@ -566,7 +591,10 @@ def rewrite_at(m, emb: Embedding, rule: RewriteRule, key=_order_key) -> ShuffleE
             raise ShuffleError(
                 f"rewrite does not decrease: {print_monomial(m)} -> {print_monomial(new)}"
             )
-        out[new] = out.get(new, 0) + coeff
+        if new in out:
+            out[new] += coeff
+        else:
+            out[new] = coeff
     return ShuffleElement._of({m: c for m, c in out.items() if c})
 
 
@@ -587,6 +615,13 @@ def normal_form(
     once.  `keys` memoises order keys by monomial; check_confluence shares
     one memo across its S-elements.
 
+    Reduction is linear: which rule rewrites a monomial, and where, does
+    not depend on its coefficient, so nf(den * e) = den * nf(e).  The loop
+    reduces den * e, den the lcm of e's denominators, whose coefficients
+    are ints, as are the rules' integer coefficients; a rule coefficient
+    that is not an integer stays a Fraction, and mixed arithmetic is
+    exact.  Each final coefficient is divided by den once.
+
     With `rng` the reducible monomial, rule, and occurrence are all chosen
     at random among all pending terms: an independent route, used to check
     that confluent systems give strategy-independent results.
@@ -601,7 +636,16 @@ def normal_form(
             k = memo[m] = _order_key(m)
         return k
 
-    coeffs = dict(e.terms)
+    den = math.lcm(*[c.denominator for c in e.terms.values()])
+    coeffs = {m: c.numerator * (den // c.denominator) for m, c in e.terms.items()}
+    # Converted once per call: Fraction.numerator and .denominator are
+    # Python properties, too slow to read per term.
+    rules = [
+        RewriteRule(rule.lhs, ShuffleElement._of({
+            m: c.numerator if c.denominator == 1 else c for m, c in rule.rhs.terms.items()
+        }))
+        for rule in rules
+    ]
     # (key, monomial) pairs in increasing order; a monomial is queued once,
     # when it first appears, and never reappears after it is taken.
     pending = sorted(((key(m), m) for m in coeffs), key=itemgetter(0))
@@ -616,7 +660,7 @@ def normal_form(
             if emb is not None:
                 break
         else:
-            final[m] = coeff
+            final[m] = Fraction(coeff, den)
             continue
         for new, c in rewrite_at(m, emb, rule, key).terms.items():
             if new in coeffs:
@@ -896,34 +940,38 @@ def parse_element(text: str) -> ShuffleElement:
     if len(toks) == 2 and kind == "num" and not _int(tok, pos):
         return ShuffleElement()
     terms: dict = {}
-    labels: dict = {}  # monomial -> its leaf labels, from its validation
+    labels: dict = {}  # monomial -> its leaf labels
     i = 0
     while True:
-        coeff = Fraction(-1 if toks[i][1] == "-" else 1)
+        sign = -1 if toks[i][1] == "-" else 1
         if toks[i][1] in ("+", "-"):
             i += 1
         kind, tok, pos = toks[i]
+        num = den = 1
         # A number that ends its term is the term itself, a leaf, as str()
         # prints a leaf with coefficient 1; any other is a coefficient.
         if kind == "num" and toks[i + 1][1] not in ("", "+", "-"):
-            coeff *= _int(tok, pos)
+            num = _int(tok, pos)
             i += 1
             if toks[i][1] == "/":
-                kind, den, pos = toks[i + 1]
+                kind, tok, pos = toks[i + 1]
                 if kind != "num":
                     raise ParseError("expected denominator", pos)
                 # ASCII zeros past the int string limit are still zero
-                value = _int(den, pos) if den.strip("0") else 0
-                if not value:
+                den = _int(tok, pos) if tok.strip("0") else 0
+                if not den:
                     raise ParseError("zero denominator", pos)
-                coeff /= value
                 i += 2
             if toks[i][1] == "*":
                 i += 1
-        m, i = _monomial(toks, i)
-        if m not in labels:
-            labels[m] = frozenset(validate_monomial(m))
-        terms[m] = terms.get(m, 0) + coeff
+        seen: list[int] = []
+        m, i, low, ok = _monomial(toks, i, seen)
+        labels[m] = _leaf_set(m, seen, low, ok)
+        coeff = Fraction(sign * num, den)
+        if m in terms:
+            terms[m] += coeff
+        else:
+            terms[m] = coeff
         kind, tok, pos = toks[i]
         if kind == "end":
             terms = {m: c for m, c in terms.items() if c}

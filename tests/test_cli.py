@@ -699,9 +699,9 @@ def _count_config_parses(monkeypatch):
     calls = []
     parse = dims_mod.parse_operad_config
 
-    def counted(text):
+    def counted(text, *names):
         calls.append(text)
-        return parse(text)
+        return parse(text, *names)
 
     monkeypatch.setattr(dims_mod, "parse_operad_config", counted)
     return calls

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from freeop.dims import (
     OperadError,
@@ -360,3 +360,56 @@ def test_parse_operad_config_returns_a_table_or_raises_operad_error(text):
         assert all(d is None for d in dims[len(known):])
         again = parse_operad_config(f"{name} = [{', '.join(map(str, known))}]")[name]
         assert _dims(again) == dims
+
+
+# Config lines, valid or not, most of them past what the plain-line check
+# vouches for: each is checked whatever entries the request names.
+_ODD_LINES = [
+    "u = [+3, 4]", "v = [\u0663, 2] builtin:lie", "w = [1_0]", "t = [\t2 ,3 ]builtin:as",
+    "big = [2, " + "9" * 5000 + "]", "neg = [1, -1]", "nob = builtin:nope",
+    "tail = [1] builtin:nope", "e = [1,]", "a = [2]  # comment", "a = builtin:com",
+    "c = [-2]", "d = [3] builtin:com-as-", "f = [2 3]", "g = [, 2]",
+]
+
+
+def _table_outcome(*args):
+    try:
+        table = parse_operad_config(*args)
+    except OperadError as exc:
+        return str(exc)
+    return {name: _dims(op) for name, op in table.items()}
+
+
+@given(
+    st.lists(
+        st.one_of(
+            _ENTRIES.map(_config_text),
+            st.sampled_from(_ODD_LINES),
+            st.text(alphabet="ab_-=[]0123, #:builtin"),
+        ),
+        max_size=5,
+    ).map("\n".join),
+    st.data(),
+)
+@settings(max_examples=60)
+def test_named_entries_are_the_whole_tables(text, data):
+    """Building only some entries still checks every line: the same
+    refusal, or the whole table's entries of those names."""
+    whole = _table_outcome(text)
+    known = sorted(whole) if isinstance(whole, dict) else []
+    names = data.draw(st.sets(st.sampled_from(known + ["a", "u", "missing"])))
+    named = _table_outcome(text, names)
+    if isinstance(whole, str):
+        assert named == whole
+    else:
+        assert named == {name: dims for name, dims in whole.items() if name in names}
+
+
+@pytest.mark.parametrize("line", _ODD_LINES)
+def test_an_unnamed_line_is_checked(line):
+    text = f"a = builtin:lie\n{line}\nz = [1, 2]"
+    whole = _table_outcome(text)
+    for names in ({"z"}, set()):
+        expected = whole if isinstance(whole, str) else {
+            name: dims for name, dims in whole.items() if name in names}
+        assert _table_outcome(text, names) == expected

@@ -424,6 +424,69 @@ def test_normal_form_matches_resorting_route(rules, symbols):
             assert str(got) == str(expected)
 
 
+# --- the integer path against Fraction routes ----------------------------
+#
+# normal_form reduces den * e over ints; the random route and the resorting
+# route keep Fraction coefficients throughout.
+
+
+_FRACTIONS = [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+# lie-adm with y scaled by 1/2: confluent, as the scaling is an automorphism,
+# and its right-hand side mixes integer and non-integer coefficients.
+LIE_ADM_HALF_Y = parse_rules(
+    "x(x(1 2) 3) = 1/2*x(y(1 2) 3) + 1/2*y(x(1 2) 3) - 1/4*y(y(1 2) 3)"
+    " - 1/2*y(1 x(2 3)) + 1/4*y(1 y(2 3)) + x(1 x(2 3)) - 1/2*x(1 y(2 3))"
+    " - 1/2*x(y(1 3) 2) + x(x(1 3) 2) + 1/4*y(y(1 3) 2) - 1/2*y(x(1 3) 2)"
+)
+HALF_JACOBI = parse_rules("2*x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)")
+
+
+def _seeded_elements(rng, symbols, arities, sizes):
+    for arity_ in arities:
+        labels = list(range(1, arity_ + 1))
+        for size in sizes:
+            yield ShuffleElement({
+                _random_monomial(rng, labels, symbols): rng.choice(_FRACTIONS)
+                for _ in range(size)
+            })
+
+
+def _check_fractions(nf):
+    assert all(type(c) is Fraction and c for c in nf.terms.values())
+
+
+@pytest.mark.parametrize(
+    "rules, symbols",
+    [(JACOBI, "x"), (LIE_ADM, "xy"), (LIE_ADM_HALF_Y, "xy")],
+    ids=["lie", "lie-adm", "lie-adm-half-y"],
+)
+def test_integer_normal_form_matches_the_random_route(rules, symbols):
+    rng = random.Random(29)
+    for e in _seeded_elements(rng, symbols, range(4, 7), range(1, 6)):
+        nf = normal_form(e, rules)
+        assert nf == normal_form(e, rules, rng=rng)
+        _check_fractions(nf)
+
+
+def test_non_integer_rule_coefficients_stay_exact():
+    # Not confluent, so its normal forms depend on the strategy: the
+    # reference is the same strategy over Fractions.
+    assert set(HALF_JACOBI[0].rhs.terms.values()) == {Fraction(1, 2)}
+    assert not check_confluence(HALF_JACOBI, 4).passed
+    rng = random.Random(31)
+    for e in _seeded_elements(rng, "x", range(3, 7), range(1, 5)):
+        nf = normal_form(e, HALF_JACOBI)
+        assert nf == _normal_form_by_resorting(e, HALF_JACOBI)
+        _check_fractions(nf)
+
+
+@pytest.mark.parametrize("rules", [JACOBI, LIE_ADM_HALF_Y], ids=["lie", "lie-adm-half-y"])
+def test_cancelling_terms_give_zero(rules):
+    lhs = ShuffleElement({rules[0].lhs: Fraction(-2, 3)})
+    nf = normal_form(lhs - Fraction(-2, 3) * rules[0].rhs, rules)
+    assert nf.terms == {} and str(nf) == "0"
+
+
 # --- printing against a reference --------------------------------------
 
 
@@ -1195,6 +1258,30 @@ def test_token_parser_matches_the_reference_on_mutated_texts():
                 text = text[:i] + rng.choice(chars) + text[i + (op == 2):]
         compared += _agrees_with_reference(text)
     assert compared > 700
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        # a shuffle violation in term 1 is met before a syntax error in term 2
+        ("x(2 1) + x(1 2", "child minima not increasing at x(2 1): [2, 1]"),
+        ("-1/2*x(1 x(3 2)) + 3 * ) x(1 2)", "child minima not increasing at x(3 2): [3, 2]"),
+        # a duplicate label before an order violation in one monomial
+        ("x(x(2 2) 1)", "duplicate leaf labels in x(x(2 2) 1)"),
+        ("x(1 2) - 2*x(3 x(1 1))", "duplicate leaf labels in x(3 x(1 1))"),
+        # label 0, alone and beside an order violation
+        ("x(0 1)", "leaf labels must be positive"),
+        ("y(1 x(0 3)) + y(1 x(3 2))", "leaf labels must be positive"),
+    ],
+)
+def test_parse_refusal_precedence_matches_the_reference(text, refusal):
+    expected = (ShuffleConditionError, refusal, None)
+    assert _parse_outcome(_ref_parse_element, text) == expected
+    assert _parse_outcome(parse_element, text) == expected
+    monomial = text.split(" + ")[0].split(" - ")[0]
+    if not re.search(r"[*+-]", monomial):
+        assert _parse_outcome(parse_monomial, monomial) == _parse_outcome(
+            _ref_parse_monomial, monomial)
 
 
 @pytest.mark.parametrize(

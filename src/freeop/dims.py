@@ -181,6 +181,8 @@ def basis_count(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> int:
     """
     if n < 1:
         raise OperadError(f"arity must be >= 1, got {n}")
+    if root not in ("bullet", "circ", "any"):
+        raise OperadError(f"bad root {root!r}")
     if n == 1:
         return 1
     if root == "circ":
@@ -206,6 +208,8 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
     """
     if n < 1:
         raise OperadError(f"arity must be >= 1, got {n}")
+    if color not in ("bullet", "circ"):
+        raise OperadError(f"bad color {color!r}")
     if n == 1:
         return 1
     if color == "circ":

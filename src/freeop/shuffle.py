@@ -4,7 +4,8 @@ A monomial is a nested tuple: a leaf is a positive int, an internal node
 is (symbol, child, child, ...) with the symbol a generator name.  At
 every node the blocks of leaf labels under the children have strictly
 increasing minima (the shuffle condition).  Elements are rational linear
-combinations of monomials of one arity.
+combinations of monomials on one set of leaf labels, checked when an
+element is built; `orient` owns the checks that make an equation a rule.
 
 The monomial order is graded path-lexicographic: compare arity (the
 larger arity is the greater, so any two monomials compare), then for
@@ -301,9 +302,10 @@ def _one_label_set(label_sets: set) -> None:
 class ShuffleElement:
     """A rational linear combination of monomials on one set of leaf labels.
 
-    `ordered` says that `terms` already lists its monomials largest first,
-    as normal_form finalises them, so printing need not sort by key again.
-    Every other element, arithmetic results included, sorts when printed.
+    Building one validates every term and the one label set; arithmetic
+    trusts its operands (`_of`).  `ordered` says that `terms` already lists
+    its monomials largest first, as normal_form finalises them, so printing
+    need not sort by key again.  Every other element sorts when printed.
     """
 
     __slots__ = ("terms", "ordered")
@@ -311,21 +313,19 @@ class ShuffleElement:
     def __init__(self, terms=None):
         self.ordered = False
         clean: dict = {}
+        label_sets = set()
         for m, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
+            labels = frozenset(validate_monomial(m))
+            if c := Fraction(c):
                 clean[m] = c
-        _one_label_set({frozenset(leaves(m)) for m in clean})
+                label_sets.add(labels)
+        _one_label_set(label_sets)
         self.terms = clean
-
-    @classmethod
-    def from_monomial(cls, m, coeff=1) -> "ShuffleElement":
-        return cls({m: Fraction(coeff)})
 
     @classmethod
     def _of(cls, terms: dict, ordered: bool = False) -> "ShuffleElement":
         """Wrap nonzero Fraction coefficients of monomials on one label set,
-        as rewriting produces them, without checking again."""
+        as arithmetic and rewriting produce them, without checking again."""
         e = cls.__new__(cls)
         e.terms = terms
         e.ordered = ordered
@@ -341,7 +341,7 @@ class ShuffleElement:
         return self._combined(other, operator.add)
 
     def __neg__(self) -> "ShuffleElement":
-        return ShuffleElement({m: -c for m, c in self.terms.items()})
+        return ShuffleElement._of({m: -c for m, c in self.terms.items()}, self.ordered)
 
     def __sub__(self, other: "ShuffleElement") -> "ShuffleElement":
         return self._combined(other, operator.sub)
@@ -361,7 +361,9 @@ class ShuffleElement:
         return ShuffleElement._of(out)
 
     def __mul__(self, scalar) -> "ShuffleElement":
-        return ShuffleElement({m: c * Fraction(scalar) for m, c in self.terms.items()})
+        scalar = Fraction(scalar)
+        terms = {m: c * scalar for m, c in self.terms.items()} if scalar else {}
+        return ShuffleElement._of(terms, self.ordered)
 
     __rmul__ = __mul__
 
@@ -404,17 +406,17 @@ class RewriteRule(NamedTuple):
 def orient(e: ShuffleElement) -> RewriteRule:
     """Turn an equation e = 0 into a rule: leading monomial -> minus rest.
 
-    Every term must be a shuffle tree (validate_monomial): `overlaps` and
-    `rewrite_at` trust a rule's monomials to be.
+    A rule rewrites a generator application, so e must be nonzero and its
+    leading monomial not a bare leaf.
     """
     if not e:
-        raise ShuffleError("cannot orient the zero element")
-    for m in e.terms:
-        validate_monomial(m)
+        raise ShuffleError("equation is trivially zero")
     lead = e.leading_monomial()
-    coeff = e.terms[lead]
-    rest = ShuffleElement({m: c for m, c in e.terms.items() if m != lead})
-    return RewriteRule(lead, (-1 / coeff) * rest)
+    if is_leaf(lead):
+        raise ShuffleError("every term must apply a generator, not be a bare leaf")
+    scale = -1 / e.terms[lead]
+    rhs = {m: c * scale for m, c in e.terms.items() if m != lead}
+    return RewriteRule(lead, ShuffleElement._of(rhs))
 
 
 # --- free shuffle tree enumeration -------------------------------------
@@ -685,7 +687,7 @@ def _random_normal_form(e: ShuffleElement, rules: list[RewriteRule], rng) -> Shu
                 normal.add(m)
             choices += found
         if not choices:
-            return ShuffleElement(terms)
+            return ShuffleElement._of(terms)
         m, rule, emb = rng.choice(choices)
         coeff = terms.pop(m)
         for new, c in rewrite_at(m, emb, rule).terms.items():
@@ -1008,17 +1010,10 @@ def parse_rules(text: str) -> list[RewriteRule]:
             raise ShuffleError(
                 f"rule line {lineno}: every generator must take two arguments"
             )
-        try:
-            equation = lhs - rhs
-        except ShuffleError as exc:  # the sides' terms have different labels
+        try:  # the sides' labels differ, or orient refuses the equation
+            rules.append(orient(lhs - rhs))
+        except ShuffleError as exc:
             raise ShuffleError(f"rule line {lineno}: {exc}") from None
-        if not equation:
-            raise ShuffleError(f"rule line {lineno}: equation is trivially zero")
-        if any(is_leaf(m) for m in equation.terms):
-            raise ShuffleError(
-                f"rule line {lineno}: every term must apply a generator, not be a bare leaf"
-            )
-        rules.append(orient(equation))
     return rules
 
 

@@ -2,6 +2,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -802,3 +804,36 @@ def test_repeated_calls_answer_as_each_request_alone(tmp_path, capsys, monkeypat
     assert {a[0] for a in answers} == {0, 1, 2}
     for argv, answer in zip(requests, answers):
         assert answer == _alone(argv), argv
+
+
+# --- the README's examples ----------------------------------------------
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, comment) per line of the README's block of freeop commands."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    (block,) = [b for b in blocks if b.startswith("freeop ")]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        examples.append((shlex.split(command)[1:], comment.strip()))
+    return examples
+
+
+def test_readme_examples_print_what_their_comments_state(capsys):
+    # A comment that is a number or starts "WORD: " states the output;
+    # "..." ends a stated prefix.  Any other comment describes the command.
+    stated = 0
+    for argv, comment in _readme_examples():
+        code, out = run(capsys, *argv)
+        assert code == 0 and out, argv
+        if re.fullmatch(r"\d+|[A-Z]+: .*", comment):
+            stated += 1
+            if comment.endswith("..."):
+                assert out.startswith(comment[:-3]), argv
+            else:
+                assert out == comment + "\n", argv
+    assert stated >= 4

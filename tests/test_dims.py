@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from freeop.dims import (
     OperadError,
     avoiding_count,
+    basis_count,
     builtin_operad,
     explicit_operad,
     free_product_dims,
@@ -240,6 +241,20 @@ def test_first_operand_to_run_out_is_named_in_either_order():
     for x_op, y_op in ((b, c), (c, b)):
         with pytest.raises(OperadError, match=f"^{re.escape(_no_dimension(x_op.name, 4))}$"):
             free_product_dims(x_op, y_op, 8)
+
+
+def test_basis_count_refuses_an_unknown_root():
+    com = builtin_operad("com")
+    for n in (1, 3):
+        with pytest.raises(OperadError, match="^bad root 'square'$"):
+            basis_count(com, com, n, "square")
+
+
+def test_avoiding_count_refuses_an_unknown_color():
+    com = builtin_operad("com")
+    for color in ("square", "any"):
+        with pytest.raises(OperadError, match=f"^bad color '{color}'$"):
+            avoiding_count(com, com, 3, color)
 
 
 def test_symbolic_d8_polynomials_are_pinned():

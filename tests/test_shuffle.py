@@ -322,7 +322,7 @@ def test_jacobi_normal_form_matches_hand_reduction():
         "x(x(x(1 4) 3) 2) + x(x(1 x(3 4)) 2) + x(x(1 3) x(2 4))"
         " + x(x(1 4) x(2 3)) + x(1 x(x(2 4) 3)) + x(1 x(2 x(3 4)))"
     )
-    nf = normal_form(ShuffleElement.from_monomial(big), JACOBI)
+    nf = normal_form(ShuffleElement({big: 1}), JACOBI)
     assert nf == expected
 
 
@@ -875,20 +875,52 @@ def test_orient_puts_leading_monomial_left():
     assert rule.rhs == parse_element("x(1 x(2 3)) + x(x(1 3) 2)")
 
 
-@pytest.mark.parametrize("term, message", [
+NON_SHUFFLE_TERMS = [
     (("x", ("x", 2, 1), 3), "child minima not increasing at x(2 1)"),
     (("x", ("x", 1, 2), 2), "duplicate leaf labels"),
     (("x", 0, 1), "leaf labels must be positive"),
-])
+]
+
+
+@pytest.mark.parametrize("term, message", NON_SHUFFLE_TERMS)
 def test_orient_rejects_a_term_that_is_not_a_shuffle_tree(term, message):
     with pytest.raises(ShuffleConditionError, match=re.escape(message)):
         orient(ShuffleElement({term: 1}))
 
 
+@pytest.mark.parametrize("term, message", NON_SHUFFLE_TERMS + [
+    (("x", 1, 1), "duplicate leaf labels in x(1 1)"),
+])
+@pytest.mark.parametrize("coeff", [1, 0])
+def test_an_element_refuses_a_term_that_is_not_a_shuffle_tree(term, message, coeff):
+    with pytest.raises(ShuffleConditionError, match=re.escape(message)):
+        ShuffleElement({term: coeff})
+
+
 def test_orient_rejects_a_non_shuffle_term_beside_a_shuffle_lead():
-    e = ShuffleElement({parse_monomial("x(x(1 2) 3)"): 1, ("x", ("x", 2, 1), 3): 1})
+    # The element refuses the term as it is built, before orient sees it.
     with pytest.raises(ShuffleError, match=re.escape("x(2 1)")):
+        orient(ShuffleElement({parse_monomial("x(x(1 2) 3)"): 1, ("x", ("x", 2, 1), 3): 1}))
+
+
+@pytest.mark.parametrize("e, message", [
+    (ShuffleElement(), "equation is trivially zero"),
+    (ShuffleElement({3: 1}), "every term must apply a generator, not be a bare leaf"),
+])
+def test_orient_refuses_an_equation_that_is_no_rule(e, message):
+    with pytest.raises(ShuffleError, match=re.escape(message)):
         orient(e)
+
+
+def test_scaling_a_normal_form_matches_the_checked_construction():
+    e = normal_form(parse_element("x(x(x(1 2) 3) 4) - 1/2*x(x(1 3) x(2 4))"), JACOBI)
+    assert e.ordered and len(e.terms) > 2
+    for got, scalar in ((-e, -1), (2 * e, 2), (e * Fraction(-2, 3), Fraction(-2, 3)), (0 * e, 0)):
+        want = ShuffleElement({m: scalar * c for m, c in e.terms.items()})
+        assert got == want
+        assert str(got) == str(want)
+        assert all(type(c) is Fraction for c in got.terms.values())
+    assert str(0 * e) == "0"
 
 
 def test_parse_rules_with_coefficients_and_comments():

@@ -16,7 +16,6 @@ from . import dims as dims_mod
 from . import shuffle as sh
 from . import spnet
 from . import trees
-from .dims import OperadError
 
 # The one listing bound, checked by check_listing against each listing's
 # work.  A listing holds every tree's or network's text at once: measured
@@ -372,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except (CliError, OperadError, sh.ShuffleError, ValueError, RecursionError) as exc:
+    except (CliError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

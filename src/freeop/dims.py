@@ -167,8 +167,6 @@ def free_product_dims(x: OperadDims, y: OperadDims, n_max: int) -> DimTable:
     """Dimension table of the free product of two binary operads."""
     if n_max < 2:
         raise OperadError(f"n_max must be >= 2, got {n_max}")
-    if x.dim(1) != 1 or y.dim(1) != 1:
-        raise OperadError("component operads must have dim 1 in arity 1")
     bullet, circ = _run_recursion(x.dim, y.dim, n_max)
     return DimTable(n_max, bullet, circ)
 

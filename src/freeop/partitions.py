@@ -1,48 +1,15 @@
 """Integer partitions with stabilizer and orbit-size arithmetic.
 
-All counts are exact Python integers; nothing here ever touches floats.
+A partition is a plain tuple of positive parts, weakly decreasing.  All
+counts are exact Python integers; nothing here ever touches floats.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.parts:
-            raise ValueError("partition must have at least one part")
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if any(a < b for a, b in zip(self.parts, self.parts[1:])):
-            raise ValueError(f"parts must be weakly decreasing: {self.parts}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def m(self) -> int:
-        return len(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        """Map part value -> how many times it occurs."""
-        return dict(Counter(self.parts))
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-def partitions(n: int, min_parts: int = 1) -> list[Partition]:
+def partitions(n: int, min_parts: int = 1) -> list[tuple[int, ...]]:
     """All partitions of n with at least min_parts parts.
 
     Emitted in decreasing lexicographic order, e.g. for (5, 2):
@@ -52,12 +19,12 @@ def partitions(n: int, min_parts: int = 1) -> list[Partition]:
         raise ValueError("min_parts must be >= 1")
     if n < 1:
         return []
-    out: list[Partition] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(remaining: int, largest: int, prefix: list[int]) -> None:
         if remaining == 0:
             if len(prefix) >= min_parts:
-                out.append(Partition(tuple(prefix)))
+                out.append(tuple(prefix))
             return
         for p in range(min(largest, remaining), 0, -1):
             prefix.append(p)
@@ -68,25 +35,29 @@ def partitions(n: int, min_parts: int = 1) -> list[Partition]:
     return out
 
 
-def stabilizer_order(p: Partition) -> int:
+def _check(parts: tuple[int, ...]) -> None:
+    if not parts:
+        raise ValueError("partition must have at least one part")
+    if any(p < 1 for p in parts):
+        raise ValueError(f"parts must be positive: {parts}")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"parts must be weakly decreasing: {parts}")
+
+
+def stabilizer_order(parts: tuple[int, ...]) -> int:
     """Order of the subgroup of S_m permuting equal parts among themselves."""
-    order = 1
-    for mult in p.multiplicities().values():
-        order *= math.factorial(mult)
-    return order
+    _check(parts)
+    return math.prod(map(math.factorial, Counter(parts).values()))
 
 
-def orbit_count(p: Partition) -> int:
+def orbit_count(parts: tuple[int, ...]) -> int:
     """n! / (n_1! ... n_m! * stabilizer_order), always an exact integer.
 
     This is the number of set partitions of an n-set whose block-size
-    profile is p.
+    profile is parts.
     """
-    denom = stabilizer_order(p)
-    for part in p.parts:
-        denom *= math.factorial(part)
-    num = math.factorial(p.n)
-    q, r = divmod(num, denom)
+    denom = stabilizer_order(parts) * math.prod(map(math.factorial, parts))
+    q, r = divmod(math.factorial(sum(parts)), denom)
     if r:
-        raise ArithmeticError(f"orbit count for {p} is not integral (bug)")
+        raise ArithmeticError(f"orbit count for {parts} is not integral (bug)")
     return q

@@ -38,9 +38,9 @@ def make_node(kind: str, children) -> tuple:
 
 def _keyed_node(kind: str, keyed) -> tuple:
     """(key, node) of the canonical node over (key, child) pairs; rejects
-    like-kinded nesting.  The key, built from the children's, mirrors
-    trees.structural_key, so the bijection preserves sort order: series
-    <-> circ (kind 1), parallel <-> bullet (kind 2)."""
+    like-kinded nesting.  The key is trees.structural_key's, built by the
+    same rule from the children's, so the bijection preserves sort order:
+    series <-> circ (kind 1), parallel <-> bullet (kind 2)."""
     if kind not in (SERIES, PARALLEL):
         raise ValueError(f"bad kind {kind!r}")
     keyed = sorted(keyed, key=itemgetter(0))
@@ -50,10 +50,10 @@ def _keyed_node(kind: str, keyed) -> tuple:
     for c in children:
         if not is_edge(c) and c[0] == kind:
             raise ValueError(f"{kind} node may not contain a {kind} child")
-    return (sum(k[0] for k in keys), 1 if kind == SERIES else 2, 0, keys), (kind, children)
+    return trees._vertex_key(1 if kind == SERIES else 2, 0, keys), (kind, children)
 
 
-_EDGE_KEYED = ((1, 0), EDGE)
+_EDGE_KEYED = (trees._LEAF_KEY, EDGE)
 _REVERSED = itemgetter(slice(None, None, -1))
 _COM_AS = builtin_operad("com-as")
 
@@ -182,18 +182,7 @@ _NET_TOKEN_RE = re.compile(r"\s*([SPe()])")
 
 def parse_network(text: str):
     """Inverse of format_network; validates canonical form."""
-    tokens = []
-    starts = []
-    pos = 0
-    while pos < len(text):
-        m = _NET_TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad token at position {pos}")
-            break
-        tokens.append(m.group(1))
-        starts.append(m.start(1))
-        pos = m.end()
+    tokens, starts = trees._scan(text, _NET_TOKEN_RE)
     idx = 0
 
     def node(depth: int = 1):

@@ -54,12 +54,17 @@ def validate_tree(t) -> None:
         raise ValueError(f"bad color {color!r}")
     if dec < 0:
         raise ValueError(f"bad decoration {dec}")
+    _check_vertex(color, children)
+    for c in children:
+        validate_tree(c)
+
+
+def _check_vertex(color: str, children) -> None:
+    """Raise if a color vertex has fewer than two children or one of its color."""
     if len(children) < 2:
         raise ValueError("internal vertex needs at least two children")
-    for c in children:
-        if not is_leaf(c) and c[0] == color:
-            raise ValueError("same-color edge")
-        validate_tree(c)
+    if any(not is_leaf(c) and c[0] == color for c in children):
+        raise ValueError("same-color edge")
 
 
 # --- labeled basis enumeration -----------------------------------------
@@ -290,13 +295,22 @@ def _vertices_text(sep: str, color: str, d: int, options) -> str:
 # --- unlabeled mode -----------------------------------------------------
 
 
+_LEAF_KEY = (1, 0)
+
+
+def _vertex_key(kind: int, dec: int, keys: tuple) -> tuple:
+    """(size, kind, dec, keys): the key of a vertex of kind (1 circ, 2
+    bullet) over its children's keys, its size the sum of theirs."""
+    return (sum(k[0] for k in keys), kind, dec, keys)
+
+
 def structural_key(t):
-    """Total order on unlabeled trees (size, color, decoration, children)."""
+    """Total order on unlabeled trees: by size, then color (circ first),
+    decoration and children's keys, each key built once, by _vertex_key."""
     if is_leaf(t):
-        return (1, 0)
+        return _LEAF_KEY
     color, dec, children = t
-    kind = 1 if color == CIRC else 2
-    return (arity(t), kind, dec, tuple(structural_key(c) for c in children))
+    return _vertex_key(1 if color == CIRC else 2, dec, tuple(map(structural_key, children)))
 
 
 def _unlabeled(
@@ -342,12 +356,12 @@ def _unlabeled(
         out: list = []
         order: list = []  # (decoration, children's flat (size, rank)s) per tree
         for lam in partitions(k, 2):
-            d = dim_of[color](lam.m)
+            d = dim_of[color](len(lam))
             if d == 0:
                 continue
             subtrees, ranks = zip(*[
-                multisets(size, mult, other_color(color))
-                for size, mult in sorted(lam.multiplicities().items(), reverse=True)])
+                multisets(size, len(list(run)), other_color(color))
+                for size, run in itertools.groupby(lam)])
             out.extend(vertices(color, d, subtrees))
             if 2 * k <= n:
                 order.extend(itertools.product(range(d), _ascending(ranks)))
@@ -470,10 +484,10 @@ def count_avoiding_recursive(
             return cache[key]
         total = 0
         for lam in partitions(k, 2):
-            if color in patterns and any(s > 1 for s in lam.parts):
+            if color in patterns and lam[0] > 1:
                 continue
-            term = orbit_count(lam) * dim_of[color](lam.m)
-            for s in lam.parts:
+            term = orbit_count(lam) * dim_of[color](len(lam))
+            for s in lam:
                 if s >= 2:
                     term *= avoid(s, other_color(color))
             total += term
@@ -505,20 +519,23 @@ def format_tree(t) -> str:
 MAX_NESTING = 200
 
 
-def parse_tree(text: str):
-    """Inverse of format_tree; raises ValueError on malformed input."""
-    tokens = []
-    starts = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad token at position {pos}: {text[pos:pos + 10]!r}")
-            break
+def _scan(text: str, token_re: re.Pattern) -> tuple[list[str], list[int]]:
+    """The tokens token_re's group 1 matches across text, and where each
+    starts; raises ValueError at the first character no token matches."""
+    tokens, starts, pos = [], [], 0
+    while m := token_re.match(text, pos):
         tokens.append(m.group(1))
         starts.append(m.start(1))
         pos = m.end()
+    if text[pos:].strip():
+        raise ValueError(f"bad token at position {pos}: {text[pos:pos + 10]!r}")
+    return tokens, starts
+
+
+def parse_tree(text: str):
+    """Inverse of format_tree; raises ValueError on input that is malformed
+    or that validate_tree refuses, checking each vertex as it is built."""
+    tokens, starts = _scan(text, _TOKEN_RE)
     idx = 0
 
     def number(digits: str, pos: int) -> int:
@@ -561,10 +578,10 @@ def parse_tree(text: str):
             idx += 1
             children.append(node(depth + 1))
         expect(")")
+        _check_vertex(tok, children)
         return (tok, dec, tuple(children))
 
     t = node()
     if idx != len(tokens):
         raise ValueError(f"trailing tokens at {idx}")
-    validate_tree(t)
     return t

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -626,6 +627,27 @@ def test_bad_rule_file(capsys):
 def test_bad_n_max(capsys):
     code, _ = run(capsys, "dims", "--left", "as", "--right", "as", "-n", "0")
     assert code == 2
+
+
+def test_no_refusal_after_output_has_started(tmp_path, capsys):
+    # Operands whose sequences stop at arity 3 to 5, with no builtin tail:
+    # a request past them must fail before it prints anything.
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("s3 = [1, 2]\nz4 = [0, 1, 3]\ns5 = [1, 0, 2, 1]\n")
+    operands = [f"{cfg}:{name}" for name in ("s3", "z4", "s5")]
+    requests = [["sp", "-n", n, "--list"] for n in ("8", "15")]
+    for left, right in itertools.product(operands, repeat=2):
+        for n in map(str, range(2, 8)):
+            pair = ["--left", left, "--right", right, "-n", n]
+            requests += [["dims", *pair], ["basis", *pair], ["basis", *pair, "--list"],
+                         ["quotient", *pair, "--pattern", "bullet-composite-child"]]
+    outcomes = set()
+    for argv in requests:
+        for fmt in ("table", "json"):
+            code, out = run(capsys, *argv, "--format", fmt)
+            assert code == 0 or (code, out) == (2, ""), argv
+            outcomes.add(code)
+    assert outcomes == {0, 2}
 
 
 @pytest.mark.parametrize("command", ["dims", "basis"])

@@ -143,9 +143,9 @@ def _partition_sum_dims(xdim, ydim, n_max):
     for n in range(2, n_max + 1):
         bullet[n] = circ[n] = 0
         for lam in partitions(n, 2):
-            tb = orbit_count(lam) * xdim(lam.m)
-            tc = orbit_count(lam) * ydim(lam.m)
-            for k in lam.parts:
+            tb = orbit_count(lam) * xdim(len(lam))
+            tc = orbit_count(lam) * ydim(len(lam))
+            for k in lam:
                 if k >= 2:
                     tb, tc = tb * circ[k], tc * bullet[k]
             bullet[n] = bullet[n] + tb

@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -93,7 +94,7 @@ def _networks_by_make_node(n, root, cache):
                             _networks_by_make_node(s, opposite, cache), mult
                         )
                     )
-                    for s, mult in sorted(lam.multiplicities().items(), reverse=True)
+                    for s, mult in sorted(Counter(lam).items(), reverse=True)
                 ]
                 for groups in itertools.product(*per_size):
                     out.append(make_node(root, itertools.chain.from_iterable(groups)))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -405,8 +406,6 @@ def test_arity_4_comas_trees_fall_into_10_fibers():
 
 
 def test_fiber_sum_decomposition():
-    from collections import Counter
-
     com = builtin_operad("com")
     for n in range(2, 7):
         total = 0
@@ -444,9 +443,9 @@ def _unlabeled_by_partitions(x, y, n, color, cache):
                         _unlabeled_by_partitions(x, y, s, other_color(color), cache), mult
                     )
                 )
-                for s, mult in sorted(lam.multiplicities().items(), reverse=True)
+                for s, mult in sorted(Counter(lam).items(), reverse=True)
             ]
-            for dec in range(dim(lam.m)):
+            for dec in range(dim(len(lam))):
                 for groups in itertools.product(*per_size):
                     children = sorted(itertools.chain.from_iterable(groups), key=structural_key)
                     out.append((color, dec, tuple(children)))

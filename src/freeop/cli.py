@@ -7,10 +7,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from importlib import resources
 
 from . import dims as dims_mod
 from . import shuffle as sh
@@ -95,9 +93,9 @@ def load_rules(path: str) -> list[sh.RewriteRule]:
     if os.path.exists(path):
         return sh.parse_rules(_read_text(path, "rule file"))
     name = path if path.endswith(".rules") else path + ".rules"
-    bundle = resources.files("freeop").joinpath("rules", name)
-    if bundle.is_file():
-        return sh.parse_rules(bundle.read_text(encoding="utf-8"))
+    bundle = os.path.join(os.path.dirname(__file__), "rules", name)
+    if os.path.isfile(bundle):
+        return sh.parse_rules(_read_text(bundle, "rule file"))
     raise CliError(f"rule file not found: {path}")
 
 
@@ -126,6 +124,8 @@ def emit(payload: dict, text_lines: list[str], fmt: str) -> None:
             _write_joined(LISTING_SEP[fmt], text_lines)
             write("\n")
         return
+    import json  # here, not at the top: no table-format command loads it
+
     last = max(payload)
     if payload[last] is not text_lines or not text_lines:
         print(json.dumps(payload, sort_keys=True))

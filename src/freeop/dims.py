@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import namedtuple
+from collections.abc import Callable
 
 from .polynomials import MultiPoly
 
@@ -24,12 +24,11 @@ class OperadError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OperadDims:
-    """A named dimension sequence, dim(1) = 1 always."""
+class OperadDims(namedtuple("OperadDims", "name fn")):
+    """A named dimension sequence, dim(1) = 1 always; fn(n) gives the
+    dimension at each arity n >= 2."""
 
-    name: str
-    fn: Callable[[int], int]
+    __slots__ = ()
 
     def dim(self, n: int) -> int:
         if n < 1:
@@ -92,13 +91,16 @@ def explicit_operad(
     return OperadDims(name, fn)
 
 
-@dataclass(frozen=True)
-class DimTable:
-    """Per-arity dimensions of a free product; total[1] = 1 by convention."""
+class DimTable(namedtuple("DimTable", "n_max bullet circ")):
+    """Per-arity dimensions of a free product; total[1] = 1 by convention.
 
-    n_max: int
-    bullet: dict[int, int] = field(repr=False)
-    circ: dict[int, int] = field(repr=False)
+    bullet and circ map each arity 2..n_max to its dimension.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"DimTable(n_max={self.n_max!r})"
 
     @property
     def total(self) -> dict[int, int]:

@@ -40,11 +40,10 @@ import itertools
 import math
 import operator
 import re
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterator, NamedTuple
 
 
 class ShuffleError(ValueError):
@@ -398,9 +397,8 @@ class ShuffleElement:
         return f"ShuffleElement({self})"
 
 
-class RewriteRule(NamedTuple):
-    lhs: object
-    rhs: ShuffleElement
+# A rule rewrites its lhs, a monomial, to its rhs, a ShuffleElement.
+RewriteRule = namedtuple("RewriteRule", "lhs rhs")
 
 
 def orient(e: ShuffleElement) -> RewriteRule:
@@ -476,16 +474,13 @@ def enumerate_shuffle_trees(alphabet, n: int) -> Iterator:
 # --- divisor search (shuffle subtree embeddings) ------------------------
 
 
-class Embedding(NamedTuple):
-    """An occurrence of a rule's lhs inside a monomial.
+Embedding = namedtuple("Embedding", "path slots")
+Embedding.__doc__ = """An occurrence of a rule's lhs inside a monomial.
 
-    path: child-index path from the root of the host to the root of the
-    occurrence; slots maps each lhs leaf label to the host subtree
-    hanging there.
-    """
-
-    path: tuple[int, ...]
-    slots: dict
+path: child-index path from the root of the host to the root of the
+occurrence; slots maps each lhs leaf label to the host subtree
+hanging there.
+"""
 
 
 # The hot walks below test for a leaf inline, as type(x) is int: a call
@@ -887,11 +882,10 @@ def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElem
     return found
 
 
-@dataclass(frozen=True)
-class ConfluenceReport:
-    passed: bool
-    overlap_count: int
-    failures: tuple  # (overlap monomial, nonzero normal form) pairs
+class ConfluenceReport(namedtuple("ConfluenceReport", "passed overlap_count failures")):
+    """failures holds (overlap monomial, nonzero normal form) pairs."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.passed:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Iterator
 from operator import itemgetter, mul
-from typing import Iterator
 
 from . import trees
 from .dims import builtin_operad

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from typing import Iterator
+from collections.abc import Iterator
 
 from .dims import OperadDims, avoiding_count, basis_count
 

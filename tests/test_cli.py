@@ -172,12 +172,19 @@ def test_confluence_refuses_a_rule_that_does_not_decrease(tmp_path, capsys, max_
     ids=["confluence", "count-normal"],
 )
 def test_non_binary_rule_is_input_error(tmp_path, capsys, command):
-    ternary = tmp_path / "ternary.rules"
-    ternary.write_text("z(z(1 2 3) 4 5) = z(1 z(2 3 4) 5)\n")
-    code = main([command[0], "--rules", str(ternary), *command[1:]])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (2, "")
-    assert "two arguments" in captured.err
+    # (rule file, the line refused): ternary on both sides, a unary node,
+    # and a binary lhs with a ternary rhs after a valid rule.
+    cases = [
+        ("z(z(1 2 3) 4 5) = z(1 z(2 3 4) 5)\n", 1),
+        ("# unary\n\ny(x(1) 2) = y(1 2)\n", 3),
+        ("x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)\nx(x(1 2) 3) = x(1 2 3)\n", 2),
+    ]
+    for text, lineno in cases:
+        rules = tmp_path / "wide.rules"
+        rules.write_text(text)
+        code = main([command[0], "--rules", str(rules), *command[1:]])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"error: rule line {lineno}: every generator must take two arguments\n")
 
 
 def test_deeply_nested_rule_is_input_error(tmp_path, capsys):
@@ -624,6 +631,15 @@ def test_bad_rule_file(capsys):
     assert code == 2
 
 
+def test_a_rule_file_on_disk_wins_over_the_bundled_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lie").write_text("x(x(1 2) 3) = x(1 x(2 3)) + 2*x(x(1 3) 2)\n")
+    assert run(capsys, "confluence", "--rules", "lie")[0] == 1
+    assert run(capsys, "confluence", "--rules", "lie.rules")[0] == 0
+    code = main(["confluence", "--rules", "lie-typo"])
+    assert (code, *capsys.readouterr()) == (2, "", "error: rule file not found: lie-typo\n")
+
+
 def test_bad_n_max(capsys):
     code, _ = run(capsys, "dims", "--left", "as", "--right", "as", "-n", "0")
     assert code == 2
@@ -826,6 +842,33 @@ def test_repeated_calls_answer_as_each_request_alone(tmp_path, capsys, monkeypat
     assert {a[0] for a in answers} == {0, 1, 2}
     for argv, answer in zip(requests, answers):
         assert answer == _alone(argv), argv
+
+
+# Modules that no request loads: a table-format command imports none of
+# them, and a JSON one only json.
+NOT_ON_THE_IMPORT_PATH = ("dataclasses", "inspect", "typing", "json", "importlib.resources")
+
+
+def test_a_table_command_imports_no_unused_module():
+    # -S: the site module, and .pth files it runs, may load typing themselves.
+    src = str(Path(freeop.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "import freeop.cli as cli\n"
+        "[cli.load_rules(r) for r in ('lie', 'lie-adm')]\n"
+        "cli.main(['dims', '--left', 'lie', '--right', 'com', '-n', '7'])\n"
+        f"print([m for m in {NOT_ON_THE_IMPORT_PATH!r} if m in sys.modules], file=sys.stderr)\n"
+        "cli.main(['dims', '--left', 'lie', '--right', 'com', '-n', '7', '--format', 'json'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
+    *table, payload = proc.stdout.splitlines()
+    assert table[-1] == "7\t190483\t243831\t434314"
+    payload = json.loads(payload)
+    if VALIDATOR:
+        VALIDATOR.validate(payload)
+    assert payload["rows"][-1]["total"] == 434314
 
 
 # --- the README's examples ----------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeop.dims import (
+    DimTable,
+    OperadDims,
     OperadError,
     avoiding_count,
     basis_count,
@@ -44,6 +46,20 @@ def test_builtin_values():
     assert AS.dim(5) == 120
     with pytest.raises(OperadError):
         builtin_operad("nope")
+
+
+def test_dims_records_are_frozen_and_compare_by_field():
+    a = OperadDims("as", math.factorial)
+    assert (a.name, a.fn, a.dim(4)) == ("as", math.factorial, 24)
+    assert a == OperadDims("as", math.factorial) != OperadDims("as2", math.factorial)
+    assert hash(a) == hash(OperadDims("as", math.factorial))
+    t = DimTable(3, {2: 1, 3: 5}, {2: 1, 3: 6})
+    assert (t.n_max, t.bullet, t.circ) == (3, {2: 1, 3: 5}, {2: 1, 3: 6})
+    assert t == free_product_dims(LIE, COM, 3) != DimTable(3, {2: 1, 3: 5}, {2: 1, 3: 7})
+    assert repr(t) == "DimTable(n_max=3)"  # the tables themselves stay out
+    for record, name in ((a, "name"), (a, "other"), (t, "bullet"), (t, "other")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_dim_tables_match_reference_values():

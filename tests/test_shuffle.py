@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from freeop import shuffle
 from freeop.dims import builtin_operad, free_product_dims
 from freeop.shuffle import (
+    ConfluenceReport,
     ParseError,
     RewriteRule,
     ShuffleConditionError,
@@ -803,6 +804,23 @@ def test_confluence_passes(rules):
     assert report.overlap_count == 1
 
 
+def test_confluence_report_is_a_frozen_record_with_its_text():
+    passed = ConfluenceReport(True, 1, ())
+    assert passed == check_confluence(JACOBI, 5)
+    assert str(passed) == "PASS: 1 overlap(s), all S-elements reduce to zero"
+    failure = (parse_monomial("x(x(1 2) 3)"), parse_element("2*x(x(1 3) 2) - 1/2*x(1 x(2 3))"))
+    failed = ConfluenceReport(False, 4, (failure,))
+    assert (failed.passed, failed.overlap_count, failed.failures) == (False, 4, (failure,))
+    assert failed == ConfluenceReport(False, 4, (failure,)) != passed
+    assert str(failed) == (
+        "FAIL: 1 of 4 overlap(s) do not resolve\n"
+        "  at x(x(1 2) 3): 2*x(x(1 3) 2) - 1/2*x(1 x(2 3))"
+    )
+    for name in ("passed", "other"):
+        with pytest.raises(AttributeError):
+            setattr(passed, name, False)
+
+
 def test_perturbed_system_fails():
     bad = parse_rules("x(x(1 2) 3) = x(1 x(2 3)) + 2*x(x(1 3) 2)")
     report = check_confluence(bad, 5)
@@ -866,6 +884,11 @@ def test_normal_count_rejects_a_repeated_generator():
 
 
 # --- rule parsing ------------------------------------------------------
+
+
+def test_a_cancelled_non_binary_term_is_not_in_the_rule():
+    lie = "x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)"
+    assert parse_rules(lie + " + z(1 2 3) - z(1 2 3)") == parse_rules(lie)
 
 
 def test_orient_puts_leading_monomial_left():

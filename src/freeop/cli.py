@@ -28,20 +28,21 @@ from . import trees
 # passes the bound and W(11) = 1,641,972 does not, so n >= 11 is refused
 # from n alone.
 LIST_MAX = 1_000_000
-# Counts take O(n^3) big-integer operations.  Measured with CPython 3.11
-# on a 2-CPU Xeon: the dims recurrence for as*as takes about 0.4 s at
-# n=150, 1.5 s at n=200 and 11 s at n=300; the quotient adds half of that
-# again; the count-normal DP for lie-adm takes 0.9 s at n=150 and 3 s at
-# n=200 (rules it cannot count enumerate, n <= 7).
+# Counts take O(n^3) big-integer operations.  Measured with CPython 3.11.7
+# on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of 3-5
+# runs: the dims recurrence for as*as takes 0.6 s at n=150, 1.6-2.0 s at
+# n=200 and 10 s at n=300 (free_product_dims, one run); the quotient 2.6 s
+# at n=200; the count-normal DP for lie-adm 1.0 s at n=150 and 2.6 s at
+# n=200 (rules it cannot count test each shuffle tree, refused past
+# shuffle._ENUMERATION_MAX trees).
 COUNT_MAX = 200
 # The count-normal DP takes O(n^3 |S|^2) operations for an alphabet S, and
 # COUNT_MAX was measured with two generators: larger alphabets get the
 # n at which n^3 |S|^2 stays within that cost (4 generators: n <= 125).
 COUNT_NORMAL_BUDGET = COUNT_MAX**3 * 2**2
-# macmahon(n) takes O(n^2) operations on integers of O(n) digits, about
-# n^3.9 measured on the same machine: 0.3 s at n=1000, 1.6 s at 1500 and
-# 4.9 s at 2000, three times the 1.5 s of dims at COUNT_MAX, against which
-# the bound was once set.
+# macmahon(n) takes O(n^2) operations on integers of O(n) digits, measured
+# the same way: 0.5 s at n=1000, 1.5 s at 1500 and 4.9 s at 2000, two and
+# a half times dims at COUNT_MAX, against which the bound was once set.
 SP_MAX = 2000
 
 

@@ -21,9 +21,11 @@ sides, placing leaf labels only where both occurrences keep their order
 pattern, so it builds no other labeling and the rules alone bound the
 arities it visits; rule files take binary generators only.
 
-Text is read as one list of tokens, separated by whitespace: a decimal
-number (\d+), a generator symbol ([A-Za-z_]\w*), or any other single
-character.  Over them
+Shuffle, tree and network text share one token layer (_lex): a text is
+one findall of tokens, each a match of its grammar's regular expression or
+else any one character, and only a refusal scans it again, for a position.
+Shuffle tokens are a decimal number (\d+), a generator symbol
+([A-Za-z_]\w*), or any other character.  Over them
 
     monomial := number | symbol "(" monomial+ ")"
     element  := "0" | ["+" | "-"] term (("+" | "-") term)*
@@ -162,32 +164,51 @@ def _print_walk(m) -> str:
 
 
 _SYM_RE = re.compile(r"[A-Za-z_]\w*")
-_TOKEN_RE = re.compile(rf"(?P<num>\d+)|(?P<sym>{_SYM_RE.pattern})|(?P<op>\S)")
+_SYM_START = frozenset("_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_TOKENS = rf"\d+|{_SYM_RE.pattern}"
 
 
-def _tokens(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) per token, closed by ("end", "", len(text))."""
-    toks = [(t.lastgroup, t[0], t.start()) for t in _TOKEN_RE.finditer(text)]
-    toks.append(("end", "", len(text)))
-    return toks
+def _lex(text: str, grammar: str = _TOKENS) -> list[str]:
+    """The tokens of text, matches of grammar or else single characters, closed by ""."""
+    return re.findall(grammar + r"|\S", text) + [""]
 
 
-# The parser recurses once per level and later passes (validation, the
+def _start(text: str, i: int, grammar: str = _TOKENS) -> int:
+    """Where token i of _lex(text, grammar) starts."""
+    return ([t.start() for t in re.finditer(grammar + r"|\S", text)] + [len(text)])[i]
+
+
+def _refusal(message: str, position: int) -> ValueError:
+    """A tree or network text's refusal at position."""
+    return ValueError(f"{message} at position {position}")
+
+
+def _refuse_stray(text: str, grammar: str) -> None:
+    """Once a tree or network parse has failed, refuse the first character
+    of text that starts no token of grammar, the fault named before any other."""
+    for t in re.finditer(grammar + r"|\S", text):
+        if not re.fullmatch(grammar, t[0]):
+            raise _refusal(f"bad character {t[0]!r}", t.start()) from None
+
+
+# The parsers recurse once per level and later passes (validation, the
 # order key, divisor search) up to about twice as deep, so a limit well
 # under Python's recursion limit makes deep input a parse error.
 MAX_NESTING = 200
+_TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
 
 
-def _int(num: str, pos: int) -> int:
-    """int(num) of the digits at pos; a ParseError there if they are more
-    than Python converts."""
+def _int(digits: str, text: str, i: int, grammar=_TOKENS, error=ParseError, shift=0) -> int:
+    """int(digits), shift characters into token i; error(message, position)
+    there if they are more than Python converts."""
     try:
-        return int(num)
+        return int(digits)
     except ValueError:
-        raise ParseError(f"number too long ({len(num)} digits)", pos) from None
+        message = f"number too long ({len(digits)} digits)"
+        raise error(message, _start(text, i, grammar) + shift) from None
 
 
-def _monomial(toks: list, i: int, seen: list, depth: int = 1):
+def _monomial(text: str, toks: list, i: int, seen: list, depth: int = 1):
     """The monomial that starts at toks[i], the index after it, its least
     label, and whether the child minima increase at every node of it.
 
@@ -195,27 +216,27 @@ def _monomial(toks: list, i: int, seen: list, depth: int = 1):
     label is its first child's, which is the least only while the minima
     increase; once they do not, the caller validates and does not use it.
     """
-    kind, tok, pos = toks[i]
-    if kind == "num":
-        label = _int(tok, pos)
+    tok = toks[i]
+    if tok.isdecimal():
+        label = _int(tok, text, i)
         seen.append(label)
         return label, i + 1, label, True
-    if kind != "sym":
-        raise ParseError("expected a leaf number or generator symbol", pos)
+    if tok[:1] not in _SYM_START:
+        raise ParseError("expected a leaf number or generator symbol", _start(text, i))
     if depth > MAX_NESTING:
-        raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
-    if toks[i + 1][1] != "(":
-        raise ParseError("expected '('", toks[i + 1][2])
+        raise ParseError(_TOO_DEEP, _start(text, i))
+    if toks[i + 1] != "(":
+        raise ParseError("expected '('", _start(text, i + 1))
     i += 2
-    if toks[i][1] == ")":
-        raise ParseError("generator application needs arguments", toks[i][2] + 1)
+    if toks[i] == ")":
+        raise ParseError("generator application needs arguments", _start(text, i) + 1)
     args = []
     least = last = -1
     ok = True
-    while toks[i][1] != ")":
-        if toks[i][0] == "end":
-            raise ParseError("missing ')'", toks[i][2])
-        m, i, low, good = _monomial(toks, i, seen, depth + 1)
+    while toks[i] != ")":
+        if not toks[i]:
+            raise ParseError("missing ')'", _start(text, i))
+        m, i, low, good = _monomial(text, toks, i, seen, depth + 1)
         args.append(m)
         ok = ok and good and low > last
         if last < 0:
@@ -236,11 +257,11 @@ def _leaf_set(m, seen: list, low: int, ok: bool) -> frozenset:
 
 def parse_monomial(text: str):
     """Parse notation like "x(x(1 2) 3)"; validates the shuffle condition."""
-    toks = _tokens(text)
+    toks = _lex(text)
     seen: list[int] = []
-    m, i, low, ok = _monomial(toks, 0, seen)
-    if toks[i][0] != "end":
-        raise ParseError("trailing input", toks[i][2])
+    m, i, low, ok = _monomial(text, toks, 0, seen)
+    if toks[i]:
+        raise ParseError("trailing input", _start(text, i))
     _leaf_set(m, seen, low, ok)
     return m
 
@@ -579,6 +600,7 @@ def rewrite_at(m, emb: Embedding, rule: RewriteRule, key=_order_key) -> ShuffleE
     Every produced monomial is strictly smaller than m; this is asserted
     on each step, so a non-admissible order or badly oriented rule fails
     loudly.  `key` computes order keys (normal_form passes its memo).
+    Distinct rhs terms give distinct monomials, each its nonzero coefficient.
     """
     top = key(m)
     out: dict = {}
@@ -588,11 +610,8 @@ def rewrite_at(m, emb: Embedding, rule: RewriteRule, key=_order_key) -> ShuffleE
             raise ShuffleError(
                 f"rewrite does not decrease: {print_monomial(m)} -> {print_monomial(new)}"
             )
-        if new in out:
-            out[new] += coeff
-        else:
-            out[new] = coeff
-    return ShuffleElement._of({m: c for m, c in out.items() if c})
+        out[new] = coeff
+    return ShuffleElement._of(out)
 
 
 # --- normal forms -------------------------------------------------------
@@ -697,6 +716,12 @@ def is_normal(m, rules: list[RewriteRule]) -> bool:
     return all(find_divisor(m, r.lhs) is None for r in rules)
 
 
+# The shuffle trees count_normal_monomials may test one by one: each costs
+# 7-30 us (CPython 3.11, 2-CPU Xeon; the most with four rules), so the most
+# accepted costs about 1.5 s, as the dims recurrence does at cli.COUNT_MAX.
+_ENUMERATION_MAX = 50_000
+
+
 def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
     """Number of arity-n shuffle monomials with no divisor among the lhs set.
 
@@ -712,7 +737,7 @@ def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
     r < p and s(t(1 3) 2) one with r >= p (Dotsenko-Khoroshkin 2013,
     consecutive pattern avoidance).  An lhs whose labels are not 1..k
     never divides.  Other rules fall back to testing every shuffle tree,
-    so n <= 7 there.
+    |S|^(n-1) (2n-3)!! of them, refused past _ENUMERATION_MAX.
     """
     symbols = _symbols(alphabet)
     if n == 1:
@@ -722,10 +747,11 @@ def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
     patterns = _quadratic_patterns(symbols, rules)
     if patterns is not None:
         return _count_quadratic(symbols, patterns, n)
-    if n > 7:
+    trees = len(symbols) ** (n - 1) * math.prod(range(1, 2 * n - 2, 2))
+    if trees > _ENUMERATION_MAX:
         raise ShuffleError(
-            "counting rules with a left-hand side of three or more vertices"
-            " tests every shuffle tree; n <= 7 only"
+            "counting rules with a left-hand side of three or more vertices tests"
+            f" every shuffle tree, at most {_ENUMERATION_MAX}; arity {n} has {trees}"
         )
     return sum(
         1 for m in enumerate_shuffle_trees(alphabet, n) if is_normal(m, rules)
@@ -931,50 +957,47 @@ def check_confluence(rules: list[RewriteRule], max_arity: int) -> ConfluenceRepo
 def parse_element(text: str) -> ShuffleElement:
     """Parse a signed sum of monomials with optional rational coefficients,
     or "0", the zero element as str() prints it."""
-    toks = _tokens(text)
-    kind, tok, pos = toks[0]
-    if len(toks) == 2 and kind == "num" and not _int(tok, pos):
+    toks = _lex(text)
+    if len(toks) == 2 and toks[0].isdecimal() and not _int(toks[0], text, 0):
         return ShuffleElement()
     terms: dict = {}
     labels: dict = {}  # monomial -> its leaf labels
     i = 0
     while True:
-        sign = -1 if toks[i][1] == "-" else 1
-        if toks[i][1] in ("+", "-"):
+        sign = -1 if toks[i] == "-" else 1
+        if toks[i] in ("+", "-"):
             i += 1
-        kind, tok, pos = toks[i]
         num = den = 1
         # A number that ends its term is the term itself, a leaf, as str()
         # prints a leaf with coefficient 1; any other is a coefficient.
-        if kind == "num" and toks[i + 1][1] not in ("", "+", "-"):
-            num = _int(tok, pos)
+        if toks[i].isdecimal() and toks[i + 1] not in ("", "+", "-"):
+            num = _int(toks[i], text, i)
             i += 1
-            if toks[i][1] == "/":
-                kind, tok, pos = toks[i + 1]
-                if kind != "num":
-                    raise ParseError("expected denominator", pos)
+            if toks[i] == "/":
+                i += 1
+                if not toks[i].isdecimal():
+                    raise ParseError("expected denominator", _start(text, i))
                 # ASCII zeros past the int string limit are still zero
-                den = _int(tok, pos) if tok.strip("0") else 0
+                den = _int(toks[i], text, i) if toks[i].strip("0") else 0
                 if not den:
-                    raise ParseError("zero denominator", pos)
-                i += 2
-            if toks[i][1] == "*":
+                    raise ParseError("zero denominator", _start(text, i))
+                i += 1
+            if toks[i] == "*":
                 i += 1
         seen: list[int] = []
-        m, i, low, ok = _monomial(toks, i, seen)
+        m, i, low, ok = _monomial(text, toks, i, seen)
         labels[m] = _leaf_set(m, seen, low, ok)
         coeff = Fraction(sign * num, den)
         if m in terms:
             terms[m] += coeff
         else:
             terms[m] = coeff
-        kind, tok, pos = toks[i]
-        if kind == "end":
+        if not toks[i]:
             terms = {m: c for m, c in terms.items() if c}
             _one_label_set({labels[m] for m in terms})
             return ShuffleElement._of(terms)
-        if tok not in ("+", "-"):
-            raise ParseError(f"expected '+' or '-', got {tok[0]!r}", pos)
+        if toks[i] not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {toks[i][0]!r}", _start(text, i))
 
 
 def _is_binary(m) -> bool:

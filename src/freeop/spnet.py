@@ -8,12 +8,12 @@ the MacMahon numbers 1, 2, 4, 10, 24, 66, 180, ...
 from __future__ import annotations
 
 import itertools
-import re
 from collections.abc import Iterator
 from operator import itemgetter, mul
 
 from . import trees
 from .dims import builtin_operad
+from .shuffle import MAX_NESTING, _TOO_DEEP, _lex, _refusal, _refuse_stray, _start
 
 EDGE = "e"
 SERIES = "S"
@@ -177,42 +177,39 @@ def format_network(net) -> str:
     return f"{net[0]}(" + " ".join(format_network(c) for c in net[1]) + ")"
 
 
-_NET_TOKEN_RE = re.compile(r"\s*([SPe()])")
+_NET_TOKENS = r"[SPe()]"  # the network grammar, for shuffle._lex
+
+
+def _network_at(text: str, tokens: list, i: int, depth: int = 1):
+    """(key, network) of the network that starts at tokens[i], and the index
+    after it; a module function, as trees._tree_at is."""
+    tok = tokens[i]
+    if tok == EDGE:
+        return _EDGE_KEYED, i + 1
+    if tok not in (SERIES, PARALLEL):
+        raise ValueError(f"expected node, got {tok!r}" if tok else "unexpected end of input")
+    if depth > MAX_NESTING:
+        raise _refusal(_TOO_DEEP, _start(text, i, _NET_TOKENS))
+    if tokens[i + 1] != "(":
+        raise ValueError(f"expected '(' after {tok}")
+    i += 2
+    children = []
+    while tokens[i] != ")":
+        if not tokens[i]:
+            raise ValueError("missing ')'")
+        child, i = _network_at(text, tokens, i, depth + 1)
+        children.append(child)
+    return _checked_node(tok, children), i + 1
 
 
 def parse_network(text: str):
     """Inverse of format_network; validates canonical form."""
-    tokens, starts = trees._scan(text, _NET_TOKEN_RE)
-    idx = 0
-
-    def node(depth: int = 1):
-        """(key, network) of the node starting at token idx."""
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ValueError("unexpected end of input")
-        tok = tokens[idx]
-        idx += 1
-        if tok == EDGE:
-            return _EDGE_KEYED
-        if tok not in (SERIES, PARALLEL):
-            raise ValueError(f"expected node, got {tok!r}")
-        if depth > trees.MAX_NESTING:
-            raise ValueError(
-                f"nesting deeper than {trees.MAX_NESTING} levels"
-                f" at position {starts[idx - 1]}"
-            )
-        if idx >= len(tokens) or tokens[idx] != "(":
-            raise ValueError(f"expected '(' after {tok}")
-        idx += 1
-        children = []
-        while idx < len(tokens) and tokens[idx] != ")":
-            children.append(node(depth + 1))
-        if idx >= len(tokens):
-            raise ValueError("missing ')'")
-        idx += 1
-        return _checked_node(tok, children)
-
-    _, net = node()
-    if idx != len(tokens):
-        raise ValueError("trailing tokens")
+    tokens = _lex(text, _NET_TOKENS)
+    try:
+        (_, net), i = _network_at(text, tokens, 0)
+        if tokens[i]:
+            raise ValueError("trailing tokens")
+    except ValueError:
+        _refuse_stray(text, _NET_TOKENS)
+        raise
     return net

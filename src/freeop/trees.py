@@ -4,16 +4,17 @@ A tree is a nested tuple (color, dec, children) with color "bullet" or
 "circ", dec an index into a basis of the component operad at that arity,
 and children a tuple of subtrees; a leaf is a bare int label (0 in
 unlabeled mode).  No edge ever joins two vertices of the same color, and
-every internal vertex has at least two children.
+every internal vertex has at least two children.  Tree text (format_tree,
+parse_tree) is read through the token layer that shuffle text uses.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-import re
 from collections.abc import Iterator
 
 from .dims import OperadDims, avoiding_count, basis_count
+from .shuffle import MAX_NESTING, _TOO_DEEP, _int, _lex, _refusal, _refuse_stray, _start
 
 BULLET = "bullet"
 CIRC = "circ"
@@ -505,7 +506,7 @@ PATTERNS_BY_NAME = {
 
 # --- serialization ------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(bullet|circ|\[dec=\d+\]|\d+|[(),])")
+_TOKENS = r"bullet|circ|\[dec=\d+\]|\d+|[(),]"  # the tree grammar, for shuffle._lex
 
 
 def format_tree(t) -> str:
@@ -515,73 +516,45 @@ def format_tree(t) -> str:
     return f"{color}[dec={dec}](" + ", ".join(format_tree(c) for c in children) + ")"
 
 
-# Deeper input is a parse error, well before Python's recursion limit.
-MAX_NESTING = 200
+def _tree_at(text: str, tokens: list, i: int, depth: int = 1):
+    """The tree that starts at tokens[i], and the index after it.
 
-
-def _scan(text: str, token_re: re.Pattern) -> tuple[list[str], list[int]]:
-    """The tokens token_re's group 1 matches across text, and where each
-    starts; raises ValueError at the first character no token matches."""
-    tokens, starts, pos = [], [], 0
-    while m := token_re.match(text, pos):
-        tokens.append(m.group(1))
-        starts.append(m.start(1))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ValueError(f"bad token at position {pos}: {text[pos:pos + 10]!r}")
-    return tokens, starts
+    A module function, not a closure over the parse: a closure that calls
+    itself is a reference cycle, which would keep text alive until the
+    cycle collector runs."""
+    tok = tokens[i]
+    if tok.isdecimal():
+        return _int(tok, text, i, _TOKENS, _refusal), i + 1
+    if tok not in (BULLET, CIRC):
+        raise ValueError(f"expected color or leaf, got {tok!r}" if tok
+                         else "unexpected end of input")
+    if depth > MAX_NESTING:
+        raise _refusal(_TOO_DEEP, _start(text, i, _TOKENS))
+    if not tokens[i + 1].startswith("[dec="):
+        raise ValueError(f"expected [dec=K] after {tok}")
+    dec = _int(tokens[i + 1][5:-1], text, i + 1, _TOKENS, _refusal, 5)
+    if tokens[i + 2] != "(":
+        raise ValueError(f"expected '(' at token {i + 2}")
+    child, i = _tree_at(text, tokens, i + 3, depth + 1)
+    children = [child]
+    while tokens[i] == ",":
+        child, i = _tree_at(text, tokens, i + 1, depth + 1)
+        children.append(child)
+    if tokens[i] != ")":
+        raise ValueError(f"expected ')' at token {i}")
+    _check_vertex(tok, children)
+    return (tok, dec, tuple(children)), i + 1
 
 
 def parse_tree(text: str):
     """Inverse of format_tree; raises ValueError on input that is malformed
     or that validate_tree refuses, checking each vertex as it is built."""
-    tokens, starts = _scan(text, _TOKEN_RE)
-    idx = 0
-
-    def number(digits: str, pos: int) -> int:
-        try:
-            return int(digits)
-        except ValueError:  # past Python's int string limit
-            raise ValueError(
-                f"number too long ({len(digits)} digits) at position {pos}"
-            ) from None
-
-    def expect(tok: str) -> None:
-        nonlocal idx
-        if idx >= len(tokens) or tokens[idx] != tok:
-            raise ValueError(f"expected {tok!r} at token {idx}")
-        idx += 1
-
-    def node(depth: int = 1):
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ValueError("unexpected end of input")
-        tok = tokens[idx]
-        if tok.isdigit():
-            idx += 1
-            return number(tok, starts[idx - 1])
-        if tok not in (BULLET, CIRC):
-            raise ValueError(f"expected color or leaf, got {tok!r}")
-        if depth > MAX_NESTING:
-            raise ValueError(
-                f"nesting deeper than {MAX_NESTING} levels at position {starts[idx]}"
-            )
-        idx += 1
-        m = re.fullmatch(r"\[dec=(\d+)\]", tokens[idx]) if idx < len(tokens) else None
-        if not m:
-            raise ValueError(f"expected [dec=K] after {tok}")
-        dec = number(m.group(1), starts[idx] + m.start(1))
-        idx += 1
-        expect("(")
-        children = [node(depth + 1)]
-        while idx < len(tokens) and tokens[idx] == ",":
-            idx += 1
-            children.append(node(depth + 1))
-        expect(")")
-        _check_vertex(tok, children)
-        return (tok, dec, tuple(children))
-
-    t = node()
-    if idx != len(tokens):
-        raise ValueError(f"trailing tokens at {idx}")
+    tokens = _lex(text, _TOKENS)
+    try:
+        t, i = _tree_at(text, tokens, 0)
+        if tokens[i]:
+            raise ValueError(f"trailing tokens at {i}")
+    except ValueError:
+        _refuse_stray(text, _TOKENS)
+        raise
     return t

@@ -328,6 +328,19 @@ def test_count_normal_enumerates_larger_lhs_up_to_7(tmp_path, capsys, n, code, o
     assert run(capsys, "count-normal", "--rules", str(cubic), "-n", n) == (code, out)
 
 
+def test_count_normal_refuses_a_long_enumeration_before_building_a_tree(tmp_path, capsys):
+    # 3^5 * 9!! = 229,635 shuffle trees to test, past the 50,000 the
+    # enumeration fallback accepts; testing them took 1.8 s.
+    cubic = tmp_path / "cubic.rules"
+    cubic.write_text(CUBIC)
+    started = time.monotonic()
+    code = main(["count-normal", "--rules", str(cubic), "--alphabet", "x,y,z", "-n", "6"])
+    assert time.monotonic() - started < 0.5
+    assert (code, *capsys.readouterr()) == (2, "", (
+        "error: counting rules with a left-hand side of three or more vertices tests"
+        " every shuffle tree, at most 50000; arity 6 has 229635\n"))
+
+
 @pytest.mark.parametrize(
     "alphabet, err",
     [

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from collections import Counter
 
@@ -158,6 +159,40 @@ def test_parse_refuses_deep_nesting_by_name():
     assert (size(net), format_network(net)) == (201, text)
     with pytest.raises(ValueError, match="nesting deeper than 200 levels at position 800$"):
         parse_network(f"S(e {text})")  # 201 levels; the innermost starts at 4 * 200
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        # a character outside the grammar is named first, wherever it is
+        ("S(e x)", "bad character 'x' at position 4"),
+        ("S(e e))  E", "bad character 'E' at position 9"),
+        ("S e e)", "expected '(' after S"),
+        ("P(e S(e e)", "missing ')'"),
+        ("S(e e) e", "trailing tokens"),
+        ("", "unexpected end of input"),
+        ("S(e ))", "series/parallel node needs at least two children"),
+        (")", "expected node, got ')'"),
+        # the 201st node from the root starts at 4 * 200
+        pytest.param("P" + "(e S(e P" * 100 + "(e e" + "))" * 100 + ")",
+                     "nesting deeper than 200 levels at position 800", id="nesting"),
+    ],
+)
+def test_parse_network_refusals(text, refusal):
+    with pytest.raises(ValueError) as info:
+        parse_network(text)
+    assert str(info.value) == refusal
+
+
+def test_parse_network_refuses_a_character_outside_the_grammar_anywhere():
+    rng = random.Random(22)
+    texts = list(map(format_network, enumerate_networks(7)))
+    for _ in range(500):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        char = rng.choice("xE")
+        with pytest.raises(ValueError, match=f"^bad character '{char}' at position {i}$"):
+            parse_network(text[:i] + char + text[i:])
 
 
 def test_validate_network_rejects_children_out_of_order():

@@ -518,6 +518,57 @@ def _near_miss(draw, texts):
     return text[:i] + text[i + 1:]
 
 
+def _nested_tree(levels):
+    """A tree text with levels vertices on the path to leaf 1."""
+    text = "1"
+    for i in range(2, levels + 2):
+        text = f"{(CIRC, BULLET)[i % 2]}[dec=0]({text}, {i})"
+    return text
+
+
+@pytest.mark.parametrize(
+    "text, refusal",
+    [
+        # a character outside the grammar is named first, wherever it is
+        ("bullet[dec=0](1, x)", "bad character 'x' at position 17"),
+        ("bullet[dec=0]((1, 2)  E", "bad character 'E' at position 22"),
+        ("bullet[dec=](1, 2)", "bad character '[' at position 6"),
+        ("bullet[dec=0]1, 2)", "expected '(' at token 2"),
+        ("bullet[dec=0](1, 2", "expected ')' at token 6"),
+        ("bullet(1, 2)", "expected [dec=K] after bullet"),
+        ("bullet[dec=0](1, 2) 3", "trailing tokens at 7"),
+        ("", "unexpected end of input"),
+        ("bullet[dec=0](, 2)", "expected color or leaf, got ','"),
+        pytest.param("bullet[dec=0](" + "1" * 5000 + ", 2)",
+                     "number too long (5000 digits) at position 14", id="long leaf"),
+        pytest.param("circ[dec=" + "7" * 5000 + "](1, 2)",
+                     "number too long (5000 digits) at position 9", id="long dec"),
+        # the 201st vertex on the path to leaf 1 starts at 2600
+        pytest.param(_nested_tree(201), "nesting deeper than 200 levels at position 2600",
+                     id="nesting"),
+    ],
+)
+def test_parse_tree_refusals(text, refusal):
+    with pytest.raises(ValueError) as info:
+        parse_tree(text)
+    assert str(info.value) == refusal
+
+
+def test_parse_tree_refuses_a_character_outside_the_grammar_anywhere():
+    rng = random.Random(22)
+    texts = list(map(format_tree, enumerate_basis(LIE, COMAS, 5)))
+    for _ in range(500):
+        text = rng.choice(texts)
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice("xE") + text[i:]
+        with pytest.raises(ValueError, match=r"^bad character '(.)' at position (\d+)$") as info:
+            parse_tree(text)
+        # inserted into "bullet", "circ" or "[dec=K]", it makes that token's
+        # first character the first stray
+        char, pos = info.value.args[0][15], int(info.value.args[0].rsplit(" ", 1)[1])
+        assert text[pos] == char and pos <= i and not set(text[pos:i]) & set(" (),")
+
+
 @given(
     st.one_of(
         st.text(),

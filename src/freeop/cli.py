@@ -16,25 +16,21 @@ from . import spnet
 from . import trees
 
 # The one listing bound, checked by check_listing against each listing's
-# work.  A listing holds every tree's or network's text at once: measured
+# size.  A listing holds every tree's or network's text at once: measured
 # with CPython 3.11 on a 2-CPU Xeon, building and writing it (JSON, to
 # /dev/null) takes 0.2-0.25 s and 81 MiB peak for the 665k trees of
 # com*com at n=7, and `sp -n 14 --list` (437,502 networks) 0.6-0.75 s and
-# 96 MiB.
-# Before that, the basis walk visits up to trees.basis_walk(n) set
-# partitions however few trees come out, 2 Bell(k) for each size k <= n:
-# with d_n alone (2 trees), walking 2 Bell(10) = 231,950 at n=10 takes
-# 0.5-0.6 s and 2 Bell(11) = 1,357,140 at n=11 4.2 s.  W(10) = 284,832
-# passes the bound and W(11) = 1,641,972 does not, so n >= 11 is refused
-# from n alone.
+# 96 MiB; the costliest admitted listing measured, 926,695 trees at n=10
+# (README), 1.3-2.0 s.  `basis --list` also takes n <= trees.LIST_ARITY_MAX,
+# which bounds the set partitions its walk visits.
 LIST_MAX = 1_000_000
 # Counts take O(n^3) big-integer operations.  Measured with CPython 3.11.7
 # on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of 3-5
 # runs: the dims recurrence for as*as takes 0.6 s at n=150, 1.6-2.0 s at
 # n=200 and 10 s at n=300 (free_product_dims, one run); the quotient 2.6 s
 # at n=200; the count-normal DP for lie-adm 1.0 s at n=150 and 2.6 s at
-# n=200 (rules it cannot count test each shuffle tree, refused past
-# shuffle._ENUMERATION_MAX trees).
+# n=200 (rules it cannot count test each shuffle tree against each rule,
+# refused past shuffle._ENUMERATION_MAX tests).
 COUNT_MAX = 200
 # The count-normal DP takes O(n^3 |S|^2) operations for an alphabet S, and
 # COUNT_MAX was measured with two generators: larger alphabets get the
@@ -239,9 +235,8 @@ def cmd_count_normal(args) -> int:
 
 
 def check_listing(size: int, excess: str) -> None:
-    """Refuse a --list whose work, `size` trees or networks printed or set
-    partitions walked, exceeds LIST_MAX; `excess` names what is listed and
-    how far it goes over."""
+    """Refuse a --list of more than LIST_MAX trees or networks; `excess`
+    names what is listed and how many there are."""
     if size > LIST_MAX:
         raise CliError(f"--list prints at most {LIST_MAX} {excess}")
 
@@ -249,11 +244,9 @@ def check_listing(size: int, excess: str) -> None:
 def cmd_basis(args) -> int:
     if args.n > COUNT_MAX:
         raise CliError(f"-n must be <= {COUNT_MAX}")
-    if args.list:
-        check_listing(
-            trees.basis_walk(args.n),
-            f"trees and walks as many set partitions, n={args.n} walks more",
-        )
+    if args.list and args.n > trees.LIST_ARITY_MAX:
+        raise CliError(f"--list prints at most {LIST_MAX} trees, of arity at most"
+                       f" {trees.LIST_ARITY_MAX}, got n={args.n}")
     x, y = resolve_operands(args)
     count = dims_mod.basis_count(x, y, args.n, args.root)
     payload = {

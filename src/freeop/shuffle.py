@@ -716,10 +716,11 @@ def is_normal(m, rules: list[RewriteRule]) -> bool:
     return all(find_divisor(m, r.lhs) is None for r in rules)
 
 
-# The shuffle trees count_normal_monomials may test one by one: each costs
-# 7-30 us (CPython 3.11, 2-CPU Xeon; the most with four rules), so the most
-# accepted costs about 1.5 s, as the dims recurrence does at cli.COUNT_MAX.
-_ENUMERATION_MAX = 50_000
+# The (shuffle tree, rule) tests count_normal_monomials may make: each costs
+# 5-18 us (CPython 3.11, 2-CPU Xeon; the most with one rule at n = 7, where
+# building the trees dominates), so the most accepted costs about 1.5 s, as
+# the dims recurrence does at cli.COUNT_MAX.
+_ENUMERATION_MAX = 80_000
 
 
 def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
@@ -737,7 +738,8 @@ def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
     r < p and s(t(1 3) 2) one with r >= p (Dotsenko-Khoroshkin 2013,
     consecutive pattern avoidance).  An lhs whose labels are not 1..k
     never divides.  Other rules fall back to testing every shuffle tree,
-    |S|^(n-1) (2n-3)!! of them, refused past _ENUMERATION_MAX.
+    |S|^(n-1) (2n-3)!! of them, against every rule, refused past
+    _ENUMERATION_MAX tests.
     """
     symbols = _symbols(alphabet)
     if n == 1:
@@ -748,10 +750,11 @@ def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
     if patterns is not None:
         return _count_quadratic(symbols, patterns, n)
     trees = len(symbols) ** (n - 1) * math.prod(range(1, 2 * n - 2, 2))
-    if trees > _ENUMERATION_MAX:
+    if trees * len(rules) > _ENUMERATION_MAX:
         raise ShuffleError(
-            "counting rules with a left-hand side of three or more vertices tests"
-            f" every shuffle tree, at most {_ENUMERATION_MAX}; arity {n} has {trees}"
+            "counting rules with a left-hand side of three or more vertices tests every"
+            f" shuffle tree against every rule, at most {_ENUMERATION_MAX} tests;"
+            f" {trees} trees of arity {n} times {len(rules)} rule(s) make {trees * len(rules)}"
         )
     return sum(
         1 for m in enumerate_shuffle_trees(alphabet, n) if is_normal(m, rules)

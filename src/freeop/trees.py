@@ -163,12 +163,21 @@ def enumerate_basis(
         partitions.clear()
 
 
+# The largest arity a listing takes.  basis_pieces walks the Bell(k) set
+# partitions of each size k it visits once per color, however few trees
+# they give: 2 (Bell(2) + ... + Bell(10)) = 284,832 of them take 0.5-0.6 s
+# (CPython 3.11, 2-CPU Xeon), and n = 11, 2 Bell(11) = 1,357,140 more,
+# 4.2 s.
+LIST_ARITY_MAX = 10
+
 # The text of a listing is built over placeholder labels, the first k of
 # these for k leaves, then relabeled by str.translate.  Uppercase ASCII
 # appears in no tree text and in neither listing separator, and keeps
-# translate on CPython's ASCII fast path.
-_PLACEHOLDERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# translate on CPython's ASCII fast path, which a two-character value
+# leaves: the label 10 is written as _TEN, then replaced.
+_PLACEHOLDERS = "ABCDEFGHIJ"
 _CODES = [ord(c) for c in _PLACEHOLDERS]
+_TEN = "T"
 
 
 def basis_pieces(
@@ -183,26 +192,25 @@ def basis_pieces(
     block's labels made consecutive.  So the text of each (size, color)
     and of each (composition, color) is built once over placeholders,
     and each set partition's is one translate of its composition's.  The
-    set partitions of each size are walked once per color (basis_walk),
-    and each dimension is read once, when a vertex first needs it.
+    set partitions of each size are walked once per color, and each
+    dimension is read once, when a vertex first needs it.  The walk costs
+    2 Bell(k) for each size k <= n, so n is at most LIST_ARITY_MAX.
     """
     _check_request(n, root)
     if n == 1:
         return ["1"]
-    if n > len(_PLACEHOLDERS):
-        raise ValueError(f"a listing's arity must be <= {len(_PLACEHOLDERS)}, got {n}")
+    if n > LIST_ARITY_MAX:
+        raise ValueError(f"a listing's arity must be <= {LIST_ARITY_MAX}, got {n}")
     dim_of = {BULLET: functools.cache(x.dim), CIRC: functools.cache(y.dim)}
     partitions = functools.cache(_set_partitions)
 
-    def walk(k: int, color: str, sep: str, labels) -> list[str]:
+    def walk(k: int, color: str, sep: str, labels) -> Iterator[str]:
         """The text of the (k, color) trees over labels, one piece per set
         partition of range(k) that has trees."""
-        out = []
         for comp, order in partitions(k):
             text = composed(comp, color, sep)
             if text:
-                out.append(text.translate(dict(zip(_CODES, map(labels.__getitem__, order)))))
-        return out
+                yield text.translate(dict(zip(_CODES, map(labels.__getitem__, order))))
 
     @functools.cache
     def subtrees(k: int, color: str, offset: int) -> list[str]:
@@ -235,10 +243,11 @@ def basis_pieces(
             offset += size
         return _vertices_text(sep, color, d, options)
 
-    labels = [str(label) for label in range(1, n + 1)]
+    labels = "123456789" + _TEN
     try:
-        return [piece for color in (BULLET, CIRC) if root in (color, "any")
-                for piece in walk(n, color, sep, labels)]
+        pieces = (piece for color in (BULLET, CIRC) if root in (color, "any")
+                  for piece in walk(n, color, sep, labels))
+        return [p.replace(_TEN, "10") for p in pieces] if n == 10 else list(pieces)
     finally:
         # The closures refer to each other, so without this their caches
         # live until the cycle collector runs, which text (untracked
@@ -253,24 +262,6 @@ def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list
     the "\\n" pieces of basis_pieces, split."""
     text = "\n".join(basis_pieces(x, y, n, root))
     return text.split("\n") if text else []
-
-
-def basis_walk(n: int) -> int:
-    """W(n) = 2 (Bell(2) + ... + Bell(n)): the set partitions basis_pieces
-    walks at arity n, at most.
-
-    basis_pieces walks the Bell(k) set partitions of range(k) once per
-    (size k, color) it visits, however few trees they give: com-as*com-as
-    visits every size from 2 to n in both colors, other operands and one
-    root color fewer.
-    """
-    row = [1]
-    walk = 0
-    for m in range(2, n + 1):
-        # Row m - 1 of the Bell triangle, which ends with Bell(m).
-        row = list(itertools.accumulate(row, initial=row[-1]))
-        walk += 2 * row[-1]
-    return walk
 
 
 def _vertices_text(sep: str, color: str, d: int, options) -> str:

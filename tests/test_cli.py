@@ -329,16 +329,36 @@ def test_count_normal_enumerates_larger_lhs_up_to_7(tmp_path, capsys, n, code, o
 
 
 def test_count_normal_refuses_a_long_enumeration_before_building_a_tree(tmp_path, capsys):
-    # 3^5 * 9!! = 229,635 shuffle trees to test, past the 50,000 the
-    # enumeration fallback accepts; testing them took 1.8 s.
+    # 3^5 * 9!! = 229,635 shuffle trees to test against one rule, past the
+    # 80,000 tests the enumeration fallback accepts; they took 1.8 s.
     cubic = tmp_path / "cubic.rules"
     cubic.write_text(CUBIC)
     started = time.monotonic()
     code = main(["count-normal", "--rules", str(cubic), "--alphabet", "x,y,z", "-n", "6"])
     assert time.monotonic() - started < 0.5
     assert (code, *capsys.readouterr()) == (2, "", (
-        "error: counting rules with a left-hand side of three or more vertices tests"
-        " every shuffle tree, at most 50000; arity 6 has 229635\n"))
+        "error: counting rules with a left-hand side of three or more vertices tests every"
+        " shuffle tree against every rule, at most 80000 tests; 229635 trees of arity 6"
+        " times 1 rule(s) make 229635\n"))
+
+
+@pytest.mark.parametrize("rules, code", [(2, 0), (3, 2), (16, 2)])
+def test_count_normal_bounds_the_enumeration_by_trees_times_rules(tmp_path, capsys, rules, code):
+    # 2 * 9!! = 30,240 shuffle trees over x,y at n=6, each tested against
+    # every rule: two cubic rules make 60,480 tests, three 90,720, sixteen
+    # 483,840 (3.6 s), refused before a tree is built.
+    shapes = ("{}({}({}(1 2) 3) 4) = 0", "{}({}({}(1 3) 2) 4) = 0")
+    lines = [shape.format(*g) for shape in shapes for g in itertools.product("xy", repeat=3)]
+    path = tmp_path / "cubic.rules"
+    path.write_text("\n".join(lines[:rules]) + "\n")
+    started = time.monotonic()
+    got = main(["count-normal", "--rules", str(path), "--alphabet", "x,y", "-n", "6"])
+    captured = capsys.readouterr()
+    assert got == code
+    if code:
+        assert time.monotonic() - started < 0.5
+        assert captured.out == ""
+        assert captured.err.endswith(f" times {rules} rule(s) make {30240 * rules}\n")
 
 
 @pytest.mark.parametrize(
@@ -398,14 +418,14 @@ def test_basis_list_refuses_past_its_tree_bound(capsys):
 
 
 @pytest.mark.parametrize("n, message", [
-    ("11", "--list prints at most 1000000 trees and walks as many set partitions, n=11 walks more"),
-    ("200", "--list prints at most 1000000 trees and walks as many set partitions, n=200 walks more"),
+    ("11", "--list prints at most 1000000 trees, of arity at most 10, got n=11"),
+    ("200", "--list prints at most 1000000 trees, of arity at most 10, got n=200"),
     ("201", "-n must be <= 200"),
 ])
 def test_basis_list_refuses_a_long_walk_from_n_alone(capsys, monkeypatch, n, message):
     # Refused before the operands are resolved, counted or walked.
     def no_work(*args):
-        raise AssertionError("work done before the walk bound")
+        raise AssertionError("work done before the arity bound")
 
     monkeypatch.setattr(trees_mod, "_set_partitions", no_work)
     monkeypatch.setattr(dims_mod, "basis_count", no_work)
@@ -565,8 +585,8 @@ def test_basis_list_answers_past_n7_when_walk_and_count_fit(tmp_path, capsys):
 
 
 def test_basis_list_answers_at_n10_with_two_digit_labels(tmp_path, capsys):
-    # d4 and d10 alone: the walk, W(10) = 284832 set partitions, passes
-    # the bound, and the 11552 trees decide.
+    # d4 and d10 alone: n=10 is the largest arity a listing takes, and
+    # its 11552 trees pass the tree bound.
     from freeop.trees import leaf_labels, parse_tree
 
     cfg = tmp_path / "ops.cfg"
@@ -915,3 +935,22 @@ def test_readme_examples_print_what_their_comments_state(capsys):
             else:
                 assert out == comment + "\n", argv
     assert stated >= 4
+
+
+def test_readme_quotes_each_bound_at_its_value():
+    # The paragraph on bounds states each bound in a phrase of its own.
+    from freeop import cli, shuffle
+
+    text = README.read_text()
+    start = text.index("Bounds on `-n` follow each command's cost.")
+    paragraph = " ".join(text[start:text.index("\n\n", start)].split())
+    phrases = [
+        f"The O(n^3) counts go up to {cli.COUNT_MAX}:",
+        f"`sp -n` goes up to {cli.SP_MAX}:",
+        f"`dims --symbolic` goes up to {dims_mod.SYMBOLIC_MAX}.",
+        f"at most {shuffle._ENUMERATION_MAX:,} tests",
+        f"share one bound, {cli.LIST_MAX:,} trees or networks",
+        f"`basis --list` also takes n <= {trees_mod.LIST_ARITY_MAX},",
+        f"input nested more than {shuffle.MAX_NESTING} levels deep",
+    ]
+    assert [p for p in phrases if p not in paragraph] == []

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -20,7 +22,6 @@ from freeop.trees import (
     arity,
     basis_lines,
     basis_pieces,
-    basis_walk,
     count_avoiding,
     count_avoiding_recursive,
     enumerate_basis,
@@ -148,7 +149,7 @@ def test_basis_pieces_join_as_the_lines():
     assert piece in basis_pieces(LIE, COMAS, 4, BULLET)
 
 
-def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte():
+def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte(monkeypatch):
     # The relabeled text against the independent route, format_tree over
     # enumerate_basis: every builtin and two sparse operands, each pair,
     # at n = 1..7 where the basis has at most 600 trees (the sparse pairs
@@ -165,11 +166,34 @@ def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte():
                 for sep in ("\n", '", "'):
                     text = sep.join(basis_pieces(a, b, n, root, sep))
                     assert text == sep.join(lines), (a.name, b.name, n, root, sep)
+    # Then two sparse operands up to n = 10, the leaf 10 printed as two
+    # digits: d5 and d7 against d4 and d5, 126 to 330 trees.  Both routes
+    # walk the same set partitions, so they are built once for the test.
+    monkeypatch.setattr(trees_mod, "_set_partitions",
+                        functools.cache(trees_mod._set_partitions))
+    a = explicit_operad("s", [0, 0, 0, 1, 0, 1, 0, 0, 0])
+    b = explicit_operad("t", [0, 0, 1, 1, 0, 0, 0, 0, 0])
+    for n in range(8, 11):
+        lines = [format_tree(t) for t in enumerate_basis(a, b, n)]
+        assert any("10)" in line for line in lines) == (n == 10)
+        for root in (BULLET, CIRC, "any"):
+            rooted = [line for line in lines if root in ("any", line[:line.index("[")])]
+            for sep in ("\n", '", "'):
+                text = sep.join(basis_pieces(a, b, n, root, sep))
+                assert text == sep.join(rooted), (n, root, sep)
 
 
 def test_basis_pieces_refuse_more_leaves_than_placeholders():
-    with pytest.raises(ValueError, match="arity must be <= 26, got 27"):
-        basis_pieces(COMAS, COMAS, 27)
+    with pytest.raises(ValueError, match="arity must be <= 10, got 11"):
+        basis_pieces(COMAS, COMAS, 11)
+
+
+def _walk_bound(n):
+    """2 (Bell(2) + ... + Bell(n)), Bell numbers by their recurrence."""
+    bell = [1]
+    for m in range(n):
+        bell.append(sum(math.comb(m, k) * bell[k] for k in range(m + 1)))
+    return 2 * sum(bell[2:])
 
 
 def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
@@ -199,9 +223,10 @@ def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
     monkeypatch.setattr(trees_mod, "_set_partitions", counted)
     # com-as*com-as visits every size from 2 to n in both colors, once
     # whatever the separator.
+    assert [_walk_bound(n) for n in (1, 2, 3, 10)] == [0, 4, 14, 284832]
     for n in range(1, 9):
-        assert walked(COMAS, COMAS, n, "any") == basis_walk(n), n
-        assert walked(COMAS, COMAS, n, "any", '", "') == basis_walk(n), n
+        assert walked(COMAS, COMAS, n, "any") == _walk_bound(n), n
+        assert walked(COMAS, COMAS, n, "any", '", "') == _walk_bound(n), n
     rng = random.Random(13)
     for _ in range(2):
         a, b = (
@@ -210,13 +235,7 @@ def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
         )
         for n in range(1, 9):
             for root in (BULLET, CIRC, "any"):
-                assert walked(a, b, n, root) <= basis_walk(n), (n, root)
-
-
-def test_basis_walk_values():
-    # 2 (Bell(2) + ... + Bell(n)).
-    assert [basis_walk(n) for n in range(-1, 12)] == [
-        0, 0, 0, 4, 14, 44, 148, 554, 2308, 10588, 52882, 284832, 1641972]
+                assert walked(a, b, n, root) <= _walk_bound(n), (n, root)
 
 
 def test_enumerated_trees_are_canonical_and_alternating():

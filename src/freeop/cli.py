@@ -40,6 +40,10 @@ COUNT_NORMAL_BUDGET = COUNT_MAX**3 * 2**2
 # the same way: 0.5 s at n=1000, 1.5 s at 1500 and 4.9 s at 2000, two and
 # a half times dims at COUNT_MAX, against which the bound was once set.
 SP_MAX = 2000
+# The largest -n of each command that takes one, checked by main before
+# the command reads an operand or rule file.
+N_BOUNDS = {"dims": COUNT_MAX, "count-normal": COUNT_MAX, "basis": COUNT_MAX,
+            "sp": SP_MAX, "quotient": COUNT_MAX}
 
 
 # The separator between a listing's items, by format: emit writes a JSON
@@ -146,52 +150,38 @@ def _write_joined(sep: str, items: list[str]) -> None:
         write(sep.join(items[start:start + step]))
 
 
-def cmd_dims(args) -> int:
+# Each cmd_* computes its answer, a JSON payload and its table lines for
+# emit, and writes nothing: main checks -n before a handler runs and writes
+# the answer after it returns, so no refusal can follow output.
+def cmd_dims(args) -> tuple[dict, list[str]]:
     if args.symbolic:
         if args.left or args.right:
             raise CliError("--symbolic takes no --left/--right")
-        table = dims_mod.symbolic_dims(args.n_max)
+        table = dims_mod.symbolic_dims(args.n)
         polys = {}
         lines = []
-        for n in range(2, args.n_max + 1):
+        for n in range(2, args.n + 1):
             b, c = table[n]
             polys[f"d{n}_bullet"] = str(b)
             polys[f"d{n}_circ"] = str(c)
             lines.append(f"d{n}_bullet = {b}")
             lines.append(f"d{n}_circ = {c}")
-        emit(
-            {"command": "dims-symbolic", "n_max": args.n_max, "polynomials": polys},
-            lines,
-            args.format,
-        )
-        return 0
+        return {"command": "dims-symbolic", "n_max": args.n, "polynomials": polys}, lines
     if not args.left or not args.right:
         raise CliError("--left and --right are required (or use --symbolic)")
-    if args.n_max > COUNT_MAX:
-        raise CliError(f"-n must be <= {COUNT_MAX}")
     x, y = resolve_operands(args)
-    table = dims_mod.free_product_dims(x, y, args.n_max)
+    table = dims_mod.free_product_dims(x, y, args.n)
     rows = [{"n": 1, "bullet": None, "circ": None, "total": 1}]
     lines = ["n\tbullet\tcirc\ttotal", "1\t-\t-\t1"]
-    for n in range(2, args.n_max + 1):
+    for n in range(2, args.n + 1):
         b, c = table.bullet[n], table.circ[n]
         rows.append({"n": n, "bullet": b, "circ": c, "total": b + c})
         lines.append(f"{n}\t{b}\t{c}\t{b + c}")
-    emit(
-        {
-            "command": "dims",
-            "left": x.name,
-            "right": y.name,
-            "n_max": args.n_max,
-            "rows": rows,
-        },
-        lines,
-        args.format,
-    )
-    return 0
+    payload = {"command": "dims", "left": x.name, "right": y.name, "n_max": args.n, "rows": rows}
+    return payload, lines
 
 
-def cmd_confluence(args) -> int:
+def cmd_confluence(args) -> tuple[dict, list[str]]:
     rules = load_rules(args.rules)
     report = sh.check_confluence(rules, args.max_arity)
     payload = {
@@ -204,11 +194,10 @@ def cmd_confluence(args) -> int:
             for m, nf in report.failures
         ],
     }
-    emit(payload, [str(report)], args.format)
-    return 0 if report.passed else 1
+    return payload, [str(report)]
 
 
-def cmd_count_normal(args) -> int:
+def cmd_count_normal(args) -> tuple[dict, list[str]]:
     rules = load_rules(args.rules)
     if args.alphabet:
         alphabet = [(s.strip(), 2) for s in args.alphabet.split(",") if s.strip()]
@@ -218,20 +207,11 @@ def cmd_count_normal(args) -> int:
     while limit**3 * len(alphabet) ** 2 > COUNT_NORMAL_BUDGET:
         limit -= 1
     if args.n > limit:
-        suffix = "" if limit == COUNT_MAX else f" with {len(alphabet)} generators"
-        raise CliError(f"-n must be <= {limit}{suffix}")
+        raise CliError(f"-n must be <= {limit} with {len(alphabet)} generators")
     count = sh.count_normal_monomials(alphabet, rules, args.n)
-    emit(
-        {
-            "command": "count-normal",
-            "n": args.n,
-            "alphabet": [s for s, _ in alphabet],
-            "count": count,
-        },
-        [str(count)],
-        args.format,
-    )
-    return 0
+    payload = {"command": "count-normal", "n": args.n,
+               "alphabet": [s for s, _ in alphabet], "count": count}
+    return payload, [str(count)]
 
 
 def check_listing(size: int, excess: str) -> None:
@@ -241,9 +221,7 @@ def check_listing(size: int, excess: str) -> None:
         raise CliError(f"--list prints at most {LIST_MAX} {excess}")
 
 
-def cmd_basis(args) -> int:
-    if args.n > COUNT_MAX:
-        raise CliError(f"-n must be <= {COUNT_MAX}")
+def cmd_basis(args) -> tuple[dict, list[str]]:
     if args.list and args.n > trees.LIST_ARITY_MAX:
         raise CliError(f"--list prints at most {LIST_MAX} trees, of arity at most"
                        f" {trees.LIST_ARITY_MAX}, got n={args.n}")
@@ -263,26 +241,20 @@ def cmd_basis(args) -> int:
             x, y, args.n, args.root, LISTING_SEP[args.format])
     else:
         lines = [str(count)]
-    emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def cmd_sp(args) -> int:
-    if args.n > SP_MAX:
-        raise CliError(f"-n must be <= {SP_MAX}")
+def cmd_sp(args) -> tuple[dict, list[str]]:
     count = spnet.macmahon(args.n)
     payload = {"command": "sp", "n": args.n, "count": count}
     lines = [str(count)]
     if args.list:
         check_listing(count, f"networks, n={args.n} has {count}")
         lines = payload["networks"] = spnet.network_lines(args.n)
-    emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def cmd_quotient(args) -> int:
-    if args.n > COUNT_MAX:
-        raise CliError(f"-n must be <= {COUNT_MAX}")
+def cmd_quotient(args) -> tuple[dict, list[str]]:
     if args.pattern not in trees.PATTERNS_BY_NAME:
         raise CliError(
             f"unknown pattern {args.pattern!r}; choose from {sorted(trees.PATTERNS_BY_NAME)}"
@@ -301,8 +273,7 @@ def cmd_quotient(args) -> int:
         "reduced": total - avoiding,
         "quotient": avoiding,
     }
-    emit(payload, [str(avoiding)], args.format)
-    return 0
+    return payload, [str(avoiding)]
 
 
 @functools.cache
@@ -319,20 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", help="dimension tables of a free product")
     p.add_argument("--left")
     p.add_argument("--right")
-    p.add_argument("-n", "--n-max", dest="n_max", type=int, required=True)
+    p.add_argument("-n", "--n-max", dest="n", metavar="N_MAX", type=int, required=True)
     p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("confluence", help="overlap check for a rewriting system")
     p.add_argument("--rules", required=True)
     p.add_argument("--max-arity", type=int, default=5)
-    p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("count-normal", help="count normal shuffle monomials")
     p.add_argument("--rules", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--alphabet", help="comma-separated binary generators")
-    p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("basis", help="enumerate the colored-tree basis")
     p.add_argument("--left", required=True)
@@ -340,20 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--root", choices=(trees.BULLET, trees.CIRC, "any"), default="any")
     p.add_argument("--list", action="store_true")
-    p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("sp", help="series-parallel networks")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--list", action="store_true")
-    p.add_argument("--format", choices=("table", "json"), default="table")
 
     p = sub.add_parser("quotient", help="pattern-avoidance quotient counts")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--format", choices=("table", "json"), default="table")
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("table", "json"), default="table")
     return parser
 
 
@@ -364,10 +331,16 @@ def main(argv: list[str] | None = None) -> int:
     # first call (wrapped by a tracer, say) is the one that runs.
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        if args.command in N_BOUNDS and args.n > N_BOUNDS[args.command]:
+            raise CliError(f"-n must be <= {N_BOUNDS[args.command]}")
+        payload, lines = handler(args)
+        # Inside the try: an answer emit cannot write (an integer too long
+        # for json.dumps) is refused before the first byte of output.
+        emit(payload, lines, args.format)
     except (CliError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if payload.get("passed", True) else 1  # a confluence FAIL exits 1
 
 
 def entry_point() -> None:

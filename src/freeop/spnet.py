@@ -191,12 +191,12 @@ def _network_at(text: str, tokens: list, i: int, depth: int = 1):
     if depth > MAX_NESTING:
         raise _refusal(_TOO_DEEP, _start(text, i, _NET_TOKENS))
     if tokens[i + 1] != "(":
-        raise ValueError(f"expected '(' after {tok}")
+        raise _refusal(f"expected '(' after {tok}", _start(text, i + 1, _NET_TOKENS))
     i += 2
     children = []
     while tokens[i] != ")":
         if not tokens[i]:
-            raise ValueError("missing ')'")
+            raise _refusal("missing ')'", _start(text, i, _NET_TOKENS))
         child, i = _network_at(text, tokens, i, depth + 1)
         children.append(child)
     return _checked_node(tok, children), i + 1
@@ -208,7 +208,7 @@ def parse_network(text: str):
     try:
         (_, net), i = _network_at(text, tokens, 0)
         if tokens[i]:
-            raise ValueError("trailing tokens")
+            raise _refusal("trailing tokens", _start(text, i, _NET_TOKENS))
     except ValueError:
         _refuse_stray(text, _NET_TOKENS)
         raise

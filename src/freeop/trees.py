@@ -525,14 +525,14 @@ def _tree_at(text: str, tokens: list, i: int, depth: int = 1):
         raise ValueError(f"expected [dec=K] after {tok}")
     dec = _int(tokens[i + 1][5:-1], text, i + 1, _TOKENS, _refusal, 5)
     if tokens[i + 2] != "(":
-        raise ValueError(f"expected '(' at token {i + 2}")
+        raise _refusal("expected '('", _start(text, i + 2, _TOKENS))
     child, i = _tree_at(text, tokens, i + 3, depth + 1)
     children = [child]
     while tokens[i] == ",":
         child, i = _tree_at(text, tokens, i + 1, depth + 1)
         children.append(child)
     if tokens[i] != ")":
-        raise ValueError(f"expected ')' at token {i}")
+        raise _refusal("expected ')'", _start(text, i, _TOKENS))
     _check_vertex(tok, children)
     return (tok, dec, tuple(children)), i + 1
 
@@ -544,7 +544,7 @@ def parse_tree(text: str):
     try:
         t, i = _tree_at(text, tokens, 0)
         if tokens[i]:
-            raise ValueError(f"trailing tokens at {i}")
+            raise _refusal("trailing tokens", _start(text, i, _TOKENS))
     except ValueError:
         _refuse_stray(text, _TOKENS)
         raise

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -19,6 +20,7 @@ except ImportError:  # pragma: no cover
     jsonschema = None
 
 import freeop
+from freeop import cli
 from freeop import dims as dims_mod
 from freeop import trees as trees_mod
 from freeop.cli import build_parser, load_rules, main, resolve_operad
@@ -505,8 +507,6 @@ def test_sp_list(capsys):
 
 
 def test_sp_refuses_past_its_bounds_before_counting(capsys):
-    assert main(["sp", "-n", "2001"]) == 2
-    assert capsys.readouterr() == ("", "error: -n must be <= 2000\n")
     # macmahon(15) = 1399068 networks exceed LIST_MAX.
     assert main(["sp", "-n", "15", "--list"]) == 2
     assert capsys.readouterr() == (
@@ -699,18 +699,67 @@ def test_no_refusal_after_output_has_started(tmp_path, capsys):
     assert outcomes == {0, 2}
 
 
-@pytest.mark.parametrize("command", ["dims", "basis"])
-def test_counts_share_one_bound(capsys, command):
-    assert main([command, "--left", "as", "--right", "as", "-n", "201"]) == 2
-    assert capsys.readouterr() == ("", "error: -n must be <= 200\n")
+def test_an_answer_too_long_to_print_is_refused_before_output(tmp_path, capsys):
+    # The quotient's total at n=20 has more digits than Python writes as a
+    # string (4300), so json.dumps fails inside emit: still one line on
+    # stderr, exit 2, and nothing on stdout.
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"big = [{'9' * 600}] builtin:as\n")
+    code = main(["quotient", "--left", f"{cfg}:big", "--right", "as",
+                 "--pattern", "circ-composite-child", "-n", "20", "--format", "json"])
+    out, err = capsys.readouterr()
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert err.startswith("error: ")
 
 
-def test_quotient_shares_the_count_bound(capsys):
-    args = ["quotient", "--left", "lie", "--right", "com-as",
-            "--pattern", "bullet-composite-child", "-n"]
-    assert run(capsys, *args, "8") == (0, f"{math.factorial(8)}\n")
-    assert main(args + ["201"]) == 2
-    assert capsys.readouterr() == ("", "error: -n must be <= 200\n")
+# Each command with an -n: its arguments but -n, and its last line at n=8.
+BOUNDED = {
+    "dims": (["--left", "as", "--right", "as"], "8\t172529280\t172529280\t345058560"),
+    "basis": (["--left", "as", "--right", "as"], "345058560"),
+    "quotient": (["--left", "lie", "--right", "com-as", "--pattern", "bullet-composite-child"],
+                 str(math.factorial(8))),
+    "count-normal": (["--rules", "lie-adm"], "10376729"),
+    "sp": ([], "522"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.N_BOUNDS))
+def test_each_bound_refuses_before_any_input_is_read(capsys, monkeypatch, command):
+    limit = cli.N_BOUNDS[command]
+    args, answer = BOUNDED[command]
+    code, out = run(capsys, command, *args, "-n", "8")
+    assert (code, out.splitlines()[-1]) == (0, answer)
+    refusal = (2, "", f"error: -n must be <= {limit}\n")
+    for fmt in ("table", "json"):
+        argv = [command, *args, "-n", str(limit + 1), "--format", fmt]
+        assert (main(argv), *capsys.readouterr()) == refusal, argv
+
+    def no_input(*_):
+        raise AssertionError("an operand or rule file was read past the -n bound")
+
+    monkeypatch.setattr(cli, "resolve_operad", no_input)
+    monkeypatch.setattr(cli, "load_rules", no_input)
+    nosuch = [a if a.startswith("--") else "nosuch" for a in args]
+    assert (main([command, *nosuch, "-n", str(limit + 1)]), *capsys.readouterr()) == refusal
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "-n", "201"],
+    ["dims", "--symbolic", "-n", "201"],
+    ["count-normal", "--rules", "lie-adm", "-n", "201", "--alphabet", "x,y,z,w"],
+])
+def test_the_n_bound_comes_before_each_command_s_own_checks(capsys, argv):
+    assert (main(argv), *capsys.readouterr()) == (2, "", "error: -n must be <= 200\n")
+
+
+def test_every_command_with_an_n_has_a_bound():
+    # main checks -n against cli.N_BOUNDS: a command missing from it would
+    # take any n.
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    with_n = {name for name, p in sub.choices.items()
+              if any("-n" in a.option_strings for a in p._actions)}
+    assert with_n == set(cli.N_BOUNDS)
+    assert set(sub.choices) - with_n == {"confluence"}
 
 
 def test_bad_pattern_name(capsys):

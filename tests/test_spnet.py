@@ -167,9 +167,9 @@ def test_parse_refuses_deep_nesting_by_name():
         # a character outside the grammar is named first, wherever it is
         ("S(e x)", "bad character 'x' at position 4"),
         ("S(e e))  E", "bad character 'E' at position 9"),
-        ("S e e)", "expected '(' after S"),
-        ("P(e S(e e)", "missing ')'"),
-        ("S(e e) e", "trailing tokens"),
+        ("S e e)", "expected '(' after S at position 2"),
+        ("P(e S(e e)", "missing ')' at position 10"),
+        ("S(e e) e", "trailing tokens at position 7"),
         ("", "unexpected end of input"),
         ("S(e ))", "series/parallel node needs at least two children"),
         (")", "expected node, got ')'"),

@@ -552,10 +552,10 @@ def _nested_tree(levels):
         ("bullet[dec=0](1, x)", "bad character 'x' at position 17"),
         ("bullet[dec=0]((1, 2)  E", "bad character 'E' at position 22"),
         ("bullet[dec=](1, 2)", "bad character '[' at position 6"),
-        ("bullet[dec=0]1, 2)", "expected '(' at token 2"),
-        ("bullet[dec=0](1, 2", "expected ')' at token 6"),
+        ("bullet[dec=0]1, 2)", "expected '(' at position 13"),
+        ("bullet[dec=0](1, 2", "expected ')' at position 18"),
         ("bullet(1, 2)", "expected [dec=K] after bullet"),
-        ("bullet[dec=0](1, 2) 3", "trailing tokens at 7"),
+        ("bullet[dec=0](1, 2) 3", "trailing tokens at position 20"),
         ("", "unexpected end of input"),
         ("bullet[dec=0](, 2)", "expected color or leaf, got ','"),
         pytest.param("bullet[dec=0](" + "1" * 5000 + ", 2)",

@@ -199,15 +199,16 @@ def cmd_confluence(args) -> tuple[dict, list[str]]:
 
 def cmd_count_normal(args) -> tuple[dict, list[str]]:
     rules = load_rules(args.rules)
-    if args.alphabet:
-        alphabet = [(s.strip(), 2) for s in args.alphabet.split(",") if s.strip()]
-    else:
+    if args.alphabet is None:
         alphabet = sh.rules_alphabet(rules)
+    else:
+        alphabet = [(s.strip(), 2) for s in args.alphabet.split(",")]
+    generators = len(sh._symbols(alphabet))
     limit = COUNT_MAX
-    while limit**3 * len(alphabet) ** 2 > COUNT_NORMAL_BUDGET:
+    while limit**3 * generators**2 > COUNT_NORMAL_BUDGET:
         limit -= 1
     if args.n > limit:
-        raise CliError(f"-n must be <= {limit} with {len(alphabet)} generators")
+        raise CliError(f"-n must be <= {limit} with {generators} generators")
     count = sh.count_normal_monomials(alphabet, rules, args.n)
     payload = {"command": "count-normal", "n": args.n,
                "alphabet": [s for s, _ in alphabet], "count": count}

@@ -20,19 +20,21 @@ def partitions(n: int, min_parts: int = 1) -> list[tuple[int, ...]]:
     if n < 1:
         return []
     out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, largest: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            if len(prefix) >= min_parts:
-                out.append(tuple(prefix))
-            return
-        for p in range(min(largest, remaining), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
+    _extend(n, n, [], min_parts, out)
     return out
+
+
+def _extend(remaining: int, largest: int, prefix: list[int], min_parts: int, out: list) -> None:
+    """Append to out each partition that extends prefix by parts of at most
+    largest summing to remaining, and has at least min_parts parts."""
+    if remaining == 0:
+        if len(prefix) >= min_parts:
+            out.append(tuple(prefix))
+        return
+    for p in range(min(largest, remaining), 0, -1):
+        prefix.append(p)
+        _extend(remaining - p, p, prefix, min_parts, out)
+        prefix.pop()
 
 
 def _check(parts: tuple[int, ...]) -> None:

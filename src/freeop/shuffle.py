@@ -98,25 +98,7 @@ def validate_monomial(m) -> list[int]:
     then the first node in preorder whose child minima do not increase.
     """
     seen: list[int] = []
-
-    def walk(node) -> tuple[int, tuple | None]:
-        """(least label, first offending (node, child minima) in preorder)."""
-        if is_leaf(node):
-            seen.append(node)
-            return node, None
-        if len(node) < 2:
-            raise ShuffleConditionError(f"a generator node needs children, got {node!r}")
-        mins = []
-        bad = None
-        for c in node[1:]:
-            low, below = walk(c)
-            mins.append(low)
-            bad = bad or below
-        if any(a >= b for a, b in zip(mins, mins[1:])):
-            bad = node, mins
-        return min(mins), bad
-
-    _, bad = walk(m)
+    _, bad = _least_label(m, seen)
     if len(set(seen)) != len(seen):
         raise ShuffleConditionError(f"duplicate leaf labels in {print_monomial(m)}")
     if any(label < 1 for label in seen):
@@ -127,6 +109,25 @@ def validate_monomial(m) -> list[int]:
             f"child minima not increasing at {print_monomial(node)}: {mins}"
         )
     return seen
+
+
+def _least_label(node, seen: list) -> tuple[int, tuple | None]:
+    """validate_monomial's walk: node's least label and first offending
+    (node, child minima) in preorder; node's leaves are appended to seen."""
+    if is_leaf(node):
+        seen.append(node)
+        return node, None
+    if len(node) < 2:
+        raise ShuffleConditionError(f"a generator node needs children, got {node!r}")
+    mins = []
+    bad = None
+    for c in node[1:]:
+        low, below = _least_label(c, seen)
+        mins.append(low)
+        bad = bad or below
+    if any(a >= b for a, b in zip(mins, mins[1:])):
+        bad = node, mins
+    return min(mins), bad
 
 
 def symbols_of(m) -> set[str]:
@@ -285,18 +286,20 @@ def _order_key(m) -> tuple:
         return 1, ("",), (m,)
     words: dict[int, str] = {}
     planar: list[int] = []
-
-    def walk(node, word: str) -> None:
-        word += _symbol_word(node[0])
-        for c in node[1:]:
-            if type(c) is int:
-                words[c] = word
-                planar.append(c)
-            else:
-                walk(c, word)
-
-    walk(m, "")
+    _path_words(m, "", words, planar)
     return len(words), tuple([words[k] for k in sorted(words)]), tuple(planar)
+
+
+def _path_words(node, word: str, words: dict, planar: list) -> None:
+    """Set words[c] to the path word of each leaf c under node, word being
+    that of node's parent, and append the leaves to planar in order."""
+    word += _symbol_word(node[0])
+    for c in node[1:]:
+        if type(c) is int:
+            words[c] = word
+            planar.append(c)
+        else:
+            _path_words(c, word, words, planar)
 
 
 def compare(a, b) -> int:
@@ -467,29 +470,25 @@ def enumerate_shuffle_trees(alphabet, n: int) -> Iterator:
     if n < 1:
         raise ShuffleError(f"arity must be >= 1, got {n}")
     symbols = _symbols(alphabet)
-    cache: dict[tuple[int, ...], list] = {}
+    yield from _trees_on(tuple(range(1, n + 1)), symbols, {})
 
-    def trees_on(labels: tuple[int, ...]) -> list:
-        if labels in cache:
-            return cache[labels]
-        if len(labels) == 1:
-            out = [labels[0]]
-        else:
-            out = []
-            rest = labels[1:]
-            # right child's labels: any nonempty subset of the non-minimal
-            # labels, iterated in a fixed subset order
-            for mask in range(1, 1 << len(rest)):
-                right = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-                left = (labels[0],) + tuple(x for x in rest if x not in right)
-                for sym in symbols:
-                    for lt in trees_on(left):
-                        for rt in trees_on(right):
-                            out.append((sym, lt, rt))
-        cache[labels] = out
-        return out
 
-    yield from trees_on(tuple(range(1, n + 1)))
+def _trees_on(labels: tuple[int, ...], symbols: list[str], cache: dict) -> list:
+    """The shuffle trees over symbols with leaves labels; cache holds the
+    trees of each label tuple already built."""
+    if len(labels) == 1:
+        return [labels[0]]
+    if labels not in cache:
+        out = cache[labels] = []
+        rest = labels[1:]
+        # right child's labels: any nonempty subset of the non-minimal
+        # labels, iterated in a fixed subset order
+        for mask in range(1, 1 << len(rest)):
+            right = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
+            left = (labels[0],) + tuple(x for x in rest if x not in right)
+            out.extend(itertools.product(
+                symbols, _trees_on(left, symbols, cache), _trees_on(right, symbols, cache)))
+    return cache[labels]
 
 
 # --- divisor search (shuffle subtree embeddings) ------------------------
@@ -865,19 +864,22 @@ def _pattern_labelings(shape, placed) -> list:
     slot_of = [{leaf: k for k, sub in _occurrence(shape, *p).slots.items()
                 for leaf in leaves(sub)} for p in placed]
     rows = [[s.get(leaf, 0) for s in slot_of] for leaf in range(arity(shape))]
-    labels = [0] * len(rows)
-
-    def place(k: int, started: list[int]) -> Iterator:
-        if k > len(rows):
-            yield _substitute(shape, labels)
-        for leaf, row in enumerate(rows):
-            if not labels[leaf] and all(s <= t + 1 for s, t in zip(row, started)):
-                labels[leaf] = k
-                yield from place(k + 1, list(map(max, row, started)))
-                labels[leaf] = 0
-
-    return sorted(place(1, [0] * len(placed)), key=lambda m: [
+    labelings = _placed(shape, rows, [0] * len(rows), 1, [0] * len(placed))
+    return sorted(labelings, key=lambda m: [
         sorted(leaves(_subtree_at(m, p)[1])) for p in _internal_vertices(m)])
+
+
+def _placed(shape, rows: list, labels: list, k: int, started: list[int]) -> Iterator:
+    """The labelings of shape that extend labels (0 on a leaf not yet
+    labelled) by k, k+1, ...: rows[leaf] holds the leaf's slot in each
+    occurrence, and started the highest slot per occurrence labelled so far."""
+    if k > len(rows):
+        yield _substitute(shape, labels)
+    for leaf, row in enumerate(rows):
+        if not labels[leaf] and all(s <= t + 1 for s, t in zip(row, started)):
+            labels[leaf] = k
+            yield from _placed(shape, rows, labels, k + 1, list(map(max, row, started)))
+            labels[leaf] = 0
 
 
 def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElement]]:

@@ -182,12 +182,13 @@ _NET_TOKENS = r"[SPe()]"  # the network grammar, for shuffle._lex
 
 def _network_at(text: str, tokens: list, i: int, depth: int = 1):
     """(key, network) of the network that starts at tokens[i], and the index
-    after it; a module function, as trees._tree_at is."""
+    after it."""
     tok = tokens[i]
     if tok == EDGE:
         return _EDGE_KEYED, i + 1
     if tok not in (SERIES, PARALLEL):
-        raise ValueError(f"expected node, got {tok!r}" if tok else "unexpected end of input")
+        raise _refusal(f"expected node, got {tok!r}" if tok else "unexpected end of input",
+                       _start(text, i, _NET_TOKENS))
     if depth > MAX_NESTING:
         raise _refusal(_TOO_DEEP, _start(text, i, _NET_TOKENS))
     if tokens[i + 1] != "(":

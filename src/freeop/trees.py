@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Iterator
 
 from .dims import OperadDims, avoiding_count, basis_count
@@ -75,24 +76,24 @@ def _set_partitions(k: int) -> list[tuple]:
     """The set partitions of range(k), blocks sorted internally and by
     minimum, each as (composition, order): its block sizes in block
     order, and its blocks' indices concatenated."""
-    parts: list[list[int]] = []
     results: list[tuple] = []
-
-    def rec(i: int) -> None:
-        if i == k:
-            results.append((tuple(map(len, parts)),
-                            tuple(itertools.chain.from_iterable(parts))))
-            return
-        for b in parts:
-            b.append(i)
-            rec(i + 1)
-            b.pop()
-        parts.append([i])
-        rec(i + 1)
-        parts.pop()
-
-    rec(0)
+    _extend_partition(0, k, [], results)
     return results
+
+
+def _extend_partition(i: int, k: int, parts: list[list[int]], results: list) -> None:
+    """Append to results each set partition of range(k) that extends parts,
+    a set partition of range(i)."""
+    if i == k:
+        results.append((tuple(map(len, parts)), tuple(itertools.chain.from_iterable(parts))))
+        return
+    for b in parts:
+        b.append(i)
+        _extend_partition(i + 1, k, parts, results)
+        b.pop()
+    parts.append([i])
+    _extend_partition(i + 1, k, parts, results)
+    parts.pop()
 
 
 def _check_request(n: int, root: str) -> None:
@@ -119,48 +120,43 @@ def enumerate_basis(
         yield 1
         return
     dim_of = {BULLET: functools.cache(x.dim), CIRC: functools.cache(y.dim)}
-    partitions: dict[int, list] = {}
-    cache: dict[tuple, list] = {}
+    memo: dict = {}
+    for color in (BULLET, CIRC):
+        if root in (color, "any"):
+            yield from _labeled_trees(tuple(range(1, n + 1)), color, dim_of, memo)
 
-    def trees_for(labels: tuple[int, ...], color: str) -> list:
-        key = (labels, color)
-        if key in cache:
-            return cache[key]
-        k = len(labels)
-        if k not in partitions:
-            partitions[k] = _set_partitions(k)
-        out: list = []
-        for comp, order in partitions[k]:
-            if len(comp) < 2:
-                continue
-            d = dim_of[color](len(comp))
-            if d == 0:
-                continue
-            ordered = [labels[i] for i in order]
-            options: list = []
-            start = 0
-            for size in comp:
-                block = ordered[start:start + size]
-                start += size
-                subs = block if size == 1 else trees_for(tuple(block), other_color(color))
-                if not subs:
-                    break
-                options.append(subs)
-            else:
-                out.extend(itertools.product(
-                    (color,), range(d), itertools.product(*options)))
-        cache[key] = out
-        return out
 
-    try:
-        for color in (BULLET, CIRC):
-            if root in (color, "any"):
-                yield from trees_for(tuple(range(1, n + 1)), color)
-    finally:
-        # trees_for refers to itself, so without this the cache lives
-        # until the cycle collector runs.
-        cache.clear()
-        partitions.clear()
+def _labeled_trees(labels: tuple[int, ...], color: str, dim_of: dict, memo: dict) -> list:
+    """The color-rooted trees over labels; memo holds the set partitions of
+    each size and the trees of each (labels, color) already built."""
+    key = (labels, color)
+    if key in memo:
+        return memo[key]
+    k = len(labels)
+    if k not in memo:
+        memo[k] = _set_partitions(k)
+    out: list = []
+    for comp, order in memo[k]:
+        if len(comp) < 2:
+            continue
+        d = dim_of[color](len(comp))
+        if d == 0:
+            continue
+        ordered = [labels[i] for i in order]
+        options: list = []
+        start = 0
+        for size in comp:
+            block = ordered[start:start + size]
+            start += size
+            subs = block if size == 1 else _labeled_trees(
+                tuple(block), other_color(color), dim_of, memo)
+            if not subs:
+                break
+            options.append(subs)
+        else:
+            out.extend(itertools.product((color,), range(d), itertools.product(*options)))
+    memo[key] = out
+    return out
 
 
 # The largest arity a listing takes.  basis_pieces walks the Bell(k) set
@@ -202,59 +198,60 @@ def basis_pieces(
     if n > LIST_ARITY_MAX:
         raise ValueError(f"a listing's arity must be <= {LIST_ARITY_MAX}, got {n}")
     dim_of = {BULLET: functools.cache(x.dim), CIRC: functools.cache(y.dim)}
-    partitions = functools.cache(_set_partitions)
+    memo: dict = {}
+    pieces = (piece for color in (BULLET, CIRC) if root in (color, "any")
+              for piece in _pieces(n, color, sep, "123456789" + _TEN, dim_of, memo))
+    return [p.replace(_TEN, "10") for p in pieces] if n == 10 else list(pieces)
 
-    def walk(k: int, color: str, sep: str, labels) -> Iterator[str]:
-        """The text of the (k, color) trees over labels, one piece per set
-        partition of range(k) that has trees."""
-        for comp, order in partitions(k):
-            text = composed(comp, color, sep)
-            if text:
-                yield text.translate(dict(zip(_CODES, map(labels.__getitem__, order))))
 
-    @functools.cache
-    def subtrees(k: int, color: str, offset: int) -> list[str]:
-        """The (k, color) trees over the placeholders from offset on."""
-        if k == 1:
-            return [_PLACEHOLDERS[offset]]
-        if offset:
-            text = "\n".join(subtrees(k, color, 0))
+def _pieces(k: int, color: str, sep: str, labels, dim_of: dict, memo: dict) -> Iterator[str]:
+    """The text of the (k, color) trees over labels, one piece per set
+    partition of range(k) that has trees; memo holds the set partitions of
+    each size and the (k, color, offset) lists of _subtrees.  No other call
+    walks (k, color, sep), so each composition's text is kept here."""
+    if k not in memo:
+        memo[k] = _set_partitions(k)
+    texts: dict[tuple, str] = {}
+    for comp, order in memo[k]:
+        text = texts.get(comp)
+        if text is None:
+            text = texts[comp] = _composed(comp, color, sep, dim_of, memo)
+        if text:
+            yield text.translate(dict(zip(_CODES, map(labels.__getitem__, order))))
+
+
+def _subtrees(k: int, color: str, offset: int, dim_of: dict, memo: dict) -> list[str]:
+    """The (k, color) trees over the placeholders from offset on."""
+    if k == 1:
+        return [_PLACEHOLDERS[offset]]
+    key = (k, color, offset)
+    if key not in memo:
+        if offset:  # the trees from 0 on, shifted
             shift = dict(zip(_CODES, _PLACEHOLDERS[offset:]))
-            return text.translate(shift).split("\n") if text else []
-        text = "\n".join(walk(k, color, "\n", _PLACEHOLDERS))
-        return text.split("\n") if text else []
+            text = "\n".join(_subtrees(k, color, 0, dim_of, memo)).translate(shift)
+        else:
+            text = "\n".join(_pieces(k, color, "\n", _PLACEHOLDERS, dim_of, memo))
+        memo[key] = text.split("\n") if text else []
+    return memo[key]
 
-    @functools.cache
-    def composed(comp: tuple, color: str, sep: str) -> str:
-        """The color-rooted trees whose root's blocks are consecutive
-        placeholders of sizes comp, joined by sep."""
-        if len(comp) < 2:
-            return ""
-        d = dim_of[color](len(comp))
-        if d == 0:
-            return ""
-        options = []
-        offset = 0
-        for size in comp:
-            subs = subtrees(size, other_color(color), offset)
-            if not subs:
-                return ""
-            options.append(subs)
-            offset += size
-        return _vertices_text(sep, color, d, options)
 
-    labels = "123456789" + _TEN
-    try:
-        pieces = (piece for color in (BULLET, CIRC) if root in (color, "any")
-                  for piece in walk(n, color, sep, labels))
-        return [p.replace(_TEN, "10") for p in pieces] if n == 10 else list(pieces)
-    finally:
-        # The closures refer to each other, so without this their caches
-        # live until the cycle collector runs, which text (untracked
-        # strings) rarely triggers: listings would pile up across calls.
-        subtrees.cache_clear()
-        composed.cache_clear()
-        partitions.cache_clear()
+def _composed(comp: tuple, color: str, sep: str, dim_of: dict, memo: dict) -> str:
+    """The color-rooted trees whose root's blocks are consecutive
+    placeholders of sizes comp, joined by sep."""
+    if len(comp) < 2:
+        return ""
+    d = dim_of[color](len(comp))
+    if d == 0:
+        return ""
+    options = []
+    offset = 0
+    for size in comp:
+        subs = _subtrees(size, other_color(color), offset, dim_of, memo)
+        if not subs:
+            return ""
+        options.append(subs)
+        offset += size
+    return _vertices_text(sep, color, d, options)
 
 
 def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list[str]:
@@ -321,52 +318,59 @@ def _unlabeled(
     (size, rank)s (siblings of equal size have one color).  Only siblings
     of equal size need ranks: lists up to size n/2.
     """
-    from .partitions import partitions
-
     _check_request(n, root)
     if n == 1:
         yield leaf
         return
-    dim_of = {BULLET: x.dim, CIRC: y.dim}
+    walk = (n, leaf, group, vertices, {BULLET: x.dim, CIRC: y.dim}, {})
+    for color in (BULLET, CIRC):
+        if root in (color, "any"):
+            yield from _unlabeled_trees(n, color, walk)[0]
 
-    @functools.cache
-    def multisets(size: int, mult: int, color: str) -> tuple:
-        """Each multiset of mult subtrees of (size, color), in enumeration
-        order: the group of its subtrees by rank, and their (size, rank)s
-        in one flat tuple, which sorts as the pairs do."""
-        subtrees, ranks = ((leaf,), [(1, 0)]) if size == 1 else trees_for(size, color)
-        if mult == 1:
-            return list(map(group, zip(subtrees))), ranks
+
+def _unlabeled_trees(k: int, color: str, walk: tuple) -> tuple:
+    """The trees of (k, color), and if 2k <= n the (k, rank) of each; walk
+    is _unlabeled's (n, leaf, group, vertices, dim_of, memo), memo holding
+    the answer of each (k, color) and (size, mult, color) already built."""
+    from .partitions import partitions
+
+    n, _, _, vertices, dim_of, memo = walk
+    if (k, color) in memo:
+        return memo[k, color]
+    out: list = []
+    order: list = []  # (decoration, children's flat (size, rank)s) per tree
+    for lam in partitions(k, 2):
+        d = dim_of[color](len(lam))
+        if d == 0:
+            continue
+        subtrees, ranks = zip(*[
+            _multisets(size, len(list(run)), other_color(color), walk)
+            for size, run in itertools.groupby(lam)])
+        out.extend(vertices(color, d, subtrees))
+        if 2 * k <= n:
+            order.extend(itertools.product(range(d), _ascending(ranks)))
+    rank = {o: (k, r) for r, o in enumerate(sorted(order))}
+    memo[k, color] = out, [rank[o] for o in order]
+    return memo[k, color]
+
+
+def _multisets(size: int, mult: int, color: str, walk: tuple) -> tuple:
+    """Each multiset of mult subtrees of (size, color), in enumeration
+    order: the group of its subtrees by rank, and their (size, rank)s in
+    one flat tuple, which sorts as the pairs do."""
+    _, leaf, group, _, _, memo = walk
+    key = (size, mult, color)
+    if key in memo:
+        return memo[key]
+    subtrees, ranks = ((leaf,), [(1, 0)]) if size == 1 else _unlabeled_trees(size, color, walk)
+    if mult == 1:
+        memo[key] = list(map(group, zip(subtrees))), ranks
+    else:
         sets = [sorted(s) for s in itertools.combinations_with_replacement(
             zip(ranks, subtrees), mult)]
-        return ([group([t for _, t in s]) for s in sets],
-                [sum((r for r, _ in s), ()) for s in sets])
-
-    @functools.cache
-    def trees_for(k: int, color: str) -> tuple:
-        """The trees of (k, color), and if 2k <= n the (k, rank) of each."""
-        out: list = []
-        order: list = []  # (decoration, children's flat (size, rank)s) per tree
-        for lam in partitions(k, 2):
-            d = dim_of[color](len(lam))
-            if d == 0:
-                continue
-            subtrees, ranks = zip(*[
-                multisets(size, len(list(run)), other_color(color))
-                for size, run in itertools.groupby(lam)])
-            out.extend(vertices(color, d, subtrees))
-            if 2 * k <= n:
-                order.extend(itertools.product(range(d), _ascending(ranks)))
-        rank = {o: (k, r) for r, o in enumerate(sorted(order))}
-        return out, [rank[o] for o in order]
-
-    try:
-        for color in (BULLET, CIRC):
-            if root in (color, "any"):
-                yield from trees_for(n, color)[0]
-    finally:
-        trees_for.cache_clear()  # as in basis_pieces
-        multisets.cache_clear()
+        memo[key] = ([group([t for _, t in s]) for s in sets],
+                     [sum((r for r, _ in s), ()) for s in sets])
+    return memo[key]
 
 
 def _ascending(groups) -> Iterator[tuple]:
@@ -397,31 +401,35 @@ def graft(t, args: list):
     if len(args) != n:
         raise ValueError(f"arity mismatch: tree has {n} inputs, got {len(args)} args")
 
-    def shift(node, off: int):
-        if is_leaf(node):
-            return node + off
-        return (node[0], node[1], tuple(shift(c, off) for c in node[2]))
-
     offset = 0
     plugged: dict[int, object] = {}
     for i, a in enumerate(args, start=1):
-        plugged[i] = shift(a, offset)
+        plugged[i] = _shifted(a, offset)
         offset += arity(a)
+    return _grafted(t, plugged)
 
-    def build(node):
-        if is_leaf(node):
-            return plugged[node]
-        color, dec, children = node
-        flat: list = []
-        for c in children:
-            k = build(c)
-            if not is_leaf(k) and k[0] == color:
-                flat.extend(k[2])
-            else:
-                flat.append(k)
-        return (color, dec, tuple(flat))
 
-    return build(t)
+def _shifted(node, off: int):
+    """node with off added to each leaf label."""
+    if is_leaf(node):
+        return node + off
+    return (node[0], node[1], tuple(_shifted(c, off) for c in node[2]))
+
+
+def _grafted(node, plugged: dict):
+    """node with each leaf i replaced by plugged[i] and each edge that
+    then joins two vertices of one color contracted."""
+    if is_leaf(node):
+        return plugged[node]
+    color, dec, children = node
+    flat: list = []
+    for c in children:
+        k = _grafted(c, plugged)
+        if not is_leaf(k) and k[0] == color:
+            flat.extend(k[2])
+        else:
+            flat.append(k)
+    return (color, dec, tuple(flat))
 
 
 # --- pattern-avoidance counting ----------------------------------------
@@ -468,25 +476,14 @@ def count_avoiding_recursive(
     if n == 1:
         return 1
     dim_of = {BULLET: x.dim, CIRC: y.dim}
-    cache: dict[tuple, int] = {}
-
-    def avoid(k: int, color: str) -> int:
-        key = (k, color)
-        if key in cache:
-            return cache[key]
-        total = 0
-        for lam in partitions(k, 2):
-            if color in patterns and lam[0] > 1:
-                continue
-            term = orbit_count(lam) * dim_of[color](len(lam))
-            for s in lam:
-                if s >= 2:
-                    term *= avoid(s, other_color(color))
-            total += term
-        cache[key] = total
-        return total
-
-    return avoid(n, BULLET) + avoid(n, CIRC)
+    count = {(1, BULLET): 1, (1, CIRC): 1}  # by (arity, root color), a leaf at 1
+    for k in range(2, n + 1):
+        for color in (BULLET, CIRC):
+            count[k, color] = sum(
+                orbit_count(lam) * dim_of[color](len(lam))
+                * math.prod(count[s, other_color(color)] for s in lam)
+                for lam in partitions(k, 2) if color not in patterns or lam[0] == 1)
+    return count[n, BULLET] + count[n, CIRC]
 
 
 PATTERNS_BY_NAME = {
@@ -508,21 +505,17 @@ def format_tree(t) -> str:
 
 
 def _tree_at(text: str, tokens: list, i: int, depth: int = 1):
-    """The tree that starts at tokens[i], and the index after it.
-
-    A module function, not a closure over the parse: a closure that calls
-    itself is a reference cycle, which would keep text alive until the
-    cycle collector runs."""
+    """The tree that starts at tokens[i], and the index after it."""
     tok = tokens[i]
     if tok.isdecimal():
         return _int(tok, text, i, _TOKENS, _refusal), i + 1
     if tok not in (BULLET, CIRC):
-        raise ValueError(f"expected color or leaf, got {tok!r}" if tok
-                         else "unexpected end of input")
+        raise _refusal(f"expected color or leaf, got {tok!r}" if tok
+                       else "unexpected end of input", _start(text, i, _TOKENS))
     if depth > MAX_NESTING:
         raise _refusal(_TOO_DEEP, _start(text, i, _TOKENS))
     if not tokens[i + 1].startswith("[dec="):
-        raise ValueError(f"expected [dec=K] after {tok}")
+        raise _refusal(f"expected [dec=K] after {tok}", _start(text, i + 1, _TOKENS))
     dec = _int(tokens[i + 1][5:-1], text, i + 1, _TOKENS, _refusal, 5)
     if tokens[i + 2] != "(":
         raise _refusal("expected '('", _start(text, i + 2, _TOKENS))

@@ -368,12 +368,18 @@ def test_count_normal_bounds_the_enumeration_by_trees_times_rules(tmp_path, caps
     [
         ("x,x(", "generator symbol 'x(' is not of the form [A-Za-z_]\\w*"),
         ("1", "generator symbol '1' is not of the form [A-Za-z_]\\w*"),
-        (",", "the alphabet needs at least one generator"),
+        (",", "generator symbol '' is not of the form [A-Za-z_]\\w*"),
+        ("", "generator symbol '' is not of the form [A-Za-z_]\\w*"),
+        (" ", "generator symbol '' is not of the form [A-Za-z_]\\w*"),
+        ("x,", "generator symbol '' is not of the form [A-Za-z_]\\w*"),
+        ("x,,y", "generator symbol '' is not of the form [A-Za-z_]\\w*"),
     ],
 )
 def test_count_normal_alphabet_is_written_in_the_rule_grammar(capsys, alphabet, err):
-    code = main(["count-normal", "--rules", "lie", "-n", "3", "--alphabet", alphabet])
-    assert (code, *capsys.readouterr()) == (2, "", f"error: {err}\n")
+    # refused before its size sets the -n limit
+    for n in ("3", "200"):
+        code = main(["count-normal", "--rules", "lie", "-n", n, "--alphabet", alphabet])
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {err}\n")
 
 
 def test_count_normal_repeated_alphabet_is_input_error(capsys):

@@ -170,9 +170,11 @@ def test_parse_refuses_deep_nesting_by_name():
         ("S e e)", "expected '(' after S at position 2"),
         ("P(e S(e e)", "missing ')' at position 10"),
         ("S(e e) e", "trailing tokens at position 7"),
-        ("", "unexpected end of input"),
+        ("", "unexpected end of input at position 0"),
+        ("  ", "unexpected end of input at position 2"),
         ("S(e ))", "series/parallel node needs at least two children"),
-        (")", "expected node, got ')'"),
+        (")", "expected node, got ')' at position 0"),
+        ("S(e (e e))", "expected node, got '(' at position 4"),
         # the 201st node from the root starts at 4 * 200
         pytest.param("P" + "(e S(e P" * 100 + "(e e" + "))" * 100 + ")",
                      "nesting deeper than 200 levels at position 800", id="nesting"),

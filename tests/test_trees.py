@@ -554,10 +554,11 @@ def _nested_tree(levels):
         ("bullet[dec=](1, 2)", "bad character '[' at position 6"),
         ("bullet[dec=0]1, 2)", "expected '(' at position 13"),
         ("bullet[dec=0](1, 2", "expected ')' at position 18"),
-        ("bullet(1, 2)", "expected [dec=K] after bullet"),
+        ("bullet(1, 2)", "expected [dec=K] after bullet at position 6"),
         ("bullet[dec=0](1, 2) 3", "trailing tokens at position 20"),
-        ("", "unexpected end of input"),
-        ("bullet[dec=0](, 2)", "expected color or leaf, got ','"),
+        ("", "unexpected end of input at position 0"),
+        ("bullet[dec=0](", "unexpected end of input at position 14"),
+        ("bullet[dec=0](, 2)", "expected color or leaf, got ',' at position 14"),
         pytest.param("bullet[dec=0](" + "1" * 5000 + ", 2)",
                      "number too long (5000 digits) at position 14", id="long leaf"),
         pytest.param("circ[dec=" + "7" * 5000 + "](1, 2)",

@@ -115,25 +115,24 @@ class DimTable(namedtuple("DimTable", "n_max bullet circ")):
         return [t[n] for n in range(1, self.n_max + 1)]
 
 
-def _bell_row(cols, n: int) -> list:
-    """Row n of the partial Bell polynomials over the weights w = cols[1].
+def _bell_step(cols: list, binom: list) -> list:
+    """Row n of the partial Bell polynomials, from rows 1..n-1.
 
-    The triangle is stored by column, cols[k][m] = B(m, k) for m < n;
-    column 1 is w itself, B(m, 1) = w[m], with w[1] = 1 for the bare leaf.
-    Choosing the block that holds leaf 1 gives B(n, k) = sum_i C(n-1, i-1)
-    * w[i] * B(n-i, k-1) for 2 <= k <= n: one dot product of the row's
-    weighted w[1..n-1] with column k-1 read upwards.  Each B(n, k) is
-    appended to cols[k] (cols[n] is opened here) and the row is returned
-    as [B(n, 2), ..., B(n, n)]; B(n, 1) = w[n] is the caller's to append.
+    The triangle is kept by column, newest-first: cols[k-1] holds B(n-1, k),
+    B(n-2, k), ..., B(k, k), and column 1 is the weights, B(m, 1) = w_m with
+    w_1 = 1 for the bare leaf.  Choosing the block that holds leaf 1 gives
+    B(n, k+1) = sum_i C(n-1, i-1) * w_i * B(n-i, k), so with binom row n-1
+    of Pascal's triangle and cw[i-1] = C(n-1, i-1) * w_i, each entry is one
+    dot product of cw with column k, which ends where the sum does.  Each
+    B(n, k) goes to the head of its column (column n is opened here) and the
+    row is returned as [B(n, 2), ..., B(n, n)]; B(n, 1) = w_n is the
+    caller's to insert.
     """
-    w = cols[1]
-    cw = [0] + [math.comb(n - 1, i - 1) * w[i] for i in range(1, n)]
-    cols.append([0] * n)
-    row = []
-    for k in range(2, n + 1):
-        b = sum(map(operator.mul, cw[1:n - k + 2], reversed(cols[k - 1][k - 1:n])))
-        cols[k].append(b)
-        row.append(b)
+    cw = list(map(operator.mul, binom, reversed(cols[0])))
+    row = [sum(map(operator.mul, cw, col)) for col in cols]
+    cols.append([])
+    for col, b in zip(cols[1:], row):
+        col.insert(0, b)
     return row
 
 
@@ -144,25 +143,27 @@ def _run_recursion(xdim, ydim, n_max):
     over a set partition of the leaves into k blocks, each a leaf or a
     circ-rooted tree: bullet(n) = sum_k xdim(k) * B(n, k), B the partial
     Bell polynomial over (1, circ(2), circ(3), ...), and circ(n) likewise
-    with the colors swapped (`_bell_row`).
+    with the colors swapped (`_bell_step`).
 
     xdim/ydim map an arity m >= 2 to a value supporting + and * with ints;
     each is read once per arity, xdim(n) before ydim(n).  Returns (bullet,
     circ) dicts for 2 <= n <= n_max.
     """
     dims = (xdim, ydim)
-    # seen[c]: dims[c] at arities 2, 3, ...; cols[c][k][m]: B(m, k) over
+    # seen[c]: dims[c] at arities 2, 3, ...; cols[c]: the Bell columns over
     # (1, d(2), d(3), ...), d(m) the dimension with a color-c root, which
-    # is column 1.
+    # is column 1; binom: C(n-1, 0..n-1), shared by both colors.
     seen = ([], [])
-    cols = ([[1], [0, 1]], [[1], [0, 1]])
+    cols = ([[1]], [[1]])
+    binom = [1]
     for n in range(2, n_max + 1):
+        binom = [1, *map(operator.add, binom, binom[1:]), 1]
         for c in (0, 1):
             seen[c].append(dims[c](n))
-        rows = [_bell_row(cols[c], n) for c in (0, 1)]
+        rows = [_bell_step(cols[c], binom) for c in (0, 1)]
         for c in (0, 1):
-            cols[c][1].append(sum(map(operator.mul, seen[c], rows[1 - c])))
-    return tuple({n: col[1][n] for n in range(2, n_max + 1)} for col in cols)
+            cols[c][0].insert(0, sum(map(operator.mul, seen[c], rows[1 - c])))
+    return tuple({n: col[0][n_max - n] for n in range(2, n_max + 1)} for col in cols)
 
 
 def free_product_dims(x: OperadDims, y: OperadDims, n_max: int) -> DimTable:
@@ -212,14 +213,17 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
         raise OperadError(f"bad color {color!r}")
     if n == 1:
         return 1
+    # Read as _run_recursion reads, x(m) before y(m).
+    own, other = zip(*[(x.dim(m), y.dim(m)) for m in range(2, n + 1)])
     if color == "circ":
-        x, y = y, x
-    # Column 1 holds all the weights at once; _bell_row(cols, m) reads
-    # only those below m.
-    cols = [[1], [0, 1] + [x.dim(m) for m in range(2, n + 1)]]
-    for m in range(2, n + 1):
-        row = _bell_row(cols, m)
-    return cols[1][n] + sum(map(operator.mul, [y.dim(k) for k in range(2, n + 1)], row))
+        own, other = other, own
+    cols = [[1]]
+    binom = [1]
+    for d in own:
+        binom = [1, *map(operator.add, binom, binom[1:]), 1]
+        row = _bell_step(cols, binom)
+        cols[0].insert(0, d)
+    return own[-1] + sum(map(operator.mul, other, row))
 
 
 def symbolic_dims(n_max: int) -> dict[int, tuple[MultiPoly, MultiPoly]]:

@@ -508,9 +508,8 @@ hanging there.
 
 
 def _match_structure(node, pat, out: list) -> bool:
-    if type(pat) is int:
-        out.append((pat, node))
-        return True
+    """Match node against pat, an lhs or one of its internal subtrees (never
+    a bare leaf: orient refuses one), noting (label, subtree) in out."""
     if type(node) is int or node[0] != pat[0] or len(node) != len(pat):
         return False
     for cn, cp in zip(node[1:], pat[1:]):
@@ -581,8 +580,7 @@ def find_divisor(m, lhs) -> Embedding | None:
 
 
 def _substitute(pat, slots: dict):
-    if type(pat) is int:
-        return slots[pat]
+    """pat (never a bare leaf) with each leaf label replaced by its slot."""
     return (pat[0], *[slots[c] if type(c) is int else _substitute(c, slots) for c in pat[1:]])
 
 
@@ -745,7 +743,7 @@ def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
         return 1
     if n < 1:
         raise ShuffleError(f"arity must be >= 1, got {n}")
-    patterns = _quadratic_patterns(symbols, rules)
+    patterns = _quadratic_patterns(rules)
     if patterns is not None:
         return _count_quadratic(symbols, patterns, n)
     trees = len(symbols) ** (n - 1) * math.prod(range(1, 2 * n - 2, 2))
@@ -760,19 +758,17 @@ def count_normal_monomials(alphabet, rules: list[RewriteRule], n: int) -> int:
     )
 
 
-def _quadratic_patterns(symbols: list[str], rules: list[RewriteRule]):
+def _quadratic_patterns(rules: list[RewriteRule]):
     """(banned roots, then per root s: banned right children, left children
     banned with r < p, left children banned with r >= p), or None if some
-    lhs has more than two internal vertices."""
+    lhs has more than two internal vertices.  No lhs is a bare leaf."""
     banned: set[str] = set()
     right, low, high = defaultdict(set), defaultdict(set), defaultdict(set)
     for rule in rules:
         m = rule.lhs
         if sorted(leaves(m)) != list(range(1, arity(m) + 1)):
             continue  # its order pattern never matches
-        if is_leaf(m):
-            banned.update(symbols)
-        elif is_leaf(m[1]) and is_leaf(m[2]):
+        if is_leaf(m[1]) and is_leaf(m[2]):
             banned.add(m[0])
         elif is_leaf(m[1]) and is_leaf(m[2][1]) and is_leaf(m[2][2]):
             right[m[0]].add(m[2][0])

@@ -193,14 +193,17 @@ def _network_at(text: str, tokens: list, i: int, depth: int = 1):
         raise _refusal(_TOO_DEEP, _start(text, i, _NET_TOKENS))
     if tokens[i + 1] != "(":
         raise _refusal(f"expected '(' after {tok}", _start(text, i + 1, _NET_TOKENS))
-    i += 2
+    start, i = i, i + 2
     children = []
     while tokens[i] != ")":
         if not tokens[i]:
             raise _refusal("missing ')'", _start(text, i, _NET_TOKENS))
         child, i = _network_at(text, tokens, i, depth + 1)
         children.append(child)
-    return _checked_node(tok, children), i + 1
+    try:
+        return _checked_node(tok, children), i + 1
+    except ValueError as e:
+        raise _refusal(str(e), _start(text, start, _NET_TOKENS)) from None
 
 
 def parse_network(text: str):

@@ -506,7 +506,7 @@ def format_tree(t) -> str:
 
 def _tree_at(text: str, tokens: list, i: int, depth: int = 1):
     """The tree that starts at tokens[i], and the index after it."""
-    tok = tokens[i]
+    start, tok = i, tokens[i]
     if tok.isdecimal():
         return _int(tok, text, i, _TOKENS, _refusal), i + 1
     if tok not in (BULLET, CIRC):
@@ -526,7 +526,10 @@ def _tree_at(text: str, tokens: list, i: int, depth: int = 1):
         children.append(child)
     if tokens[i] != ")":
         raise _refusal("expected ')'", _start(text, i, _TOKENS))
-    _check_vertex(tok, children)
+    try:
+        _check_vertex(tok, children)
+    except ValueError as e:
+        raise _refusal(str(e), _start(text, start, _TOKENS)) from None
     return (tok, dec, tuple(children)), i + 1
 
 

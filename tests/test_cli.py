@@ -104,6 +104,20 @@ def test_dims_config_file(tmp_path, capsys):
     assert out.splitlines()[1].startswith("1\t")
 
 
+@pytest.mark.parametrize("command", ["dims", "basis"])
+def test_a_missing_config_file_is_input_error(tmp_path, capsys, command):
+    missing = tmp_path / "absent.cfg"
+    assert main([command, "--left", f"{missing}:a", "--right", "as", "-n", "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: operad config file not found: {missing}\n")
+
+
+@pytest.mark.parametrize("operands", [(), ("--left", "as"), ("--right", "lie")])
+def test_dims_needs_both_operands(capsys, operands):
+    assert main(["dims", *operands, "-n", "4"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --left and --right are required (or use --symbolic)\n")
+
+
 # --- confluence --------------------------------------------------------
 
 

@@ -259,6 +259,25 @@ def test_first_operand_to_run_out_is_named_in_either_order():
             free_product_dims(x_op, y_op, 8)
 
 
+def _recording(op, log):
+    """op, noting each arity it is asked for in log as (op.name, arity)."""
+    return OperadDims(op.name, lambda n: log.append((op.name, n)) or op.dim(n))
+
+
+def test_the_bell_kernel_reads_each_arity_once_left_operand_first():
+    lie, com = builtin_operad("lie"), builtin_operad("com")
+    for n in (2, 3, 7, 20):
+        expected = [(name, m) for m in range(2, n + 1) for name in ("lie", "com")]
+        log = []
+        x, y = _recording(lie, log), _recording(com, log)
+        assert free_product_dims(x, y, n) == free_product_dims(lie, com, n)
+        assert log == expected
+        for color in ("bullet", "circ"):
+            log.clear()
+            assert avoiding_count(x, y, n, color) == avoiding_count(lie, com, n, color)
+            assert log == expected
+
+
 def test_basis_count_refuses_an_unknown_root():
     com = builtin_operad("com")
     for n in (1, 3):
@@ -271,6 +290,21 @@ def test_avoiding_count_refuses_an_unknown_color():
     for color in ("square", "any"):
         with pytest.raises(OperadError, match=f"^bad color '{color}'$"):
             avoiding_count(com, com, 3, color)
+
+
+def test_arities_below_one_and_negative_dimensions_are_refused():
+    com = builtin_operad("com")
+    for n in (0, -3):
+        with pytest.raises(OperadError, match=f"^arity must be >= 1, got {n}$"):
+            com.dim(n)
+        with pytest.raises(OperadError, match=f"^arity must be >= 1, got {n}$"):
+            basis_count(com, com, n)
+    neg = OperadDims("neg", lambda n: 2 - n)
+    assert neg.dim(2) == 0
+    with pytest.raises(OperadError, match="^neg: negative dimension at arity 3$"):
+        neg.dim(3)
+    with pytest.raises(OperadError, match="^neg: negative dimension at arity 3$"):
+        free_product_dims(neg, com, 4)
 
 
 def test_symbolic_d8_polynomials_are_pinned():

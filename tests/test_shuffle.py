@@ -935,6 +935,19 @@ def test_orient_refuses_an_equation_that_is_no_rule(e, message):
         orient(e)
 
 
+def test_zero_element_has_no_leading_monomial():
+    with pytest.raises(ShuffleError, match="^zero element has no leading monomial$"):
+        ShuffleElement().leading_monomial()
+
+
+def test_enumeration_refuses_an_empty_alphabet_or_an_arity_below_one():
+    with pytest.raises(ShuffleError, match="^the alphabet needs at least one generator$"):
+        list(enumerate_shuffle_trees([], 3))
+    for n in (0, -1):
+        with pytest.raises(ShuffleError, match=f"^arity must be >= 1, got {n}$"):
+            list(enumerate_shuffle_trees(XY, n))
+
+
 def test_scaling_a_normal_form_matches_the_checked_construction():
     e = normal_form(parse_element("x(x(x(1 2) 3) 4) - 1/2*x(x(1 3) x(2 4))"), JACOBI)
     assert e.ordered and len(e.terms) > 2

@@ -172,7 +172,13 @@ def test_parse_refuses_deep_nesting_by_name():
         ("S(e e) e", "trailing tokens at position 7"),
         ("", "unexpected end of input at position 0"),
         ("  ", "unexpected end of input at position 2"),
-        ("S(e ))", "series/parallel node needs at least two children"),
+        # a node's own refusals name where the node starts
+        ("S(e ))", "series/parallel node needs at least two children at position 0"),
+        ("P(e S(e ))", "series/parallel node needs at least two children at position 4"),
+        ("S(S(e e) e)", "S node may not contain a S child at position 0"),
+        ("P(e S(e S(e e)))", "S node may not contain a S child at position 4"),
+        ("P(S(e e) e)", "children not in canonical order at position 0"),
+        ("P(e S(P(e e) e))", "children not in canonical order at position 4"),
         (")", "expected node, got ')' at position 0"),
         ("S(e (e e))", "expected node, got '(' at position 4"),
         # the 201st node from the root starts at 4 * 200
@@ -199,11 +205,18 @@ def test_parse_network_refuses_a_character_outside_the_grammar_anywhere():
 
 def test_validate_network_rejects_children_out_of_order():
     validate_network((PARALLEL, (EDGE, (SERIES, (EDGE, EDGE)))))
-    with pytest.raises(ValueError, match="children not in canonical order"):
+    # a network that is no text has no positions to name
+    with pytest.raises(ValueError, match="^children not in canonical order$"):
         validate_network((PARALLEL, ((SERIES, (EDGE, EDGE)), EDGE)))
     # make_node orders its own children, but each must already be canonical.
-    with pytest.raises(ValueError, match="children not in canonical order"):
+    with pytest.raises(ValueError, match="^children not in canonical order$"):
         make_node(SERIES, (EDGE, (PARALLEL, ((SERIES, (EDGE, EDGE)), EDGE))))
+
+
+def test_make_node_refuses_a_bad_kind():
+    for kind in ("Q", "e", ""):
+        with pytest.raises(ValueError, match=f"^bad kind '{kind}'$"):
+            make_node(kind, (EDGE, EDGE))
 
 
 def test_validate_network_rejects_list_children():

@@ -606,18 +606,32 @@ def test_parse_tree_returns_a_tree_or_raises_value_error(text):
 
 
 def test_parse_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_tree("bullet[dec=0](1)")  # single child
-    with pytest.raises(ValueError):
-        parse_tree("bullet[dec=0](1, bullet[dec=0](2, 3))")  # same-color edge
-    with pytest.raises(ValueError):
-        parse_tree("green[dec=0](1, 2)")
+    # a vertex's own refusals name where the vertex starts
+    for text, refusal in [
+        ("bullet[dec=0](1)", "internal vertex needs at least two children at position 0"),
+        ("circ[dec=0](1, bullet[dec=0](2))",
+         "internal vertex needs at least two children at position 15"),
+        ("bullet[dec=0](1, bullet[dec=0](2, 3))", "same-color edge at position 0"),
+        ("circ[dec=1](3, bullet[dec=0](1, bullet[dec=0](2, 4)))",
+         "same-color edge at position 15"),
+        ("green[dec=0](1, 2)", "bad character 'g' at position 0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            parse_tree(text)
+        assert str(info.value) == refusal
 
 
 def test_validate_tree_rejects_list_children():
     validate_tree((BULLET, 0, (1, (CIRC, 0, (2, 3)))))
     with pytest.raises(ValueError, match="children must be a tuple, got list"):
         validate_tree((BULLET, 0, (1, (CIRC, 0, [2, 3]))))
+
+
+def test_validate_tree_rejects_a_bad_color_or_decoration():
+    with pytest.raises(ValueError, match="^bad color 'green'$"):
+        validate_tree((BULLET, 0, (1, ("green", 0, (2, 3)))))
+    with pytest.raises(ValueError, match="^bad decoration -1$"):
+        validate_tree((CIRC, 0, (1, (BULLET, -1, (2, 3)))))
 
 
 @pytest.mark.parametrize(

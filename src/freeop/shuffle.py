@@ -94,8 +94,10 @@ def validate_monomial(m) -> list[int]:
     return the leaf labels in planar order.
 
     One walk collects the leaves and each subtree's least label; it raises
-    a node without children at once, then duplicates, then labels below 1,
-    then the first node in preorder whose child minima do not increase.
+    a node without children or any object that is neither an int leaf nor
+    a tuple node at once, then duplicates, then labels below 1, then the
+    first node in preorder whose child minima do not increase.  A leaf is
+    an int exactly, not a bool, as the walks over monomials test it.
     """
     seen: list[int] = []
     _, bad = _least_label(m, seen)
@@ -114,11 +116,15 @@ def validate_monomial(m) -> list[int]:
 def _least_label(node, seen: list) -> tuple[int, tuple | None]:
     """validate_monomial's walk: node's least label and first offending
     (node, child minima) in preorder; node's leaves are appended to seen."""
-    if is_leaf(node):
+    if type(node) is int:
         seen.append(node)
         return node, None
-    if len(node) < 2:
+    if isinstance(node, str) or type(node) is tuple and len(node) < 2:
+        # a str stands where a subtree should, a symbol without children
         raise ShuffleConditionError(f"a generator node needs children, got {node!r}")
+    if type(node) is not tuple:
+        raise ShuffleConditionError(
+            f"a leaf must be an int (not a bool) and a node a tuple, got {node!r}")
     mins = []
     bad = None
     for c in node[1:]:
@@ -142,26 +148,21 @@ def symbols_of(m) -> set[str]:
 # --- printing and parsing ----------------------------------------------
 
 
-# repr() of a monomial whose symbols are words and whose leaves are
-# non-negative ints is made of these tokens only: "('x', " opens a node,
-# ", " separates siblings, ")" closes a node.  Three replacements then turn
-# it into the printed text in C, in one pass each.  A leaf's digits are one
-# token, (?!\d), so a failed match does not try every split of them.
-_REPR_RE = re.compile(r"(?:\('\w+', |\d+(?!\d)|, |\))+")
-
-
 def print_monomial(m) -> str:
-    text = repr(m)
-    if _REPR_RE.fullmatch(text):
-        return text.replace("('", "").replace("', ", "(").replace(", ", " ")
-    return _print_walk(m)
+    return str(m) if isinstance(m, int) else _printed(m)
 
 
-def _print_walk(m) -> str:
-    """print_monomial one node at a time, for any other symbol or leaf."""
-    if is_leaf(m):
-        return str(m)
-    return m[0] + "(" + " ".join(_print_walk(c) for c in m[1:]) + ")"
+def _printed(node) -> str:
+    """The text of a generator node: one recursion, a binary node one
+    f-string and a leaf child str() in place.  It calls itself, not
+    print_monomial, so a wrapped print_monomial sees one call per monomial."""
+    if len(node) == 3:
+        sym, a, b = node
+        left = str(a) if isinstance(a, int) else _printed(a)
+        right = str(b) if isinstance(b, int) else _printed(b)
+        return f"{sym}({left} {right})"
+    return node[0] + "(" + " ".join([str(c) if isinstance(c, int) else _printed(c)
+                                     for c in node[1:]]) + ")"
 
 
 _SYM_RE = re.compile(r"[A-Za-z_]\w*")
@@ -234,12 +235,18 @@ def _monomial(text: str, toks: list, i: int, seen: list, depth: int = 1):
     args = []
     least = last = -1
     ok = True
-    while toks[i] != ")":
-        if not toks[i]:
+    while (t := toks[i]) != ")":
+        if t.isdecimal():  # a leaf child, read here
+            m = low = _int(t, text, i)
+            seen.append(m)
+            i += 1
+        elif not t:
             raise ParseError("missing ')'", _start(text, i))
-        m, i, low, good = _monomial(text, toks, i, seen, depth + 1)
+        else:
+            m, i, low, good = _monomial(text, toks, i, seen, depth + 1)
+            ok = ok and good
         args.append(m)
-        ok = ok and good and low > last
+        ok = ok and low > last
         if last < 0:
             least = low
         last = low
@@ -294,6 +301,19 @@ def _path_words(node, word: str, words: dict, planar: list) -> None:
     """Set words[c] to the path word of each leaf c under node, word being
     that of node's parent, and append the leaves to planar in order."""
     word += _symbol_word(node[0])
+    if len(node) == 3:  # a binary node, its two children inline
+        _, a, b = node
+        if type(a) is int:
+            words[a] = word
+            planar.append(a)
+        else:
+            _path_words(a, word, words, planar)
+        if type(b) is int:
+            words[b] = word
+            planar.append(b)
+        else:
+            _path_words(b, word, words, planar)
+        return
     for c in node[1:]:
         if type(c) is int:
             words[c] = word
@@ -507,15 +527,15 @@ hanging there.
 # to is_leaf per visited node costs more than the test itself.
 
 
-def _match_structure(node, pat, out: list) -> bool:
-    """Match node against pat, an lhs or one of its internal subtrees (never
-    a bare leaf: orient refuses one), noting (label, subtree) in out."""
-    if type(node) is int or node[0] != pat[0] or len(node) != len(pat):
-        return False
+def _match_children(node, pat, out: list) -> bool:
+    """Match node's children against pat's, node having the root symbol and
+    length of pat, an lhs or one of its internal subtrees (never a bare
+    leaf: orient refuses one), noting (label, subtree) in out."""
     for cn, cp in zip(node[1:], pat[1:]):
         if type(cp) is int:
             out.append((cp, cn))
-        elif not _match_structure(cn, cp, out):
+        elif (type(cn) is int or cn[0] != cp[0] or len(cn) != len(cp)
+              or not _match_children(cn, cp, out)):
             return False
     return True
 
@@ -537,10 +557,10 @@ def _subtree_at(m, path: tuple[int, ...]):
 
 
 def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
-    if node[0] != lhs[0] or len(node) != len(lhs):
-        return None
+    """The occurrence of lhs at node, whose root symbol and length are lhs's,
+    if node's children match lhs's and keep its order pattern."""
     slots: list = []
-    if not _match_structure(node, lhs, slots):
+    if not _match_children(node, lhs, slots):
         return None
     # order pattern: the lhs leaf labels must rank the hanging subtrees
     # exactly by their minimal host labels.  The host is a shuffle tree, so
@@ -561,21 +581,21 @@ def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
 
 def all_embeddings(m, lhs) -> list[Embedding]:
     """Every occurrence of lhs in m, preorder (leftmost-outermost first)."""
-    return [e for p in _internal_vertices(m) if (e := _embedding_at(_subtree_at(m, p), p, lhs))]
+    return [e for p in _internal_vertices(m) if (s := _subtree_at(m, p))[0] == lhs[0]
+            and len(s) == len(lhs) and (e := _embedding_at(s, p, lhs))]
 
 
 def find_divisor(m, lhs) -> Embedding | None:
     """Leftmost-outermost occurrence of lhs as a shuffle subtree, if any."""
     if type(m) is int:
         return None
-    emb = _embedding_at(m, (), lhs)
-    if emb is not None:
+    if m[0] == lhs[0] and len(m) == len(lhs) and (emb := _embedding_at(m, (), lhs)):
         return emb
-    for i, c in enumerate(m[1:]):
-        if type(c) is not int:
-            sub = find_divisor(c, lhs)
-            if sub is not None:
-                return Embedding((i,) + sub.path, sub.slots)
+    i = 0
+    for c in m[1:]:
+        if type(c) is not int and (sub := find_divisor(c, lhs)):
+            return Embedding((i,) + sub.path, sub.slots)
+        i += 1
     return None
 
 
@@ -841,7 +861,7 @@ def _numbered(shape, count):
 def _occurrence(m, path: tuple[int, ...], lhs) -> Embedding:
     """The occurrence of lhs at path in m, whose shape has lhs there."""
     slots: list = []
-    _match_structure(_subtree_at(m, path), lhs, slots)
+    _match_children(_subtree_at(m, path), lhs, slots)
     return Embedding(path, dict(slots))
 
 

@@ -198,6 +198,12 @@ def test_order_key_matches_path_word_tuples():
         low = rng.randint(1, 3)
         labels = list(range(low, low + rng.randint(1, 7)))
         monos.append(_random_monomial(rng, labels, symbols))
+    # ternary nodes take the order key's n-ary walk, binary ones its inline branch
+    monos += [parse_monomial(t) for t in ("t(1 2 3)", "x(t(1 3 4) 2)", "t(1 x(2 4) 3)")]
+    for _ in range(100):
+        labels = list(range(1, rng.randint(3, 9)))
+        monos.append(_random_nary_monomial(rng, labels, symbols[:4] + ["t"]))
+    assert sum(_has_ternary_node(m) for m in monos) > 50
     keys = [(monomial_key(m), _ref_order_key(m)) for m in monos]
     for (ka, ra), (kb, rb) in itertools.combinations(keys, 2):
         assert (ka > kb) - (ka < kb) == (ra > rb) - (ra < rb)
@@ -299,19 +305,41 @@ def _sorted_embeddings(m, lhs):
     return out
 
 
+def _assert_divisor_search_matches(m, lhs):
+    expected = _sorted_embeddings(m, lhs)
+    assert [(e.path, e.slots) for e in all_embeddings(m, lhs)] == expected
+    emb = find_divisor(m, lhs)
+    if expected:
+        assert (emb.path, emb.slots) == expected[0]
+    else:
+        assert emb is None
+
+
 def test_divisor_search_matches_sorted_order_check():
     lhss = [r.lhs for r in JACOBI + LIE_ADM + CUBIC]
     lhss += [parse_monomial(t) for t in ("y(x(1 2) 3)", "x(x(1 3) 4)")]
     for n in range(1, 6):
         for m in enumerate_shuffle_trees(XY, n):
             for lhs in lhss:
-                expected = _sorted_embeddings(m, lhs)
-                assert [(e.path, e.slots) for e in all_embeddings(m, lhs)] == expected
-                emb = find_divisor(m, lhs)
-                if expected:
-                    assert (emb.path, emb.slots) == expected[0]
-                else:
-                    assert emb is None
+                _assert_divisor_search_matches(m, lhs)
+    # Ternary nodes, in hosts and lhs's: t(x(1 2) 3 4) and x(1 2 3) share
+    # a root symbol, and the first also the length, with hosts whose shape
+    # they do not have there.
+    lhss = [parse_monomial(t) for t in (
+        "t(1 2 3)", "x(t(1 3 4) 2)", "t(1 x(2 3) 4)", "t(x(1 2) 3 4)", "x(1 2 3)", "x(x(1 2) 3)")]
+    rng = random.Random(11)
+    hosts = [parse_monomial(t) for t in ("t(1 2 3)", "x(t(1 3 4) 2)", "x(t(1 2 4) 3)",
+                                          "t(1 x(2 3) 4)", "t(x(1 2) 3 4)", "x(1 x(t(2 3 4) 5))")]
+    hosts += [_random_nary_monomial(rng, list(range(1, rng.randint(3, 9))), ["x", "t"])
+              for _ in range(300)]
+    root_only = 0
+    for m in hosts:
+        for lhs in lhss:
+            _assert_divisor_search_matches(m, lhs)
+            root_only += (m[0] == lhs[0] and len(m) == len(lhs)
+                          and shuffle._embedding_at(m, (), lhs) is None)
+    assert root_only > 50
+    assert sum(_has_ternary_node(m) for m in hosts) > 200
 
 
 # --- rewriting ---------------------------------------------------------
@@ -400,6 +428,24 @@ def _random_monomial(rng, labels, symbols):
     left = [labels[0]] + [x for x in rest if x not in right]
     return (rng.choice(symbols), _random_monomial(rng, left, symbols),
             _random_monomial(rng, right, symbols))
+
+
+def _random_nary_monomial(rng, labels, symbols):
+    """A shuffle monomial on the labels with binary and ternary nodes: each
+    node's labels fall into blocks, its children, listed by least label."""
+    if len(labels) == 1:
+        return labels[0]
+    firsts = rng.sample(labels, min(rng.choice((2, 3)), len(labels)))
+    blocks = [[x] for x in firsts]
+    for x in labels:
+        if x not in firsts:
+            rng.choice(blocks).append(x)
+    blocks.sort(key=min)
+    return (rng.choice(symbols), *[_random_nary_monomial(rng, sorted(b), symbols) for b in blocks])
+
+
+def _has_ternary_node(m):
+    return not isinstance(m, int) and (len(m) == 4 or any(_has_ternary_node(c) for c in m[1:]))
 
 
 BAD_JACOBI = parse_rules("x(x(1 2) 3) = x(1 x(2 3)) + 2*x(x(1 3) 2)")
@@ -528,10 +574,43 @@ def test_print_monomial_matches_the_recursive_printer(m):
 
 
 def test_print_monomial_takes_linear_time_on_long_labels():
-    # A digit run the printer's pattern could split many ways would take
-    # exponential time here: the symbol "a b" fails the match after it.
+    # A long digit run before a symbol outside the rule grammar: a printer
+    # that matched the text against a pattern could take exponential time.
     m = ("x", int("1" * 60), ("a b", 2, 3))
     assert print_monomial(m) == _ref_print(m) == "x(" + "1" * 60 + " a b(2 3))"
+
+
+def test_print_monomial_matches_the_recursive_printer_on_a_seeded_sweep():
+    rng = random.Random(2020)
+    symbols = ["x", "ab_1", "é", "a b", "a, b", "a'b"]
+    sample = []
+    for _ in range(2000):
+        labels = sorted(rng.sample(range(1, 10), rng.randint(1, 7)))
+        if rng.random() < 0.2:
+            labels = [10 ** 59 + x for x in labels]  # 60-digit labels
+        if rng.random() < 0.3:  # a leaf that no valid monomial has
+            labels[rng.randrange(len(labels))] = rng.choice((0, -rng.randint(1, 99), True))
+        sample.append(_random_nary_monomial(rng, labels, rng.sample(symbols, rng.randint(1, 3))))
+    round_trips = 0
+    for m in sample:
+        text = print_monomial(m)
+        assert text == _ref_print(m)
+        try:
+            validate_monomial(m)
+        except ShuffleConditionError:
+            continue
+        if symbols_of(m) <= {"x", "ab_1"}:
+            assert parse_monomial(text) == m
+            round_trips += 1
+    assert round_trips > 300
+    assert sum(_has_ternary_node(m) for m in sample) > 500
+    assert any(re.search(r"\bTrue\b", _ref_print(m)) for m in sample)
+    assert any(re.search(r"\(-\d|\d{60}", _ref_print(m)) for m in sample)
+    # printing recurses once per level, in Python: the deepest monomial parsed
+    text = "x(1 2)"
+    for i in range(3, 202):
+        text = f"x({text} {i})"
+    assert str(ShuffleElement({parse_monomial(text): 1})) == text
 
 
 LIE_AB = parse_rules(
@@ -1372,3 +1451,26 @@ def test_validate_monomial_refuses_a_node_without_children(m, node):
     message = f"a generator node needs children, got {node}"
     with pytest.raises(ShuffleConditionError, match=f"^{re.escape(message)}$"):
         validate_monomial(m)
+
+
+NOT_A_LEAF_OR_NODE = "a leaf must be an int (not a bool) and a node a tuple, got "
+
+
+@pytest.mark.parametrize("m, message", [
+    (("x", True, 2), NOT_A_LEAF_OR_NODE + "True"),
+    (("x", 1.5, 2), NOT_A_LEAF_OR_NODE + "1.5"),
+    (("x", None, 2), NOT_A_LEAF_OR_NODE + "None"),
+    (True, NOT_A_LEAF_OR_NODE + "True"),
+    (("x", "1", 2), "a generator node needs children, got '1'"),
+])
+def test_an_element_refuses_a_leaf_that_is_not_an_int(m, message):
+    # the walks after validation take a leaf for an int exactly
+    for build in (validate_monomial, lambda m: ShuffleElement({m: 1})):
+        with pytest.raises(ShuffleConditionError, match=f"^{re.escape(message)}$"):
+            build(m)
+
+
+def test_validate_monomial_refuses_a_node_that_is_not_a_tuple():
+    message = NOT_A_LEAF_OR_NODE + "['y', 2, 3]"
+    with pytest.raises(ShuffleConditionError, match=f"^{re.escape(message)}$"):
+        validate_monomial(("x", 1, ["y", 2, 3]))

@@ -21,7 +21,7 @@ from . import trees
 # /dev/null) takes 0.2-0.25 s and 81 MiB peak for the 665k trees of
 # com*com at n=7, and `sp -n 14 --list` (437,502 networks) 0.6-0.75 s and
 # 96 MiB; the costliest admitted listing measured, 926,695 trees at n=10
-# (README), 1.3-2.0 s.  `basis --list` also takes n <= trees.LIST_ARITY_MAX,
+# (README), 0.7-1.3 s.  `basis --list` also takes n <= trees.LIST_ARITY_MAX,
 # which bounds the set partitions its walk visits.
 LIST_MAX = 1_000_000
 # Counts take O(n^3) big-integer operations.  Measured with CPython 3.11.7

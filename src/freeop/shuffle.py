@@ -94,10 +94,11 @@ def validate_monomial(m) -> list[int]:
     return the leaf labels in planar order.
 
     One walk collects the leaves and each subtree's least label; it raises
-    a node without children or any object that is neither an int leaf nor
-    a tuple node at once, then duplicates, then labels below 1, then the
-    first node in preorder whose child minima do not increase.  A leaf is
-    an int exactly, not a bool, as the walks over monomials test it.
+    a node without children, any object that is neither an int leaf nor
+    a tuple node, or a symbol the parser does not read at once, then
+    duplicates, then labels below 1, then the first node in preorder whose
+    child minima do not increase.  A leaf is an int exactly, not a bool,
+    as the walks over monomials test it.
     """
     seen: list[int] = []
     _, bad = _least_label(m, seen)
@@ -125,6 +126,9 @@ def _least_label(node, seen: list) -> tuple[int, tuple | None]:
     if type(node) is not tuple:
         raise ShuffleConditionError(
             f"a leaf must be an int (not a bool) and a node a tuple, got {node!r}")
+    if not (isinstance(node[0], str) and _SYM_RE.fullmatch(node[0])):
+        raise ShuffleConditionError(
+            f"generator symbol {node[0]!r} is not of the form {_SYM_RE.pattern}")
     mins = []
     bad = None
     for c in node[1:]:

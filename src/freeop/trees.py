@@ -46,19 +46,23 @@ def leaf_labels(t) -> tuple[int, ...]:
 
 
 def validate_tree(t) -> None:
-    """Raise if t violates the arity or color-alternation invariants."""
-    if is_leaf(t):
+    """Raise ValueError if t violates the arity or color-alternation
+    invariants, or is neither an int leaf nor a (color, dec, children)
+    tuple with dec an int >= 0; a bool is neither a leaf nor a dec."""
+    if type(t) is int:
         return
+    if type(t) is not tuple or len(t) != 3:
+        raise ValueError(f"a tree is an int leaf or a (color, dec, children) tuple, got {t!r}")
     color, dec, children = t
     if not isinstance(children, tuple):
         raise ValueError(f"children must be a tuple, got {type(children).__name__}")
     if color not in (BULLET, CIRC):
         raise ValueError(f"bad color {color!r}")
-    if dec < 0:
-        raise ValueError(f"bad decoration {dec}")
-    _check_vertex(color, children)
+    if type(dec) is not int or dec < 0:
+        raise ValueError(f"bad decoration {dec!r}")
     for c in children:
         validate_tree(c)
+    _check_vertex(color, children)
 
 
 def _check_vertex(color: str, children) -> None:
@@ -75,25 +79,21 @@ def _check_vertex(color: str, children) -> None:
 def _set_partitions(k: int) -> list[tuple]:
     """The set partitions of range(k), blocks sorted internally and by
     minimum, each as (composition, order): its block sizes in block
-    order, and its blocks' indices concatenated."""
-    results: list[tuple] = []
-    _extend_partition(0, k, [], results)
-    return results
-
-
-def _extend_partition(i: int, k: int, parts: list[list[int]], results: list) -> None:
-    """Append to results each set partition of range(k) that extends parts,
-    a set partition of range(i)."""
-    if i == k:
-        results.append((tuple(map(len, parts)), tuple(itertools.chain.from_iterable(parts))))
-        return
-    for b in parts:
-        b.append(i)
-        _extend_partition(i + 1, k, parts, results)
-        b.pop()
-    parts.append([i])
-    _extend_partition(i + 1, k, parts, results)
-    parts.pop()
+    order, and its blocks' indices concatenated.  Those of range(j + 1)
+    grow from those of range(j), j put last in each block in turn and
+    then alone in a new block: restricted-growth order."""
+    grown = [((), ())]
+    for j in range(k):
+        new = (j,)
+        out = []
+        for comp, order in grown:
+            end = 0
+            for i, size in enumerate(comp):
+                end += size
+                out.append((comp[:i] + (size + 1,) + comp[i + 1:], order[:end] + new + order[end:]))
+            out.append((comp + (1,), order + new))
+        grown = out
+    return grown
 
 
 def _check_request(n: int, root: str) -> None:
@@ -161,19 +161,28 @@ def _labeled_trees(labels: tuple[int, ...], color: str, dim_of: dict, memo: dict
 
 # The largest arity a listing takes.  basis_pieces walks the Bell(k) set
 # partitions of each size k it visits once per color, however few trees
-# they give: 2 (Bell(2) + ... + Bell(10)) = 284,832 of them take 0.5-0.6 s
-# (CPython 3.11, 2-CPU Xeon), and n = 11, 2 Bell(11) = 1,357,140 more,
-# 4.2 s.
+# they give: 2 (Bell(2) + ... + Bell(10)) = 284,832 of them take 0.2-0.3 s
+# to build and visit (CPython 3.11, 2-CPU Xeon), and n = 11, 2 Bell(11) =
+# 1,357,140 more, 1.4-2.1 s.
 LIST_ARITY_MAX = 10
 
 # The text of a listing is built over placeholder labels, the first k of
 # these for k leaves, then relabeled by str.translate.  Uppercase ASCII
 # appears in no tree text and in neither listing separator, and keeps
 # translate on CPython's ASCII fast path, which a two-character value
-# leaves: the label 10 is written as _TEN, then replaced.
+# leaves: the label 10 is written as _TEN, then replaced.  The table maps
+# all of ASCII, each other code to itself, as translate looks each distinct
+# character up once per call and a miss raises and clears a KeyError; a
+# code above 127 is an IndexError, a LookupError, so it stays as it is.
 _PLACEHOLDERS = "ABCDEFGHIJ"
-_CODES = [ord(c) for c in _PLACEHOLDERS]
+_HEAD = "".join(map(chr, range(ord(_PLACEHOLDERS[0]))))
+_TAIL = "".join(map(chr, range(ord(_PLACEHOLDERS[-1]) + 1, 128)))
 _TEN = "T"
+
+
+def _relabeling(labels: str) -> str:
+    """The translate table that writes labels[i] for the i-th placeholder."""
+    return _HEAD + labels + _PLACEHOLDERS[len(labels):] + _TAIL
 
 
 def basis_pieces(
@@ -217,7 +226,7 @@ def _pieces(k: int, color: str, sep: str, labels, dim_of: dict, memo: dict) -> I
         if text is None:
             text = texts[comp] = _composed(comp, color, sep, dim_of, memo)
         if text:
-            yield text.translate(dict(zip(_CODES, map(labels.__getitem__, order))))
+            yield text.translate(_relabeling("".join(map(labels.__getitem__, order))))
 
 
 def _subtrees(k: int, color: str, offset: int, dim_of: dict, memo: dict) -> list[str]:
@@ -227,7 +236,7 @@ def _subtrees(k: int, color: str, offset: int, dim_of: dict, memo: dict) -> list
     key = (k, color, offset)
     if key not in memo:
         if offset:  # the trees from 0 on, shifted
-            shift = dict(zip(_CODES, _PLACEHOLDERS[offset:]))
+            shift = _relabeling(_PLACEHOLDERS[offset:offset + k])
             text = "\n".join(_subtrees(k, color, 0, dim_of, memo)).translate(shift)
         else:
             text = "\n".join(_pieces(k, color, "\n", _PLACEHOLDERS, dim_of, memo))

@@ -1474,3 +1474,21 @@ def test_validate_monomial_refuses_a_node_that_is_not_a_tuple():
     message = NOT_A_LEAF_OR_NODE + "['y', 2, 3]"
     with pytest.raises(ShuffleConditionError, match=f"^{re.escape(message)}$"):
         validate_monomial(("x", 1, ["y", 2, 3]))
+
+
+@pytest.mark.parametrize("m, sym", [
+    ((5, 1, 2), "5"), (("a b", 1, 2), "'a b'"), (("é", 1, 2), "'é'"),
+    (("", 1, 2), "''"), (("x", ("a b", 1, 2), 3), "'a b'"),
+])
+def test_an_element_refuses_a_symbol_the_parser_does_not_read(m, sym):
+    # the printer would write text that parse_element refuses, or raise
+    message = f"generator symbol {sym} is not of the form [A-Za-z_]\\w*"
+    for build in (validate_monomial, lambda m: ShuffleElement({m: 1})):
+        with pytest.raises(ShuffleConditionError, match=f"^{re.escape(message)}$"):
+            build(m)
+
+
+def test_an_element_takes_a_symbol_the_parser_reads():
+    e = ShuffleElement({("xé", 1, ("_y2", 2, 3)): 1})
+    assert str(e) == "xé(1 _y2(2 3))"
+    assert parse_element(str(e)) == e

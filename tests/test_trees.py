@@ -188,6 +188,44 @@ def test_basis_pieces_refuse_more_leaves_than_placeholders():
         basis_pieces(COMAS, COMAS, 11)
 
 
+def _extend_partition(i, k, parts, results):
+    """Reference: append to results each set partition of range(k) that
+    extends parts, a set partition of range(i), as (composition, order)."""
+    if i == k:
+        results.append((tuple(map(len, parts)), tuple(itertools.chain.from_iterable(parts))))
+        return
+    for b in parts:
+        b.append(i)
+        _extend_partition(i + 1, k, parts, results)
+        b.pop()
+    parts.append([i])
+    _extend_partition(i + 1, k, parts, results)
+    parts.pop()
+
+
+def test_set_partitions_are_the_recursive_reference_in_order():
+    for k in range(10):
+        expected = []
+        _extend_partition(0, k, [], expected)
+        assert trees_mod._set_partitions(k) == expected, k
+    assert len(expected) == 21147
+
+
+def test_relabeling_tables_fix_all_of_ascii_but_the_placeholders():
+    # every table a listing translates through: a placeholder shift at
+    # each offset (_subtrees), and labels at the root (_pieces)
+    placeholders = trees_mod._PLACEHOLDERS
+    ascii_text = "".join(map(chr, range(128)))
+    for k in range(11):
+        for labels in [placeholders[offset:offset + k] for offset in range(11 - k)] + [
+                "123456789T"[:k], "T987654321"[10 - k:]]:
+            table = trees_mod._relabeling(labels)
+            relabeled = dict(zip(placeholders, labels))
+            expected = "".join(relabeled.get(c, c) for c in ascii_text)
+            assert len(table) == 128 and ascii_text.translate(table) == expected, (k, labels)
+            assert "é\u0100\U0001f600".translate(table) == "é\u0100\U0001f600"
+
+
 def _walk_bound(n):
     """2 (Bell(2) + ... + Bell(n)), Bell numbers by their recurrence."""
     bell = [1]
@@ -632,6 +670,34 @@ def test_validate_tree_rejects_a_bad_color_or_decoration():
         validate_tree((BULLET, 0, (1, ("green", 0, (2, 3)))))
     with pytest.raises(ValueError, match="^bad decoration -1$"):
         validate_tree((CIRC, 0, (1, (BULLET, -1, (2, 3)))))
+
+
+NOT_A_TREE = "a tree is an int leaf or a (color, dec, children) tuple, got "
+
+
+@pytest.mark.parametrize("t, refusal", [
+    ((BULLET, "x", (1, 2)), "bad decoration 'x'"),
+    ((BULLET, True, (1, 2)), "bad decoration True"),
+    ((BULLET, 1.0, (1, 2)), "bad decoration 1.0"),
+    ((CIRC, 0, (1, (BULLET, None, (2, 3)))), "bad decoration None"),
+    ((BULLET, 0, (1.5, 2)), NOT_A_TREE + "1.5"),
+    ((BULLET, 0, (1, True)), NOT_A_TREE + "True"),
+    ((BULLET, 0, (1, "2")), NOT_A_TREE + "'2'"),
+    ((BULLET, 0, (1, (CIRC, 0))), NOT_A_TREE + "('circ', 0)"),
+    (None, NOT_A_TREE + "None"),
+])
+def test_validate_tree_refuses_what_is_not_a_tree_by_value(t, refusal):
+    with pytest.raises(ValueError) as info:
+        validate_tree(t)
+    assert str(info.value) == refusal
+
+
+def test_validate_tree_takes_zero_leaves():
+    # unlabeled mode writes every leaf as 0
+    validate_tree(0)
+    validate_tree((BULLET, 0, (0, (CIRC, 2, (0, 0, 0)))))
+    for t in enumerate_unlabeled(COMAS, COMAS, 5):
+        validate_tree(t)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,11 @@
 r"""Shuffle-tree monomials, rewriting, and confluence checking.
 
 A monomial is a nested tuple: a leaf is a positive int, an internal node
-is (symbol, child, child, ...) with the symbol a generator name.  At
-every node the blocks of leaf labels under the children have strictly
-increasing minima (the shuffle condition).  Elements are rational linear
-combinations of monomials on one set of leaf labels, checked when an
-element is built; `orient` owns the checks that make an equation a rule.
+is (symbol, left, right) with the symbol a binary generator's name.  At
+every node the left child's least leaf label is below the right child's
+(the shuffle condition).  Elements are rational linear combinations of
+monomials on one set of leaf labels, checked when an element is built;
+`orient` owns the checks that make an equation a rule.
 
 The monomial order is graded path-lexicographic: compare arity (the
 larger arity is the greater, so any two monomials compare), then for
@@ -19,7 +19,9 @@ ones.
 Confluence checking builds each overlap directly from two left-hand
 sides, placing leaf labels only where both occurrences keep their order
 pattern, so it builds no other labeling and the rules alone bound the
-arities it visits; rule files take binary generators only.
+arities it visits.  Every generator is binary: the parser and
+validate_monomial refuse a node with one child or more than two where
+they meet it, and the walks after them read exactly two children.
 
 Shuffle, tree and network text share one token layer (_lex): a text is
 one findall of tokens, each a match of its grammar's regular expression or
@@ -27,7 +29,7 @@ else any one character, and only a refusal scans it again, for a position.
 Shuffle tokens are a decimal number (\d+), a generator symbol
 ([A-Za-z_]\w*), or any other character.  Over them
 
-    monomial := number | symbol "(" monomial+ ")"
+    monomial := number | symbol "(" monomial monomial ")"
     element  := "0" | ["+" | "-"] term (("+" | "-") term)*
     term     := [number ["/" number] ["*"]] monomial
 
@@ -73,10 +75,7 @@ def leaves(m) -> tuple[int, ...]:
     """Leaf labels in planar order."""
     if is_leaf(m):
         return (m,)
-    out: list[int] = []
-    for c in m[1:]:
-        out.extend(leaves(c))
-    return tuple(out)
+    return leaves(m[1]) + leaves(m[2])
 
 
 def arity(m) -> int:
@@ -86,19 +85,20 @@ def arity(m) -> int:
 def min_leaf(m) -> int:
     if is_leaf(m):
         return m
-    return min(min_leaf(c) for c in m[1:])
+    return min(min_leaf(m[1]), min_leaf(m[2]))
 
 
 def validate_monomial(m) -> list[int]:
-    """Check distinct positive leaves and the shuffle condition throughout;
+    """Check that m is a binary shuffle tree with distinct positive leaves;
     return the leaf labels in planar order.
 
     One walk collects the leaves and each subtree's least label; it raises
-    a node without children, any object that is neither an int leaf nor
-    a tuple node, or a symbol the parser does not read at once, then
-    duplicates, then labels below 1, then the first node in preorder whose
-    child minima do not increase.  A leaf is an int exactly, not a bool,
-    as the walks over monomials test it.
+    at once a str where a subtree should be, any other object that is
+    neither an int leaf nor a tuple node, a node that is not (symbol,
+    left, right), or a symbol the parser does not read; then duplicates,
+    then labels below 1, then the first node in preorder whose left
+    child's least label is not below its right child's.  A leaf is an
+    int exactly, not a bool, as the walks over monomials test it.
     """
     seen: list[int] = []
     _, bad = _least_label(m, seen)
@@ -120,33 +120,28 @@ def _least_label(node, seen: list) -> tuple[int, tuple | None]:
     if type(node) is int:
         seen.append(node)
         return node, None
-    if isinstance(node, str) or type(node) is tuple and len(node) < 2:
-        # a str stands where a subtree should, a symbol without children
+    if isinstance(node, str):  # a str stands where a subtree should
         raise ShuffleConditionError(f"a generator node needs children, got {node!r}")
     if type(node) is not tuple:
         raise ShuffleConditionError(
             f"a leaf must be an int (not a bool) and a node a tuple, got {node!r}")
-    if not (isinstance(node[0], str) and _SYM_RE.fullmatch(node[0])):
+    if len(node) != 3:
+        raise ShuffleConditionError(f"{_BINARY}, got {node!r}")
+    sym, a, b = node
+    if not (isinstance(sym, str) and _SYM_RE.fullmatch(sym)):
         raise ShuffleConditionError(
-            f"generator symbol {node[0]!r} is not of the form {_SYM_RE.pattern}")
-    mins = []
-    bad = None
-    for c in node[1:]:
-        low, below = _least_label(c, seen)
-        mins.append(low)
-        bad = bad or below
-    if any(a >= b for a, b in zip(mins, mins[1:])):
-        bad = node, mins
-    return min(mins), bad
+            f"generator symbol {sym!r} is not of the form {_SYM_RE.pattern}")
+    low, bad = _least_label(a, seen)
+    high, below = _least_label(b, seen)
+    if low >= high:
+        return high, (node, [low, high])
+    return low, bad or below
 
 
 def symbols_of(m) -> set[str]:
     if is_leaf(m):
         return set()
-    out = {m[0]}
-    for c in m[1:]:
-        out |= symbols_of(c)
-    return out
+    return {m[0]} | symbols_of(m[1]) | symbols_of(m[2])
 
 
 # --- printing and parsing ----------------------------------------------
@@ -157,16 +152,13 @@ def print_monomial(m) -> str:
 
 
 def _printed(node) -> str:
-    """The text of a generator node: one recursion, a binary node one
-    f-string and a leaf child str() in place.  It calls itself, not
-    print_monomial, so a wrapped print_monomial sees one call per monomial."""
-    if len(node) == 3:
-        sym, a, b = node
-        left = str(a) if isinstance(a, int) else _printed(a)
-        right = str(b) if isinstance(b, int) else _printed(b)
-        return f"{sym}({left} {right})"
-    return node[0] + "(" + " ".join([str(c) if isinstance(c, int) else _printed(c)
-                                     for c in node[1:]]) + ")"
+    """The text of a generator node: one recursion, one f-string per node
+    and a leaf child str() in place.  It calls itself, not print_monomial,
+    so a wrapped print_monomial sees one call per monomial."""
+    sym, a, b = node
+    left = str(a) if isinstance(a, int) else _printed(a)
+    right = str(b) if isinstance(b, int) else _printed(b)
+    return f"{sym}({left} {right})"
 
 
 _SYM_RE = re.compile(r"[A-Za-z_]\w*")
@@ -202,6 +194,7 @@ def _refuse_stray(text: str, grammar: str) -> None:
 # under Python's recursion limit makes deep input a parse error.
 MAX_NESTING = 200
 _TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels"
+_BINARY = "a generator takes two arguments"
 
 
 def _int(digits: str, text: str, i: int, grammar=_TOKENS, error=ParseError, shift=0) -> int:
@@ -219,8 +212,10 @@ def _monomial(text: str, toks: list, i: int, seen: list, depth: int = 1):
     label, and whether the child minima increase at every node of it.
 
     The leaf labels are appended to seen in planar order.  A node's least
-    label is its first child's, which is the least only while the minima
+    label is its left child's, which is the least only while the minima
     increase; once they do not, the caller validates and does not use it.
+    A node's text ends after its second child: a ')' after one child, or a
+    third child, is refused where it stands.
     """
     tok = toks[i]
     if tok.isdecimal():
@@ -228,33 +223,22 @@ def _monomial(text: str, toks: list, i: int, seen: list, depth: int = 1):
         seen.append(label)
         return label, i + 1, label, True
     if tok[:1] not in _SYM_START:
+        if not tok and depth > 1:  # the text ended inside a node
+            raise ParseError("missing ')'", _start(text, i))
         raise ParseError("expected a leaf number or generator symbol", _start(text, i))
     if depth > MAX_NESTING:
         raise ParseError(_TOO_DEEP, _start(text, i))
     if toks[i + 1] != "(":
         raise ParseError("expected '('", _start(text, i + 1))
-    i += 2
+    if toks[i + 2] == ")":
+        raise ParseError("generator application needs arguments", _start(text, i + 2) + 1)
+    a, i, least, ok = _monomial(text, toks, i + 2, seen, depth + 1)
     if toks[i] == ")":
-        raise ParseError("generator application needs arguments", _start(text, i) + 1)
-    args = []
-    least = last = -1
-    ok = True
-    while (t := toks[i]) != ")":
-        if t.isdecimal():  # a leaf child, read here
-            m = low = _int(t, text, i)
-            seen.append(m)
-            i += 1
-        elif not t:
-            raise ParseError("missing ')'", _start(text, i))
-        else:
-            m, i, low, good = _monomial(text, toks, i, seen, depth + 1)
-            ok = ok and good
-        args.append(m)
-        ok = ok and low > last
-        if last < 0:
-            least = low
-        last = low
-    return (tok, *args), i + 1, least, ok
+        raise ParseError(_BINARY, _start(text, i))
+    b, i, low, good = _monomial(text, toks, i, seen, depth + 1)
+    if toks[i] != ")":
+        raise ParseError(_BINARY if toks[i] else "missing ')'", _start(text, i))
+    return (tok, a, b), i + 1, least, ok and good and least < low
 
 
 def _leaf_set(m, seen: list, low: int, ok: bool) -> frozenset:
@@ -304,26 +288,18 @@ def _order_key(m) -> tuple:
 def _path_words(node, word: str, words: dict, planar: list) -> None:
     """Set words[c] to the path word of each leaf c under node, word being
     that of node's parent, and append the leaves to planar in order."""
-    word += _symbol_word(node[0])
-    if len(node) == 3:  # a binary node, its two children inline
-        _, a, b = node
-        if type(a) is int:
-            words[a] = word
-            planar.append(a)
-        else:
-            _path_words(a, word, words, planar)
-        if type(b) is int:
-            words[b] = word
-            planar.append(b)
-        else:
-            _path_words(b, word, words, planar)
-        return
-    for c in node[1:]:
-        if type(c) is int:
-            words[c] = word
-            planar.append(c)
-        else:
-            _path_words(c, word, words, planar)
+    sym, a, b = node
+    word += _symbol_word(sym)
+    if type(a) is int:
+        words[a] = word
+        planar.append(a)
+    else:
+        _path_words(a, word, words, planar)
+    if type(b) is int:
+        words[b] = word
+        planar.append(b)
+    else:
+        _path_words(b, word, words, planar)
 
 
 def compare(a, b) -> int:
@@ -453,13 +429,18 @@ def orient(e: ShuffleElement) -> RewriteRule:
     """Turn an equation e = 0 into a rule: leading monomial -> minus rest.
 
     A rule rewrites a generator application, so e must be nonzero and its
-    leading monomial not a bare leaf.
+    leading monomial not a bare leaf.  Divisor search matches a rule's
+    leaf labels to the ranks of the subtrees hanging there, so they must
+    be 1..k: any others would never match, not even the rule's own lhs.
     """
     if not e:
         raise ShuffleError("equation is trivially zero")
     lead = e.leading_monomial()
     if is_leaf(lead):
         raise ShuffleError("every term must apply a generator, not be a bare leaf")
+    labels = sorted(leaves(lead))
+    if labels != list(range(1, len(labels) + 1)):
+        raise ShuffleError(f"a rule's leaf labels must be 1..k, got {labels}")
     scale = -1 / e.terms[lead]
     rhs = {m: c * scale for m, c in e.terms.items() if m != lead}
     return RewriteRule(lead, ShuffleElement._of(rhs))
@@ -532,14 +513,13 @@ hanging there.
 
 
 def _match_children(node, pat, out: list) -> bool:
-    """Match node's children against pat's, node having the root symbol and
-    length of pat, an lhs or one of its internal subtrees (never a bare
-    leaf: orient refuses one), noting (label, subtree) in out."""
+    """Match node's children against pat's, node having the root symbol of
+    pat, an lhs or one of its internal subtrees (never a bare leaf: orient
+    refuses one), noting (label, subtree) in out."""
     for cn, cp in zip(node[1:], pat[1:]):
         if type(cp) is int:
             out.append((cp, cn))
-        elif (type(cn) is int or cn[0] != cp[0] or len(cn) != len(cp)
-              or not _match_children(cn, cp, out)):
+        elif type(cn) is int or cn[0] != cp[0] or not _match_children(cn, cp, out):
             return False
     return True
 
@@ -561,7 +541,7 @@ def _subtree_at(m, path: tuple[int, ...]):
 
 
 def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
-    """The occurrence of lhs at node, whose root symbol and length are lhs's,
+    """The occurrence of lhs at node, whose root symbol is lhs's,
     if node's children match lhs's and keep its order pattern."""
     slots: list = []
     if not _match_children(node, lhs, slots):
@@ -586,14 +566,14 @@ def _embedding_at(node, path: tuple[int, ...], lhs) -> Embedding | None:
 def all_embeddings(m, lhs) -> list[Embedding]:
     """Every occurrence of lhs in m, preorder (leftmost-outermost first)."""
     return [e for p in _internal_vertices(m) if (s := _subtree_at(m, p))[0] == lhs[0]
-            and len(s) == len(lhs) and (e := _embedding_at(s, p, lhs))]
+            and (e := _embedding_at(s, p, lhs))]
 
 
 def find_divisor(m, lhs) -> Embedding | None:
     """Leftmost-outermost occurrence of lhs as a shuffle subtree, if any."""
     if type(m) is int:
         return None
-    if m[0] == lhs[0] and len(m) == len(lhs) and (emb := _embedding_at(m, (), lhs)):
+    if m[0] == lhs[0] and (emb := _embedding_at(m, (), lhs)):
         return emb
     i = 0
     for c in m[1:]:
@@ -849,10 +829,10 @@ def _merge(a, b):
         return b
     if is_leaf(b):
         return a
-    if a[0] != b[0] or len(a) != len(b):
+    if a[0] != b[0]:
         return None
-    kids = [_merge(x, y) for x, y in zip(a[1:], b[1:])]
-    return None if None in kids else (a[0], *kids)
+    left, right = _merge(a[1], b[1]), _merge(a[2], b[2])
+    return None if left is None or right is None else (a[0], left, right)
 
 
 def _numbered(shape, count):
@@ -1025,10 +1005,6 @@ def parse_element(text: str) -> ShuffleElement:
             raise ParseError(f"expected '+' or '-', got {toks[i][0]!r}", _start(text, i))
 
 
-def _is_binary(m) -> bool:
-    return is_leaf(m) or (len(m) == 3 and _is_binary(m[1]) and _is_binary(m[2]))
-
-
 def _parse_side(text: str, lineno: int, side: str) -> ShuffleElement:
     try:
         return parse_element(text)
@@ -1048,10 +1024,6 @@ def parse_rules(text: str) -> list[RewriteRule]:
         left, right = line.split("=", 1)
         lhs = _parse_side(left, lineno, "left")
         rhs = _parse_side(right, lineno, "right")
-        if not all(_is_binary(m) for m in (*lhs.terms, *rhs.terms)):
-            raise ShuffleError(
-                f"rule line {lineno}: every generator must take two arguments"
-            )
         try:  # the sides' labels differ, or orient refuses the equation
             rules.append(orient(lhs - rhs))
         except ShuffleError as exc:

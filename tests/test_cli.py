@@ -188,19 +188,35 @@ def test_confluence_refuses_a_rule_that_does_not_decrease(tmp_path, capsys, max_
     ids=["confluence", "count-normal"],
 )
 def test_non_binary_rule_is_input_error(tmp_path, capsys, command):
-    # (rule file, the line refused): ternary on both sides, a unary node,
-    # and a binary lhs with a ternary rhs after a valid rule.
+    # (rule file, where it is refused): ternary on both sides, refused at
+    # the first third child; a unary node, refused at its ')'; and a binary
+    # lhs with a ternary rhs after a valid rule.
     cases = [
-        ("z(z(1 2 3) 4 5) = z(1 z(2 3 4) 5)\n", 1),
-        ("# unary\n\ny(x(1) 2) = y(1 2)\n", 3),
-        ("x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)\nx(x(1 2) 3) = x(1 2 3)\n", 2),
+        ("z(z(1 2 3) 4 5) = z(1 z(2 3 4) 5)\n", "line 1, left side", 8),
+        ("# unary\n\ny(x(1) 2) = y(1 2)\n", "line 3, left side", 5),
+        ("x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)\nx(x(1 2) 3) = x(1 2 3)\n",
+         "line 2, right side", 7),
     ]
-    for text, lineno in cases:
+    for text, where, position in cases:
         rules = tmp_path / "wide.rules"
         rules.write_text(text)
         code = main([command[0], "--rules", str(rules), *command[1:]])
-        assert (code, *capsys.readouterr()) == (
-            2, "", f"error: rule line {lineno}: every generator must take two arguments\n")
+        assert (code, *capsys.readouterr()) == (2, "", (
+            f"error: rule {where}: a generator takes two arguments (at position {position})\n"))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["confluence"], ["count-normal", "-n", "4"]],
+    ids=["confluence", "count-normal"],
+)
+def test_a_rule_whose_labels_are_not_one_to_k_is_input_error(tmp_path, capsys, command):
+    # Such a rule never divides anything, its own lhs included.
+    rules = tmp_path / "shifted.rules"
+    rules.write_text("x(x(2 3) 4) = x(2 x(3 4))\n")
+    code = main([command[0], "--rules", str(rules), *command[1:]])
+    assert (code, *capsys.readouterr()) == (
+        2, "", "error: rule line 1: a rule's leaf labels must be 1..k, got [2, 3, 4]\n")
 
 
 def test_deeply_nested_rule_is_input_error(tmp_path, capsys):

@@ -17,6 +17,12 @@ def test_partitions_trivial_and_small():
     assert partitions(0, 1) == []
 
 
+def test_partitions_refuses_min_parts_below_one():
+    for min_parts in (0, -1):
+        with pytest.raises(ValueError, match="^min_parts must be >= 1$"):
+            partitions(4, min_parts)
+
+
 def test_partition_validation():
     for parts, message in [
         ((), "partition must have at least one part"),

@@ -30,3 +30,20 @@ def test_str_is_graded_and_deterministic():
     assert str(q) == "-y4 + x2^2*y2"
     assert str(MultiPoly.zero()) == "0"
     assert str(MultiPoly.const(-7)) == "-7"
+
+
+def test_equality_with_an_int_and_with_a_foreign_type():
+    assert MultiPoly.const(3) == 3 and MultiPoly.zero() == 0
+    assert x(2) != 0 and MultiPoly.const(3) != 4
+    assert (x(2) == "x2") is False and (MultiPoly.const(3) == 3.5) is False
+
+
+def test_hash_agrees_with_equality():
+    p, q = (x(2) + y(2)) * x(3), x(3) * y(2) + x(3) * x(2)
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q, x(2) - x(2), MultiPoly.zero()}) == 2
+
+
+def test_repr_shows_the_text():
+    assert repr(x(3) + 3 * x(2) * y(2)) == "MultiPoly(x3 + 3*x2*y2)"
+    assert repr(MultiPoly.zero()) == "MultiPoly(0)"

@@ -133,7 +133,7 @@ def test_enumerated_monomials_satisfy_shuffle_condition():
 
 
 def test_higher_arity_generators_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(ShuffleError, match="^only binary generators are supported, got t/3$"):
         list(enumerate_shuffle_trees([("t", 3)], 3))
 
 
@@ -198,12 +198,10 @@ def test_order_key_matches_path_word_tuples():
         low = rng.randint(1, 3)
         labels = list(range(low, low + rng.randint(1, 7)))
         monos.append(_random_monomial(rng, labels, symbols))
-    # ternary nodes take the order key's n-ary walk, binary ones its inline branch
-    monos += [parse_monomial(t) for t in ("t(1 2 3)", "x(t(1 3 4) 2)", "t(1 x(2 4) 3)")]
+    monos += [parse_monomial(t) for t in ("t(1 2)", "x(t(1 3) 2)", "t(1 x(2 4))")]
     for _ in range(100):
         labels = list(range(1, rng.randint(3, 9)))
-        monos.append(_random_nary_monomial(rng, labels, symbols[:4] + ["t"]))
-    assert sum(_has_ternary_node(m) for m in monos) > 50
+        monos.append(_random_monomial(rng, labels, symbols[:4] + ["t"]))
     keys = [(monomial_key(m), _ref_order_key(m)) for m in monos]
     for (ka, ra), (kb, rb) in itertools.combinations(keys, 2):
         assert (ka > kb) - (ka < kb) == (ra > rb) - (ra < rb)
@@ -284,7 +282,7 @@ def _sorted_embeddings(m, lhs):
         if isinstance(pat, int):
             slots.append((pat, node))
             return True
-        if isinstance(node, int) or node[0] != pat[0] or len(node) != len(pat):
+        if isinstance(node, int) or node[0] != pat[0]:
             return False
         return all(match(cn, cp, slots) for cn, cp in zip(node[1:], pat[1:]))
 
@@ -322,24 +320,21 @@ def test_divisor_search_matches_sorted_order_check():
         for m in enumerate_shuffle_trees(XY, n):
             for lhs in lhss:
                 _assert_divisor_search_matches(m, lhs)
-    # Ternary nodes, in hosts and lhs's: t(x(1 2) 3 4) and x(1 2 3) share
-    # a root symbol, and the first also the length, with hosts whose shape
-    # they do not have there.
+    # Hosts over x and t, and lhs's that share a root symbol with hosts
+    # whose shape they do not have there.
     lhss = [parse_monomial(t) for t in (
-        "t(1 2 3)", "x(t(1 3 4) 2)", "t(1 x(2 3) 4)", "t(x(1 2) 3 4)", "x(1 2 3)", "x(x(1 2) 3)")]
+        "t(1 2)", "x(t(1 3) 2)", "t(1 x(2 3))", "t(x(1 2) 3)", "x(1 t(2 3))", "x(x(1 2) 3)")]
     rng = random.Random(11)
-    hosts = [parse_monomial(t) for t in ("t(1 2 3)", "x(t(1 3 4) 2)", "x(t(1 2 4) 3)",
-                                          "t(1 x(2 3) 4)", "t(x(1 2) 3 4)", "x(1 x(t(2 3 4) 5))")]
-    hosts += [_random_nary_monomial(rng, list(range(1, rng.randint(3, 9))), ["x", "t"])
+    hosts = [parse_monomial(t) for t in ("t(1 2)", "x(t(1 3) 2)", "x(t(1 2) 3)",
+                                          "t(1 x(2 3))", "t(x(1 2) 3)", "x(1 x(t(2 3) 4))")]
+    hosts += [_random_monomial(rng, list(range(1, rng.randint(3, 9))), ["x", "t"])
               for _ in range(300)]
     root_only = 0
     for m in hosts:
         for lhs in lhss:
             _assert_divisor_search_matches(m, lhs)
-            root_only += (m[0] == lhs[0] and len(m) == len(lhs)
-                          and shuffle._embedding_at(m, (), lhs) is None)
+            root_only += m[0] == lhs[0] and shuffle._embedding_at(m, (), lhs) is None
     assert root_only > 50
-    assert sum(_has_ternary_node(m) for m in hosts) > 200
 
 
 # --- rewriting ---------------------------------------------------------
@@ -431,8 +426,9 @@ def _random_monomial(rng, labels, symbols):
 
 
 def _random_nary_monomial(rng, labels, symbols):
-    """A shuffle monomial on the labels with binary and ternary nodes: each
-    node's labels fall into blocks, its children, listed by least label."""
+    """A shuffle-ordered tree on the labels with binary and ternary nodes,
+    which the engine refuses: each node's labels fall into blocks, its
+    children, listed by least label."""
     if len(labels) == 1:
         return labels[0]
     firsts = rng.sample(labels, min(rng.choice((2, 3)), len(labels)))
@@ -444,8 +440,9 @@ def _random_nary_monomial(rng, labels, symbols):
     return (rng.choice(symbols), *[_random_nary_monomial(rng, sorted(b), symbols) for b in blocks])
 
 
-def _has_ternary_node(m):
-    return not isinstance(m, int) and (len(m) == 4 or any(_has_ternary_node(c) for c in m[1:]))
+def _has_non_binary_node(m):
+    return not isinstance(m, int) and (
+        len(m) != 3 or any(_has_non_binary_node(c) for c in m[1:]))
 
 
 BAD_JACOBI = parse_rules("x(x(1 2) 3) = x(1 x(2 3)) + 2*x(x(1 3) 2)")
@@ -570,7 +567,14 @@ def _ref_str(e):
     ],
 )
 def test_print_monomial_matches_the_recursive_printer(m):
-    assert print_monomial(m) == _ref_print(m)
+    if not _has_non_binary_node(m):
+        assert print_monomial(m) == _ref_print(m)
+        return
+    # The printer and the order key read a node as (symbol, left, right),
+    # trusting validation: any other node is refused, not printed.
+    for walk in (print_monomial, monomial_key):
+        with pytest.raises(ValueError, match="values to unpack"):
+            walk(m)
 
 
 def test_print_monomial_takes_linear_time_on_long_labels():
@@ -590,7 +594,7 @@ def test_print_monomial_matches_the_recursive_printer_on_a_seeded_sweep():
             labels = [10 ** 59 + x for x in labels]  # 60-digit labels
         if rng.random() < 0.3:  # a leaf that no valid monomial has
             labels[rng.randrange(len(labels))] = rng.choice((0, -rng.randint(1, 99), True))
-        sample.append(_random_nary_monomial(rng, labels, rng.sample(symbols, rng.randint(1, 3))))
+        sample.append(_random_monomial(rng, labels, rng.sample(symbols, rng.randint(1, 3))))
     round_trips = 0
     for m in sample:
         text = print_monomial(m)
@@ -603,7 +607,6 @@ def test_print_monomial_matches_the_recursive_printer_on_a_seeded_sweep():
             assert parse_monomial(text) == m
             round_trips += 1
     assert round_trips > 300
-    assert sum(_has_ternary_node(m) for m in sample) > 500
     assert any(re.search(r"\bTrue\b", _ref_print(m)) for m in sample)
     assert any(re.search(r"\(-\d|\d{60}", _ref_print(m)) for m in sample)
     # printing recurses once per level, in Python: the deepest monomial parsed
@@ -965,9 +968,23 @@ def test_normal_count_rejects_a_repeated_generator():
 # --- rule parsing ------------------------------------------------------
 
 
-def test_a_cancelled_non_binary_term_is_not_in_the_rule():
+def test_a_cancelled_non_binary_term_is_refused():
+    # refused where the parser meets its third child, before terms cancel
     lie = "x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)"
-    assert parse_rules(lie + " + z(1 2 3) - z(1 2 3)") == parse_rules(lie)
+    message = "rule line 1, right side: a generator takes two arguments (at position 35)"
+    with pytest.raises(ShuffleError, match=f"^{re.escape(message)}$"):
+        parse_rules(lie + " + z(1 2 3) - z(1 2 3)")
+
+
+def test_orient_refuses_leaf_labels_other_than_one_to_k():
+    # Divisor search ranks the subtrees hanging at an lhs's leaves by its
+    # labels: with labels 2..4 the rule would never apply, not even to its lhs.
+    message = "a rule's leaf labels must be 1..k, got [2, 3, 4]"
+    with pytest.raises(ShuffleError, match=f"^{re.escape(message)}$"):
+        orient(parse_element("x(x(2 3) 4) - x(2 x(3 4))"))
+    with pytest.raises(ShuffleError, match=re.escape("got [1, 2, 4]")):
+        parse_rules("x(1 x(2 4)) = 0")
+    assert orient(parse_element("x(x(1 2) 3) - x(1 x(2 3))")).lhs == parse_monomial("x(x(1 2) 3)")
 
 
 def test_orient_puts_leading_monomial_left():
@@ -1091,13 +1108,19 @@ def test_sums_and_differences_drop_cancelled_terms_and_refuse_mixed_labels():
             combine(parse_element("x(1 3)"), e)
 
 
+def test_an_element_repr_shows_its_text():
+    assert repr(parse_element("x(1 x(2 3)) - 1/2*x(x(1 3) 2)")) == (
+        "ShuffleElement(-1/2*x(x(1 3) 2) + x(1 x(2 3)))")
+    assert repr(ShuffleElement()) == "ShuffleElement(0)"
+
+
 def test_rules_alphabet():
     assert rules_alphabet(LIE_ADM) == [("x", 2), ("y", 2)]
     assert rules_alphabet(JACOBI) == [("x", 2)]
 
 
 def test_element_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(ShuffleError, match="terms with different leaf labels"):
         ShuffleElement({parse_monomial("x(1 2)"): 1, parse_monomial("x(x(1 2) 3)"): 1})
     assert not ShuffleElement({parse_monomial("x(1 2)"): 0})
 
@@ -1111,9 +1134,9 @@ def _monomials(draw, labels):
     if len(labels) == 1:
         return labels[0]
     labels = draw(st.permutations(labels))
-    cuts = sorted(draw(st.sets(st.integers(1, len(labels) - 1), min_size=1, max_size=2)))
-    blocks = [labels[a:b] for a, b in zip((0, *cuts), (*cuts, len(labels)))]
-    children = sorted((draw(_monomials(b)) for b in blocks), key=min_leaf)
+    cut = draw(st.integers(1, len(labels) - 1))
+    children = sorted((draw(_monomials(labels[:cut])), draw(_monomials(labels[cut:]))),
+                      key=min_leaf)
     return (draw(st.sampled_from(["x", "y", "_z", "Ab1"])), *children)
 
 
@@ -1246,14 +1269,29 @@ def _ref_monomial_from(sc, depth=1):
     while sc.peek() != ")":
         if sc.at_end():
             raise ParseError("missing ')'", sc.pos)
+        if len(args) == 2:
+            raise ParseError("a generator takes two arguments", sc.pos)
         args.append(_ref_monomial_from(sc, depth + 1))
+    if len(args) == 1:
+        raise ParseError("a generator takes two arguments", sc.pos)
     sc.take(")")
     if not args:
         raise ParseError("generator application needs arguments", sc.pos)
     return (sym, *args)
 
 
+def _ref_check_shape(m):
+    """Refuse the first node in preorder that is not (symbol, left, right)."""
+    if isinstance(m, int):
+        return
+    if len(m) != 3:
+        raise ShuffleConditionError(f"a generator takes two arguments, got {m!r}")
+    for c in m[1:]:
+        _ref_check_shape(c)
+
+
 def _ref_validate(m):
+    _ref_check_shape(m)
     seen = leaves(m)
     if len(set(seen)) != len(seen):
         raise ShuffleConditionError(f"duplicate leaf labels in {print_monomial(m)}")
@@ -1448,9 +1486,59 @@ def test_validate_monomial_matches_the_reference(m):
     "m, node", [(("x",), "('x',)"), (("x", 1, "a"), "'a'"), (("x", ("y",), 2), "('y',)")]
 )
 def test_validate_monomial_refuses_a_node_without_children(m, node):
-    message = f"a generator node needs children, got {node}"
+    # a str stands where a subtree should; a tuple node without children
+    # is refused as every node that is not (symbol, left, right) is
+    if node.startswith("("):
+        message = f"a generator takes two arguments, got {node}"
+    else:
+        message = f"a generator node needs children, got {node}"
     with pytest.raises(ShuffleConditionError, match=f"^{re.escape(message)}$"):
         validate_monomial(m)
+
+
+@pytest.mark.parametrize("m, node", [
+    (("x", 1), "('x', 1)"), (("x", ("y", 1), 2), "('y', 1)"),
+    (("x", 1, 2, 3), "('x', 1, 2, 3)"), (("x", 1, ("y", 2, 3, 4)), "('y', 2, 3, 4)"),
+    # the first in preorder, before a shuffle violation below it
+    (("t", ("x", 3, 2), 1, 4), "('t', ('x', 3, 2), 1, 4)"),
+])
+def test_validate_monomial_refuses_a_node_that_is_not_binary(m, node):
+    message = f"a generator takes two arguments, got {node}"
+    for build in (validate_monomial, lambda m: ShuffleElement({m: 1})):
+        with pytest.raises(ShuffleConditionError, match=f"^{re.escape(message)}$"):
+            build(m)
+
+
+@pytest.mark.parametrize("parse, text, position", [
+    (parse_monomial, "t(1 2 3)", 6), (parse_monomial, "x(1)", 3),
+    (parse_monomial, "x(1 y(2 3 4))", 10), (parse_monomial, "x(x(1) 2 3)", 5),
+    (parse_element, "x(1 2 3) + x(1 2 3)", 6), (parse_element, "2*x(1 y(2))", 9),
+])
+def test_the_parser_refuses_a_node_that_is_not_binary_where_it_stands(parse, text, position):
+    with pytest.raises(ParseError, match=r"^a generator takes two arguments \(at position") as info:
+        parse(text)
+    assert info.value.position == position
+
+
+def test_every_non_binary_tree_of_a_seeded_sweep_is_refused():
+    rng = random.Random(2020)
+    refused = 0
+    for _ in range(2000):
+        labels = list(range(1, rng.randint(3, 9)))
+        m = _random_nary_monomial(rng, labels, ["x", "ab_1"])
+        if not _has_non_binary_node(m):
+            validate_monomial(m)
+            continue
+        for build in (validate_monomial, lambda m: ShuffleElement({m: 1})):
+            with pytest.raises(ShuffleConditionError, match="^a generator takes two arguments, got"):
+                build(m)
+        text = _ref_print(m)
+        for parse in (parse_monomial, parse_element):
+            with pytest.raises(ParseError, match="^a generator takes two arguments"):
+                parse(text)
+        assert _parse_outcome(parse_monomial, text) == _parse_outcome(_ref_parse_monomial, text)
+        refused += 1
+    assert refused > 1000
 
 
 NOT_A_LEAF_OR_NODE = "a leaf must be an int (not a bool) and a node a tuple, got "

@@ -158,14 +158,9 @@ def cmd_dims(args) -> tuple[dict, list[str]]:
         if args.left or args.right:
             raise CliError("--symbolic takes no --left/--right")
         table = dims_mod.symbolic_dims(args.n)
-        polys = {}
-        lines = []
-        for n in range(2, args.n + 1):
-            b, c = table[n]
-            polys[f"d{n}_bullet"] = str(b)
-            polys[f"d{n}_circ"] = str(c)
-            lines.append(f"d{n}_bullet = {b}")
-            lines.append(f"d{n}_circ = {c}")
+        polys = {f"d{n}_{color}": str(poly) for n in range(2, args.n + 1)
+                 for color, poly in zip(("bullet", "circ"), table[n])}
+        lines = [f"{name} = {text}" for name, text in polys.items()]
         return {"command": "dims-symbolic", "n_max": args.n, "polynomials": polys}, lines
     if not args.left or not args.right:
         raise CliError("--left and --right are required (or use --symbolic)")

@@ -291,16 +291,17 @@ def _entry(lineno: int, raw: str) -> OperadDims:
     if not m or (m.group("seq") is None and m.group("builtin") is None):
         raise OperadError(f"config line {lineno}: cannot parse {raw!r}")
     name = m.group("name")
-    tail = builtin_operad(m.group("builtin")) if m.group("builtin") else None
-    if m.group("seq") is None:
-        return OperadDims(name, tail.fn)
-    body = m.group("seq")[1:-1].strip()
-    toks = body.split(",") if body else []
     try:
-        seq = [int(tok) for tok in toks]
+        tail = builtin_operad(m.group("builtin")) if m.group("builtin") else None
+        if m.group("seq") is None:
+            return OperadDims(name, tail.fn)
+        body = m.group("seq")[1:-1].strip()
+        toks = body.split(",") if body else []
+        return explicit_operad(name, [int(tok) for tok in toks], tail)
+    except OperadError as exc:
+        raise OperadError(f"config line {lineno}: {exc}") from None
     except ValueError:
         raise OperadError(f"config line {lineno}: {_refused_entry(toks)}") from None
-    return explicit_operad(name, seq, tail)
 
 
 def _refused_entry(toks: list[str]) -> str:

@@ -63,6 +63,8 @@ class MultiPoly:
         return self.terms == other.terms
 
     def __hash__(self):
+        if self.terms.keys() <= {_ONE_MONOMIAL}:  # a constant, 0 included, hashes as its int
+            return hash(self.terms.get(_ONE_MONOMIAL, 0))
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":

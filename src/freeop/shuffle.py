@@ -181,14 +181,6 @@ def _refusal(message: str, position: int) -> ValueError:
     return ValueError(f"{message} at position {position}")
 
 
-def _refuse_stray(text: str, grammar: str) -> None:
-    """Once a tree or network parse has failed, refuse the first character
-    of text that starts no token of grammar, the fault named before any other."""
-    for t in re.finditer(grammar + r"|\S", text):
-        if not re.fullmatch(grammar, t[0]):
-            raise _refusal(f"bad character {t[0]!r}", t.start()) from None
-
-
 # The parsers recurse once per level and later passes (validation, the
 # order key, divisor search) up to about twice as deep, so a limit well
 # under Python's recursion limit makes deep input a parse error.
@@ -266,13 +258,15 @@ def parse_monomial(text: str):
 
 
 # A path word is one str holding chr(0x10FFFF - ord(c)) per symbol
-# character c, so an alphabetically earlier symbol compares greater, and an
-# extension beats its prefix as a longer str does.
+# character c, each symbol closed by "\U0010ffff", which is above them all.
+# Words compare symbol by symbol: an alphabetically earlier symbol compares
+# greater ("a" above "ab"), and an extension beats its prefix as a longer
+# str does.
 
 
 @functools.lru_cache(maxsize=1024)
 def _symbol_word(sym: str) -> str:
-    return "".join(chr(0x10FFFF - ord(c)) for c in sym)
+    return "".join(chr(0x10FFFF - ord(c)) for c in sym) + "\U0010ffff"
 
 
 def _order_key(m) -> tuple:
@@ -849,24 +843,21 @@ def _occurrence(m, path: tuple[int, ...], lhs) -> Embedding:
     return Embedding(path, dict(slots))
 
 
-def _pattern_labelings(shape, placed) -> list:
+def _pattern_labelings(shape, placed) -> Iterator:
     """The shuffle trees of shape in which each lhs placed at its path
     keeps its order pattern: its slots take their least labels in the
     order of their lhs labels.  Labels 1..n are placed in increasing order
     on the leaves, numbered in planar order, and a leaf takes the next one
     only if, in each occurrence, its slot already has a label or is the
     next to start.  Every vertex lies in an occurrence of a shuffle tree,
-    so every labeling built is one.  They are sorted by each vertex's
-    left-child labels in preorder, combinations compared lexicographically,
-    so that a refusal in overlaps names a fixed overlap.
+    so every labeling built is one.  They come in the order labels are
+    placed; overlaps sorts them.
     """
     shape = _numbered(shape, itertools.count())
     slot_of = [{leaf: k for k, sub in _occurrence(shape, *p).slots.items()
                 for leaf in leaves(sub)} for p in placed]
     rows = [[s.get(leaf, 0) for s in slot_of] for leaf in range(arity(shape))]
-    labelings = _placed(shape, rows, [0] * len(rows), 1, [0] * len(placed))
-    return sorted(labelings, key=lambda m: [
-        sorted(leaves(_subtree_at(m, p)[1])) for p in _internal_vertices(m)])
+    return _placed(shape, rows, [0] * len(rows), 1, [0] * len(placed))
 
 
 def _placed(shape, rows: list, labels: list, k: int, started: list[int]) -> Iterator:
@@ -890,8 +881,10 @@ def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElem
     merges the two shapes and builds each shuffle labeling in which both
     occurrences keep their order pattern (_pattern_labelings).  Pairs of
     two rules are ordered, of one rule unordered; a root-root pair counts
-    once.  The S-element is r1's one-step reduction minus r2's.  Both
-    lhs's must be monomials, shuffle trees, as parse_rules gives them.
+    once.  The S-element is r1's one-step reduction minus r2's, built once
+    the overlaps are sorted, so a rewrite that does not decrease is refused
+    at the largest overlap it spoils.  Both lhs's must be monomials, shuffle
+    trees, as parse_rules gives them.
     """
     same = r1 == r2
     found = []
@@ -905,12 +898,10 @@ def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElem
             placed = ((), top.lhs), (q, inner.lhs)
             for m in _pattern_labelings(_replace_at(top.lhs, q, shape), placed):
                 e_top, e_inner = [_occurrence(m, *p) for p in placed]
-                e1, e2 = (e_top, e_inner) if top is r1 else (e_inner, e_top)
-                s_elem = rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)
-                found.append((m, s_elem))
+                found.append((m, e_top, e_inner) if top is r1 else (m, e_inner, e_top))
     # Stable: one monomial's pairs stay in (r1 path, r2 path) order.
-    found.sort(key=lambda pair: monomial_key(pair[0]), reverse=True)
-    return found
+    found.sort(key=lambda t: monomial_key(t[0]), reverse=True)
+    return [(m, rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)) for m, e1, e2 in found]
 
 
 class ConfluenceReport(namedtuple("ConfluenceReport", "passed overlap_count failures")):

@@ -13,7 +13,7 @@ from operator import itemgetter, mul
 
 from . import trees
 from .dims import builtin_operad
-from .shuffle import MAX_NESTING, _TOO_DEEP, _lex, _refusal, _refuse_stray, _start
+from .shuffle import MAX_NESTING, _TOO_DEEP, _lex, _refusal, _start
 
 EDGE = "e"
 SERIES = "S"
@@ -207,13 +207,10 @@ def _network_at(text: str, tokens: list, i: int, depth: int = 1):
 
 
 def parse_network(text: str):
-    """Inverse of format_network; validates canonical form."""
+    """Inverse of format_network; validates canonical form and raises
+    ValueError at the first fault it meets."""
     tokens = _lex(text, _NET_TOKENS)
-    try:
-        (_, net), i = _network_at(text, tokens, 0)
-        if tokens[i]:
-            raise _refusal("trailing tokens", _start(text, i, _NET_TOKENS))
-    except ValueError:
-        _refuse_stray(text, _NET_TOKENS)
-        raise
+    (_, net), i = _network_at(text, tokens, 0)
+    if tokens[i]:
+        raise _refusal("trailing tokens", _start(text, i, _NET_TOKENS))
     return net

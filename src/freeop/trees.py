@@ -15,7 +15,7 @@ import math
 from collections.abc import Iterator
 
 from .dims import OperadDims, avoiding_count, basis_count
-from .shuffle import MAX_NESTING, _TOO_DEEP, _int, _lex, _refusal, _refuse_stray, _start
+from .shuffle import MAX_NESTING, _TOO_DEEP, _int, _lex, _refusal, _start
 
 BULLET = "bullet"
 CIRC = "circ"
@@ -543,14 +543,10 @@ def _tree_at(text: str, tokens: list, i: int, depth: int = 1):
 
 
 def parse_tree(text: str):
-    """Inverse of format_tree; raises ValueError on input that is malformed
-    or that validate_tree refuses, checking each vertex as it is built."""
+    """Inverse of format_tree; raises ValueError at the first fault it meets,
+    malformed input or a vertex validate_tree refuses, each checked as built."""
     tokens = _lex(text, _TOKENS)
-    try:
-        t, i = _tree_at(text, tokens, 0)
-        if tokens[i]:
-            raise _refusal("trailing tokens", _start(text, i, _TOKENS))
-    except ValueError:
-        _refuse_stray(text, _TOKENS)
-        raise
+    t, i = _tree_at(text, tokens, 0)
+    if tokens[i]:
+        raise _refusal("trailing tokens", _start(text, i, _TOKENS))
     return t

@@ -887,6 +887,22 @@ def test_operands_from_one_config_file_parse_it_once(tmp_path, capsys, monkeypat
     capsys.readouterr()
 
 
+_CHOICES = "['anti-com', 'as', 'com', 'com-as', 'lie', 'nov']"
+
+
+@pytest.mark.parametrize("named", [True, False], ids=["named", "unnamed"])
+@pytest.mark.parametrize("entry, refusal", [
+    ("x = [1] builtin:nope", f"unknown operad 'nope'; choose from {_CHOICES}"),
+    ("x = [1, -1]", "x: dimensions must be nonnegative"),
+], ids=["unknown-builtin", "negative"])
+def test_config_refusals_name_their_line(tmp_path, capsys, entry, refusal, named):
+    cfg = tmp_path / "ops.cfg"
+    cfg.write_text(f"a = builtin:lie\n{entry}\n")
+    left = f"{cfg}:x" if named else f"{cfg}:a"
+    assert main(["dims", "--left", left, "--right", "lie", "-n", "4"]) == 2
+    assert capsys.readouterr() == ("", f"error: config line 2: {refusal}\n")
+
+
 def test_config_number_too_long_has_its_own_message(tmp_path, capsys):
     cfg = tmp_path / "ops.cfg"
     cfg.write_text("a = builtin:lie\nbig = [2, " + "9" * 5000 + "]\n")

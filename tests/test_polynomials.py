@@ -44,6 +44,13 @@ def test_hash_agrees_with_equality():
     assert len({p, q, x(2) - x(2), MultiPoly.zero()}) == 2
 
 
+def test_a_constant_hashes_as_its_int():
+    assert len({3, MultiPoly.const(3)}) == 1 and len({0, MultiPoly.zero()}) == 1
+    assert {3: "a"}.get(MultiPoly.const(3)) == "a" and {MultiPoly.zero(): "z"}[0] == "z"
+    assert MultiPoly.const(-2) in {-2} and 5 in {MultiPoly.const(5)}
+    assert x(2) - x(2) + 7 in {7} and len({1, x(2), MultiPoly.const(1)}) == 2
+
+
 def test_repr_shows_the_text():
     assert repr(x(3) + 3 * x(2) * y(2)) == "MultiPoly(x3 + 3*x2*y2)"
     assert repr(MultiPoly.zero()) == "MultiPoly(0)"

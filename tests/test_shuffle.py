@@ -172,9 +172,23 @@ def test_order_is_graded_by_arity():
     assert compare(large, small) == 1
 
 
+def test_order_key_separates_symbols_of_several_characters():
+    # joined without a boundary, the path words of these two were one word
+    alphabet = [(s, 2) for s in ("a", "b", "ab", "ba")]
+    monos = [m for n in range(1, 5) for m in enumerate_shuffle_trees(alphabet, n)]
+    assert len({monomial_key(m) for m in monos}) == len(monos) == 1013
+    # so an element's text does not depend on the order of its terms
+    terms = [(m, 1 + k % 3) for k, m in enumerate(monos) if arity(m) == 4]
+    assert str(ShuffleElement(dict(terms))) == str(ShuffleElement(dict(terms[::-1])))
+    big, small = "a(ba(1 4) ba(2 3))", "ab(a(1 4) a(2 3))"
+    assert compare(parse_monomial(big), parse_monomial(small)) == 1  # "a" beats "ab"
+    assert parse_rules(f"{big} = {small}") == parse_rules(f"{small} = {big}")
+
+
 def _ref_order_key(m):
     """The order key with path words as tuples: -ord(c) per symbol
-    character, closed by a sentinel below every -ord(c)."""
+    character, each symbol closed by 0, above every -ord(c), and the word
+    closed by a sentinel below every -ord(c)."""
     words, planar = {}, []
 
     def walk(node, word):
@@ -182,7 +196,7 @@ def _ref_order_key(m):
             words[node] = word + (-0x110000,)
             planar.append(node)
             return
-        word += tuple(-ord(c) for c in node[0])
+        word += tuple(-ord(c) for c in node[0]) + (0,)
         for c in node[1:]:
             walk(c, word)
 
@@ -799,10 +813,9 @@ def _overlaps_by_filter(r1, r2):
                 e_inner = shuffle._embedding_at(shuffle._subtree_at(m, q), q, inner.lhs)
                 if e_top is None or e_inner is None:
                     continue
-                e1, e2 = (e_top, e_inner) if top is r1 else (e_inner, e_top)
-                found.append((m, rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)))
-    found.sort(key=lambda pair: monomial_key(pair[0]), reverse=True)
-    return found
+                found.append((m, e_top, e_inner) if top is r1 else (m, e_inner, e_top))
+    found.sort(key=lambda t: monomial_key(t[0]), reverse=True)
+    return [(m, rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)) for m, e1, e2 in found]
 
 
 def _outcome_with_message(fn, r1, r2):
@@ -850,14 +863,14 @@ def test_overlaps_match_the_filter_route(r1, r2):
 
 
 def test_overlap_refusal_names_the_filter_routes_first_overlap():
-    # Two overlaps of one glued shape rewrite upwards; the filter route
-    # meets them in the other order than labels are placed.
+    # Two overlaps of one glued shape rewrite upwards; both routes build
+    # S-elements largest overlap first, so both name the larger.
     r1 = RewriteRule(parse_monomial("y(y(1 5) y(y(2 3) 4))"),
                      parse_element("y(y(1 2) x(x(3 5) 4))"))
     r2 = RewriteRule(parse_monomial("y(x(1 2) y(3 y(4 5)))"),
                      parse_element("y(y(1 x(2 3)) y(4 5))"))
-    message = ("rewrite does not decrease: y(y(1 6) y(y(x(2 3) y(4 y(7 8))) 5))"
-               " -> y(y(1 x(2 3)) x(x(y(4 y(7 8)) 6) 5))")
+    message = ("rewrite does not decrease: y(y(1 8) y(y(x(2 3) y(4 y(5 6))) 7))"
+               " -> y(y(1 x(2 3)) x(x(y(4 y(5 6)) 8) 7))")
     assert _outcome_with_message(overlaps, r1, r2) == message
     assert _outcome_with_message(_overlaps_by_filter, r1, r2) == message
 
@@ -1201,6 +1214,22 @@ def test_parse_element_returns_an_element_or_raises_shuffle_error(text):
     except ShuffleError:
         return
     assert parse_element(str(e)) == e
+
+
+def test_parse_element_refuses_a_character_outside_the_grammar_anywhere():
+    # first fault: a stray inserted into a valid text is refused where it
+    # stands or, inside a symbol or number, no later
+    rng = random.Random(22)
+    coefficients = [1, -1, 2, Fraction(-1, 2), Fraction(3, 4)]
+    for _ in range(500):
+        labels = list(range(1, rng.randint(1, 6) + 1))
+        text = str(ShuffleElement({
+            _random_monomial(rng, labels, ["x", "ab_1", "y"]): rng.choice(coefficients)
+            for _ in range(rng.randint(1, 3))}))
+        i = rng.randrange(len(text) + 1)
+        with pytest.raises(ParseError) as info:
+            parse_element(text[:i] + rng.choice("@!") + text[i:])
+        assert info.value.position <= i
 
 
 # --- the token parser against the character scanner -----------------------

@@ -24,13 +24,16 @@ from . import trees
 # (README), 0.7-1.3 s.  `basis --list` also takes n <= trees.LIST_ARITY_MAX,
 # which bounds the set partitions its walk visits.
 LIST_MAX = 1_000_000
-# Counts take O(n^3) big-integer operations.  Measured with CPython 3.11.7
-# on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of 3-5
-# runs: the dims recurrence for as*as takes 0.6 s at n=150, 1.6-2.0 s at
-# n=200 and 10 s at n=300 (free_product_dims, one run); the quotient 2.6 s
-# at n=200; the count-normal DP for lie-adm 1.0 s at n=150 and 2.6 s at
-# n=200 (rules it cannot count test each shuffle tree against each rule,
-# refused past shuffle._ENUMERATION_MAX tests).
+# Counts take up to O(n^3) big-integer operations.  Measured with CPython
+# 3.11.7 on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of
+# 3 runs, at n=200: the dims recurrence costs O(K n^2) for an operand with
+# a builtin tail after K arities, so as*as takes 0.05 s (the quotient
+# 0.05 s) and lie*com 0.03 s; explicit sequences with no builtin tail on
+# both sides (d(k) = k! + 1) still build the whole O(n^3) triangle,
+# 1.6-2.0 s (the quotient 1.9-2.7 s), and set the bound with the
+# count-normal DP for lie-adm, 1.0 s at n=150 and 2.6 s at n=200 (rules it
+# cannot count test each shuffle tree against each rule, refused past
+# shuffle._ENUMERATION_MAX tests).
 COUNT_MAX = 200
 # The count-normal DP takes O(n^3 |S|^2) operations for an alphabet S, and
 # COUNT_MAX was measured with two generators: larger alphabets get the

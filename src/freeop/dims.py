@@ -3,9 +3,12 @@
 The arity-n component of the free product splits into trees with a
 bullet root and trees with a circ root; each is a sum over the root's
 arity of partial Bell polynomials in the other color's smaller
-dimensions, O(n^3) ring operations in all.  The same recursion can be
-run over integers or over polynomials in the component dimensions, and
-one color's Bell rows count the quotient by a pattern avoidance.
+dimensions.  An operand that follows a builtin family past its first K
+arities needs Bell columns up to K only, the family's share coming from
+one series recurrence: O(K n^2) ring operations, and O(n^3) for an
+operand with no such family.  The same recursion can be run over
+integers or over polynomials in the component dimensions, and one
+color's Bell rows count the quotient by a pattern avoidance.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ import operator
 import re
 from collections import namedtuple
 from collections.abc import Callable
+from itertools import accumulate
 
 from .polynomials import MultiPoly
 
@@ -115,8 +119,9 @@ class DimTable(namedtuple("DimTable", "n_max bullet circ")):
         return [t[n] for n in range(1, self.n_max + 1)]
 
 
-def _bell_step(cols: list, binom: list) -> list:
-    """Row n of the partial Bell polynomials, from rows 1..n-1.
+def _bell_step(cols: list, binom: list, k_max: int) -> list:
+    """Row n of the partial Bell polynomials up to column k_max, from rows
+    1..n-1.
 
     The triangle is kept by column, newest-first: cols[k-1] holds B(n-1, k),
     B(n-2, k), ..., B(k, k), and column 1 is the weights, B(m, 1) = w_m with
@@ -124,16 +129,90 @@ def _bell_step(cols: list, binom: list) -> list:
     B(n, k+1) = sum_i C(n-1, i-1) * w_i * B(n-i, k), so with binom row n-1
     of Pascal's triangle and cw[i-1] = C(n-1, i-1) * w_i, each entry is one
     dot product of cw with column k, which ends where the sum does.  Each
-    B(n, k) goes to the head of its column (column n is opened here) and the
-    row is returned as [B(n, 2), ..., B(n, n)]; B(n, 1) = w_n is the
-    caller's to insert.
+    B(n, k) goes to the head of its column and the row is returned as
+    [B(n, 2), ..., B(n, min(n, k_max))]; B(n, 1) = w_n is the caller's to
+    insert.  Column n is opened here while n < k_max: no column at or above
+    k_max is kept, as nothing reads it, and k_max = n_max gives the whole
+    triangle.
     """
+    if k_max < 2:
+        return []
     cw = list(map(operator.mul, binom, reversed(cols[0])))
     row = [sum(map(operator.mul, cw, col)) for col in cols]
-    cols.append([])
+    if len(cols) < k_max - 1:
+        cols.append([])
     for col, b in zip(cols[1:], row):
         col.insert(0, b)
     return row
+
+
+# The builtin families with d(1) = 1 and d(k+1) = (alpha*k + beta) * d(k),
+# as (alpha, beta): com-as, as, lie, and com and anti-com.  Their exponential
+# series f = sum_k d(k) u^k / k! solve (1 - alpha*u) f' = beta*f + 1.
+_FAMILIES = ((0, 1), (1, 1), (1, 0), (2, -1))
+# What a family's own series costs, in products at the top arity: about
+# five Bell columns' worth, measured against the whole triangle (CPython
+# 3.11, heads of 0-8 entries; the split breaks even at n_max = 7-25).
+_FAMILY_COST = 5
+
+
+def _cost(h: int, n_max: int, fam: bool) -> int:
+    """About the products that a head of h entries, with a family or not,
+    costs at arity n_max: cw, the dot products with Bell columns 1..h,
+    column i n_max - i long, and the family's series."""
+    return (h + 1) * n_max - h * (h + 1) // 2 + (_FAMILY_COST * n_max if fam else 0)
+
+
+def _trimmed(seq) -> list:
+    """seq without its trailing zeros."""
+    k = len(seq)
+    while k and not seq[k - 1]:
+        k -= 1
+    return seq[:k]
+
+
+def _split(seq, n_max: int) -> tuple:
+    """(head, family) for the dimensions seq = [d(2), ..., d(n_max)].
+
+    d(k) = family(k) + head[k-2], the head ending at the last arity K at
+    which d and the family differ, so that only Bell columns 2..K are
+    needed; family None is d(k) = 0 past K.  Of None and the families in
+    _FAMILIES, the one that `_cost`s least at n_max wins, None on a tie.
+    Below the n_max at which a family could win, seq is kept whole, and a
+    family that differs at n_max - 1 or n_max never wins, so is not tried.
+    """
+    if _cost(0, n_max, True) >= _cost(n_max - 1, n_max, False):
+        return seq, None
+    head = _trimmed(seq)
+    best, cost = (head, None), _cost(len(head), n_max, False)
+    for alpha, beta in _FAMILIES:
+        if seq[-1] != (alpha * (n_max - 1) + beta) * seq[-2]:
+            continue
+        fam = accumulate([alpha * j + beta for j in range(1, n_max)], operator.mul)
+        head = _trimmed(list(map(operator.sub, seq, fam)))
+        if _cost(len(head), n_max, True) < cost:
+            best, cost = (head, (alpha, beta)), _cost(len(head), n_max, True)
+    return best
+
+
+def _family_row(phi: list, alpha: int) -> list:
+    """phi_(n+1) from phi_n, for phi_n(i) = beta*C(n-1, i-1) + alpha*C(n-1, i),
+    i = 1..n, which obeys Pascal's rule; phi_1 = [beta]."""
+    return [alpha + phi[0], *map(operator.add, phi, phi[1:]), phi[-1]]
+
+
+def _family_share(phi: list, weights: list, fcol: list):
+    """sum_{k>=2} family(k) * B(n, k) over the weights w, with phi = phi_n
+    (`_family_row`) and weights and fcol newest-first: w_(n-1), ..., w_1
+    and f_(n-1), ..., f_1.
+
+    The sum is f_n - w_n for the series F = f(W), W = t + sum_m w_m t^m /
+    m!, and f_n = n! [t^n] F.  F' = f'(W) W' and the family's equation give
+    F' = W' + beta*F*W' + alpha*W*F', that is f_n = w_n + sum_i phi_n(i) *
+    w_i * f_(n-i): one dot product, reading only w_1..w_(n-1).  The caller
+    puts f_n at the head of fcol once w_n is known (f_1 = w_1 = 1).
+    """
+    return sum(map(operator.mul, map(operator.mul, phi, reversed(weights)), fcol))
 
 
 def _run_recursion(xdim, ydim, n_max):
@@ -143,26 +222,43 @@ def _run_recursion(xdim, ydim, n_max):
     over a set partition of the leaves into k blocks, each a leaf or a
     circ-rooted tree: bullet(n) = sum_k xdim(k) * B(n, k), B the partial
     Bell polynomial over (1, circ(2), circ(3), ...), and circ(n) likewise
-    with the colors swapped (`_bell_step`).
+    with the colors swapped (`_bell_step`).  Each operand is split into a
+    builtin family and a head that ends at arity K (`_split`): the head
+    reads Bell columns 2..K and the family one series of its own
+    (`_family_share`), O(K n^2) ring operations in all.  With no family
+    K = n_max, the whole triangle, O(n^3).
 
     xdim/ydim map an arity m >= 2 to a value supporting + and * with ints;
-    each is read once per arity, xdim(n) before ydim(n).  Returns (bullet,
-    circ) dicts for 2 <= n <= n_max.
+    each is read once per arity, xdim(m) before ydim(m), all before the
+    first is used.  Returns (bullet, circ) dicts for 2 <= n <= n_max.
     """
-    dims = (xdim, ydim)
-    # seen[c]: dims[c] at arities 2, 3, ...; cols[c]: the Bell columns over
+    seen = [(xdim(m), ydim(m)) for m in range(2, n_max + 1)]
+    # head[c], fam[c]: operand c's split; cols[c]: the Bell columns over
     # (1, d(2), d(3), ...), d(m) the dimension with a color-c root, which
-    # is column 1; binom: C(n-1, 0..n-1), shared by both colors.
-    seen = ([], [])
+    # is column 1 and which operand 1-c's head reads up to column reach[c];
+    # binom: C(n-1, 0..n-1), shared by both colors.  For each c in fams,
+    # operand c's family series over the other color's dimensions, fcol[c],
+    # and the family's row phi[c] (`_family_share`).
+    xs, ys = zip(*seen)
+    (hx, fx), (hy, fy) = _split(xs, n_max), _split(ys, n_max)
+    head, fam = (hx, hy), (fx, fy)
+    reach = (len(head[1]) + 1, len(head[0]) + 1)
+    fams = [c for c in (0, 1) if fam[c]]
+    phi = [f and [f[1]] for f in fam]
+    fcol = ([], [])
+    share = [0, 0]
     cols = ([[1]], [[1]])
     binom = [1]
     for n in range(2, n_max + 1):
         binom = [1, *map(operator.add, binom, binom[1:]), 1]
+        rows = [_bell_step(cols[c], binom, reach[c]) for c in (0, 1)]
+        for c in fams:
+            # f_(n-1) = w_(n-1) + its share, w the other color's dimensions
+            fcol[c].insert(0, cols[1 - c][0][0] + share[c])
+            phi[c] = _family_row(phi[c], fam[c][0])
+            share[c] = _family_share(phi[c], cols[1 - c][0], fcol[c])
         for c in (0, 1):
-            seen[c].append(dims[c](n))
-        rows = [_bell_step(cols[c], binom) for c in (0, 1)]
-        for c in (0, 1):
-            cols[c][0].insert(0, sum(map(operator.mul, seen[c], rows[1 - c])))
+            cols[c][0].insert(0, sum(map(operator.mul, head[c], rows[1 - c]), share[c]))
     return tuple({n: col[0][n_max - n] for n in range(2, n_max + 1)} for col in cols)
 
 
@@ -205,7 +301,8 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
     every `color` vertex sits over leaves only, so the count is dim_c(n)
     for a `color` root plus sum_k dim_o(k) * B(n, k) for the other root,
     c the color's operad, o the other's and B the partial Bell polynomial
-    over (1, dim_c(2), dim_c(3), ...): O(n^3) integer operations.
+    over (1, dim_c(2), dim_c(3), ...).  dim_o is split as in _run_recursion,
+    so that takes O(K n^2) integer operations, K the end of its head.
     """
     if n < 1:
         raise OperadError(f"arity must be >= 1, got {n}")
@@ -217,13 +314,21 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
     own, other = zip(*[(x.dim(m), y.dim(m)) for m in range(2, n + 1)])
     if color == "circ":
         own, other = other, own
+    head, fam = _split(other, n)
+    phi = fam and [fam[1]]
+    fcol = []
+    share = 0
     cols = [[1]]
     binom = [1]
     for d in own:
         binom = [1, *map(operator.add, binom, binom[1:]), 1]
-        row = _bell_step(cols, binom)
+        row = _bell_step(cols, binom, len(head) + 1)
+        if fam:
+            fcol.insert(0, cols[0][0] + share)
+            phi = _family_row(phi, fam[0])
+            share = _family_share(phi, cols[0], fcol)
         cols[0].insert(0, d)
-    return own[-1] + sum(map(operator.mul, other, row))
+    return own[-1] + sum(map(operator.mul, head, row)) + share
 
 
 def symbolic_dims(n_max: int) -> dict[int, tuple[MultiPoly, MultiPoly]]:

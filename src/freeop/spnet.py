@@ -137,9 +137,11 @@ def macmahon(n: int) -> int:
     for k in range(2, n + 1):
         u_k = (sum(map(mul, c[1:k], reversed(b[1:k]))) + rest[k]) // k
         b.append(2 * u_k)
-        c.append(rest[k] + k * u_k)
+        # k * u_k: the d = k term of c_k, and of c_m for each multiple m of k
+        ku = k * u_k
+        c.append(rest[k] + ku)
         for m in range(2 * k, n + 1, k):
-            rest[m] += k * u_k
+            rest[m] += ku
     return b[n]
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import math
+import operator
 import random
 import re
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeop import dims as dims_mod
 from freeop.dims import (
     DimTable,
     OperadDims,
@@ -21,6 +22,7 @@ from freeop.dims import (
 )
 from freeop.partitions import orbit_count, partitions
 from freeop.polynomials import MultiPoly
+from freeop.trees import count_avoiding_recursive
 
 
 def x(i):
@@ -186,22 +188,29 @@ def test_symbolic_matches_partition_sum_oracle():
 
 
 def _reversion(f, n_max):
-    """Compositional inverse g of the power series f = t + f_2 t^2 + ...,
-    coefficients [0, 1, g_2, ..., g_n_max] as Fractions.
+    """Compositional inverse g of the exponential series f = t + f_2 t^2/2!
+    + ..., coefficients [0, 1, g_2, ..., g_n_max] with g_m = m! [t^m] g,
+    integers when f's are.
 
-    [t^n] f(g) = 0 for n >= 2 gives g_n = -sum_{k>=2} f_k [t^n] g^k, and
-    [t^n] g^k = sum_j g_j [t^(n-j)] g^(k-1) reads only g_1..g_(n-1).
+    [t^n] f(g) = 0 for n >= 2 gives g_n = -sum_{k>=2} f_k p_k(n) / k!, with
+    p_k(m) = m! [t^m] g^k = sum_j C(m, j) g_j p_(k-1)(m-j), which reads
+    only g_1..g_(n-1); k! divides p_k(n), g^k / k! having integer
+    coefficients in this form too.
     """
-    g = [Fraction(0), Fraction(1)]
-    # powers[k][m] = [t^m] g^k, filled in as m grows
+    g = [0, 1]
+    # powers[k][m] = p_k(m), filled in as m grows
     powers = [None, g]
     for n in range(2, n_max + 1):
-        powers.append([Fraction(0)] * n)
-        g_n = Fraction(0)
+        # C(n, j) g_j for j = 1, 2, ..., against p_(k-1)(n-1), p_(k-1)(n-2), ...
+        weighted = [math.comb(n, j) * g[j] for j in range(1, n)]
+        powers.append([0] * n)
+        g_n = 0
         for k in range(2, n + 1):
-            p = sum(g[j] * powers[k - 1][n - j] for j in range(1, n - k + 2))
+            p = sum(map(operator.mul, weighted, reversed(powers[k - 1][k - 1 : n])))
             powers[k].append(p)
-            g_n -= f[k] * p
+            quotient, remainder = divmod(p, math.factorial(k))
+            assert remainder == 0
+            g_n -= f[k] * quotient
         g.append(g_n)
     return g
 
@@ -211,17 +220,12 @@ def _egf_reversion_totals(xdim, ydim, n_max):
     exponential generating series f_P = sum_n dim_P(n) t^n / n!."""
 
     def egf(dim):
-        return [Fraction(0), Fraction(1)] + [
-            Fraction(dim(n), math.factorial(n)) for n in range(2, n_max + 1)
-        ]
+        return [0, 1] + [dim(n) for n in range(2, n_max + 1)]
 
     gx, gy = _reversion(egf(xdim), n_max), _reversion(egf(ydim), n_max)
     inverse = [a + b for a, b in zip(gx, gy)]
     inverse[1] -= 1
-    h = _reversion(inverse, n_max)
-    out = [h[n] * math.factorial(n) for n in range(1, n_max + 1)]
-    assert all(v.denominator == 1 for v in out)
-    return [int(v) for v in out]
+    return _reversion(inverse, n_max)[1:]
 
 
 def test_numeric_matches_egf_reversion_to_n40():
@@ -478,3 +482,72 @@ def test_an_unnamed_line_is_checked(line):
         expected = whole if isinstance(whole, str) else {
             name: dims for name, dims in whole.items() if name in names}
         assert _table_outcome(text, names) == expected
+
+
+# --- builtin tails ---------------------------------------------------------
+
+
+def _headed(tail):
+    """Operands of heads of 0-5 entries before builtin `tail`: none, an
+    arbitrary one, one whose last entry is the builtin's own value and one
+    that differs from the builtin only at its last entry."""
+    fam = builtin_operad(tail).dim
+    heads = ([], [4, 0], [1, 5, fam(4)], [fam(m) for m in range(2, 6)] + [fam(6) + 1])
+    return [explicit_operad(f"{tail}{i}", head, builtin_operad(tail)) for i, head in enumerate(heads)]
+
+
+# d3 = 2 and d10 = 3, zero at every other arity: no family, a head to 10
+_SPARSE = explicit_operad("d3-d10", [0, 2, 0, 0, 0, 0, 0, 0, 3] + [0] * 50)
+
+
+@pytest.mark.parametrize("tail", _BUILTIN_IDS)
+def test_builtin_tails_match_the_independent_routes(tail):
+    # This tail's operands on either side, against themselves, the next
+    # tail's and the sparse operand; avoiding_count splits this tail's
+    # operand once for each color.
+    mine = _headed(tail)
+    others = _headed(_BUILTIN_IDS[(_BUILTIN_IDS.index(tail) + 1) % len(_BUILTIN_IDS)])
+    pairs = [(mine[0], mine[3]), (mine[1], others[2]), (_SPARSE, mine[2])]
+    for a, b in pairs:
+        assert free_product_dims(a, b, 60).totals() == _egf_reversion_totals(a.dim, b.dim, 60)
+        table = free_product_dims(a, b, 12)
+        assert (table.bullet, table.circ) == _partition_sum_dims(a.dim, b.dim, 12)
+    for (a, b), color in zip(pairs[1:], ("circ", "bullet")):
+        assert avoiding_count(a, b, 18, color) == count_avoiding_recursive(a, b, 18, [color])
+
+
+def _columns_built(monkeypatch, run):
+    """The most Bell columns above the weights that the kernel builds for
+    one color while run() runs: the longest row [B(n, 2), ...] it makes."""
+    built = []
+    bell_step = dims_mod._bell_step
+
+    def counting(*args):
+        row = bell_step(*args)
+        built.append(len(row))
+        return row
+
+    monkeypatch.setattr(dims_mod, "_bell_step", counting)
+    run()
+    monkeypatch.undo()
+    return max(built, default=0)
+
+
+def test_bell_columns_end_at_each_operands_head(monkeypatch):
+    # A builtin operand with a family needs no column above the weights, a
+    # head of h entries before it at most h, and with no family (nov, or a
+    # sequence with no builtin tail) every column is built.
+    rng = random.Random(3)
+    for tail in _BUILTIN_IDS:
+        op = builtin_operad(tail)
+        full = 99 if tail == "nov" else 0
+        assert _columns_built(monkeypatch, lambda: free_product_dims(op, AS, 100)) == full
+        h = 1 + _BUILTIN_IDS.index(tail) % 5
+        x = explicit_operad("x", [rng.randint(0, 9) for _ in range(h)], op)
+        assert _columns_built(monkeypatch, lambda: free_product_dims(x, LIE, 100)) <= max(full, h)
+        assert _columns_built(monkeypatch, lambda: avoiding_count(LIE, x, 100, "circ")) <= max(full, h)
+    n = 200
+    arbitrary = explicit_operad("arbitrary", [rng.randint(1, 9) for _ in range(n - 1)])
+    zero = explicit_operad("zero", [0] * (n - 1))
+    assert _columns_built(monkeypatch, lambda: free_product_dims(arbitrary, zero, n)) == n - 1
+    assert _columns_built(monkeypatch, lambda: free_product_dims(_SPARSE, AS, 60)) == 9

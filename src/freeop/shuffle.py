@@ -564,22 +564,38 @@ def all_embeddings(m, lhs) -> list[Embedding]:
 
 
 def find_divisor(m, lhs) -> Embedding | None:
-    """Leftmost-outermost occurrence of lhs as a shuffle subtree, if any."""
+    """Leftmost-outermost occurrence of lhs as a shuffle subtree, if any.
+
+    An lhs with an internal child cannot fit in a cherry, a vertex whose
+    two children are leaves, so the walk skips cherries unless lhs is
+    itself one vertex.
+    """
     if type(m) is int:
         return None
-    if m[0] == lhs[0] and (emb := _embedding_at(m, (), lhs)):
+    return _divisor(m, lhs, type(lhs[1]) is int and type(lhs[2]) is int)
+
+
+def _divisor(node, lhs, cherry: bool) -> Embedding | None:
+    """find_divisor below node, an internal vertex; cherry says whether
+    lhs is one vertex, the only lhs that fits in a cherry."""
+    sym, a, b = node
+    a_leaf, b_leaf = type(a) is int, type(b) is int
+    if a_leaf and b_leaf and not cherry:
+        return None
+    if sym == lhs[0] and (emb := _embedding_at(node, (), lhs)):
         return emb
-    i = 0
-    for c in m[1:]:
-        if type(c) is not int and (sub := find_divisor(c, lhs)):
-            return Embedding((i,) + sub.path, sub.slots)
-        i += 1
+    if not a_leaf and (sub := _divisor(a, lhs, cherry)):
+        return Embedding((0,) + sub.path, sub.slots)
+    if not b_leaf and (sub := _divisor(b, lhs, cherry)):
+        return Embedding((1,) + sub.path, sub.slots)
     return None
 
 
 def _substitute(pat, slots: dict):
     """pat (never a bare leaf) with each leaf label replaced by its slot."""
-    return (pat[0], *[slots[c] if type(c) is int else _substitute(c, slots) for c in pat[1:]])
+    sym, a, b = pat
+    return (sym, slots[a] if type(a) is int else _substitute(a, slots),
+            slots[b] if type(b) is int else _substitute(b, slots))
 
 
 def _replace_at(m, path: tuple[int, ...], sub):
@@ -589,22 +605,25 @@ def _replace_at(m, path: tuple[int, ...], sub):
     return m[: i + 1] + (_replace_at(m[i + 1], path[1:], sub),) + m[i + 2:]
 
 
-def rewrite_at(m, emb: Embedding, rule: RewriteRule, key=_order_key) -> ShuffleElement:
+def _no_decrease(m, new) -> ShuffleError:
+    """The refusal of a rewrite step from m that produced new, not below m."""
+    return ShuffleError(f"rewrite does not decrease: {print_monomial(m)} -> {print_monomial(new)}")
+
+
+def rewrite_at(m, emb: Embedding, rule: RewriteRule) -> ShuffleElement:
     """One reduction step: replace the occurrence of rule.lhs in m.
 
     Every produced monomial is strictly smaller than m; this is asserted
     on each step, so a non-admissible order or badly oriented rule fails
-    loudly.  `key` computes order keys (normal_form passes its memo).
-    Distinct rhs terms give distinct monomials, each its nonzero coefficient.
+    loudly.  Distinct rhs terms give distinct monomials, each its nonzero
+    coefficient.
     """
-    top = key(m)
+    top = _order_key(m)
     out: dict = {}
     for r, coeff in rule.rhs.terms.items():
         new = _replace_at(m, emb.path, _substitute(r, emb.slots))
-        if key(new) >= top:
-            raise ShuffleError(
-                f"rewrite does not decrease: {print_monomial(m)} -> {print_monomial(new)}"
-            )
+        if _order_key(new) >= top:
+            raise _no_decrease(m, new)
         out[new] = coeff
     return ShuffleElement._of(out)
 
@@ -617,14 +636,17 @@ def normal_form(
 ) -> ShuffleElement:
     """Reduce until no monomial is divisible by any rule's lhs.
 
-    Deterministic strategy, top-down: take the largest pending monomial.
-    If no rule divides it, its coefficient is final, since every later
-    rewrite yields only smaller monomials.  Otherwise rewrite it by the
-    first rule at the leftmost-outermost occurrence and queue the new
-    monomials.  This is the Groebner-basis reduction of Dotsenko-Khoroshkin
-    (arXiv:0812.4069): each monomial is keyed and searched for a divisor
-    once.  `keys` memoises order keys by monomial; check_confluence shares
-    one memo across its S-elements.
+    Deterministic strategy, top-down, in one table of pending terms: take
+    the largest pending monomial.  If no rule divides it (find_divisor),
+    its coefficient is final, since every later rewrite yields only
+    smaller monomials.  Otherwise rewrite it by the first rule at the
+    leftmost-outermost occurrence, adding each rhs term's monomial to the
+    table in place: a monomial already pending takes the added
+    coefficient, and only a new one is keyed, checked to lie below the
+    rewritten monomial's key and queued.  This is the Groebner-basis
+    reduction of Dotsenko-Khoroshkin (arXiv:0812.4069): each monomial is
+    keyed and searched for a divisor once.  `keys` memoises order keys by
+    monomial; check_confluence shares one memo across its S-elements.
 
     Reduction is linear: which rule rewrites a monomial, and where, does
     not depend on its coefficient, so nf(den * e) = den * nf(e).  The loop
@@ -640,45 +662,51 @@ def normal_form(
     if rng is not None:
         return _random_normal_form(e, rules, rng)
     memo = {} if keys is None else keys
-
-    def key(m) -> tuple:
-        k = memo.get(m)
-        if k is None:
-            k = memo[m] = _order_key(m)
-        return k
-
     den = math.lcm(*[c.denominator for c in e.terms.values()])
+    # coeffs is the table: every pending monomial's coefficient, 0 once
+    # its terms cancel, until it is taken.
     coeffs = {m: c.numerator * (den // c.denominator) for m, c in e.terms.items()}
-    # Converted once per call: Fraction.numerator and .denominator are
-    # Python properties, too slow to read per term.
-    rules = [
-        RewriteRule(rule.lhs, ShuffleElement._of({
-            m: c.numerator if c.denominator == 1 else c for m, c in rule.rhs.terms.items()
-        }))
+    # (lhs, [(rhs monomial, coefficient)]) per rule, converted once per
+    # call: Fraction.numerator and .denominator are Python properties, too
+    # slow to read per term.
+    table = [
+        (rule.lhs, [(r, c.numerator if c.denominator == 1 else c)
+                    for r, c in rule.rhs.terms.items()])
         for rule in rules
     ]
     # (key, monomial) pairs in increasing order; a monomial is queued once,
     # when it first appears, and never reappears after it is taken.
-    pending = sorted(((key(m), m) for m in coeffs), key=itemgetter(0))
+    for m in coeffs:
+        if m not in memo:
+            memo[m] = _order_key(m)
+    pending = sorted(((memo[m], m) for m in coeffs), key=itemgetter(0))
     final = {}
     while pending:
-        _, m = pending.pop()
+        top, m = pending.pop()
         coeff = coeffs.pop(m)
         if not coeff:
             continue
-        for rule in rules:
-            emb = find_divisor(m, rule.lhs)
+        for lhs, rhs in table:
+            emb = find_divisor(m, lhs)
             if emb is not None:
                 break
         else:
             final[m] = Fraction(coeff, den)
             continue
-        for new, c in rewrite_at(m, emb, rule, key).terms.items():
-            if new in coeffs:
-                coeffs[new] += coeff * c
-            else:
-                coeffs[new] = coeff * c
-                bisect.insort(pending, (memo[new], new), key=itemgetter(0))
+        path, slots = emb
+        for r, c in rhs:
+            new = _replace_at(m, path, _substitute(r, slots))
+            acc = coeffs.get(new)
+            if acc is not None:  # pending, so below every monomial taken
+                coeffs[new] = acc + coeff * c
+                continue
+            k = memo.get(new)
+            if k is None:
+                k = memo[new] = _order_key(new)
+            if k >= top:
+                raise _no_decrease(m, new)
+            coeffs[new] = coeff * c
+            bisect.insort(pending, (k, new), key=itemgetter(0))
     # Terms were finalised largest first, so str() need not sort them.
     return ShuffleElement._of(final, ordered=True)
 

@@ -516,6 +516,27 @@ def test_builtin_tails_match_the_independent_routes(tail):
         assert avoiding_count(a, b, 18, color) == count_avoiding_recursive(a, b, 18, [color])
 
 
+def _product(a: OperadDims, b: OperadDims, n: int) -> OperadDims:
+    """a * b as an explicit operand of its totals to arity n."""
+    return explicit_operad(f"({a.name}*{b.name})", free_product_dims(a, b, n).totals()[1:])
+
+
+def test_free_product_is_associative():
+    # (P*Q)*R and P*(Q*R) on seeded triples of builtins, builtins with a
+    # head and sequences with no builtin tail.
+    rng = random.Random(23)
+    n = 25
+    operands = [builtin_operad(tail) for tail in _BUILTIN_IDS]
+    operands += [explicit_operad(f"h{i}", [rng.randint(0, 9) for _ in range(rng.randint(1, 4))],
+                                 builtin_operad(rng.choice(_BUILTIN_IDS))) for i in range(6)]
+    operands += [explicit_operad(f"e{i}", [rng.randint(0, 9) for _ in range(n - 1)])
+                 for i in range(6)]
+    for _ in range(54):
+        p, q, r = rng.sample(operands, 3)
+        left = free_product_dims(_product(p, q, n), r, n).totals()
+        assert left == free_product_dims(p, _product(q, r, n), n).totals(), (p.name, q.name, r.name)
+
+
 def _columns_built(monkeypatch, run):
     """The most Bell columns above the weights that the kernel builds for
     one color while run() runs: the longest row [B(n, 2), ...] it makes."""

@@ -3,6 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -409,14 +410,29 @@ def test_misoriented_rule_is_refused():
         normal_form(e, [rule])
 
 
+def test_refusal_after_a_term_lands_on_a_pending_monomial():
+    # The rhs's first term, x(1 x(2 3)), decreases and is already pending;
+    # its second, x(x(1 2) 3), is above the lhs x(x(1 3) 2).
+    lhs = parse_monomial("x(x(1 3) 2)")
+    rule = RewriteRule(lhs, parse_element("x(1 x(2 3)) - x(x(1 2) 3)"))
+    assert [compare(r, lhs) for r in rule.rhs.terms] == [-1, 1]
+    with pytest.raises(ShuffleError) as step:
+        rewrite_at(lhs, find_divisor(lhs, lhs), rule)
+    message = "rewrite does not decrease: x(x(1 3) 2) -> x(x(1 2) 3)"
+    assert str(step.value) == message
+    with pytest.raises(ShuffleError) as reduction:
+        normal_form(parse_element("x(x(1 3) 2) + 2*x(1 x(2 3))"), [rule])
+    assert str(reduction.value) == message
+
+
 def _normal_form_by_resorting(e, rules):
     """Reference route: re-sort every pending term at each step and rewrite
-    the largest reducible one by its first dividing rule."""
+    the largest reducible one by its first dividing rule, at the first of
+    all its occurrences (all_embeddings, which walks every vertex)."""
     terms = dict(e.terms)
     while True:
         for m in sorted(terms, key=monomial_key, reverse=True):
-            hits = [(r, find_divisor(m, r.lhs)) for r in rules]
-            hits = [(r, emb) for r, emb in hits if emb is not None]
+            hits = [(r, embs[0]) for r in rules if (embs := all_embeddings(m, r.lhs))]
             if hits:
                 break
         else:
@@ -460,12 +476,15 @@ def _has_non_binary_node(m):
 
 
 BAD_JACOBI = parse_rules("x(x(1 2) 3) = x(1 x(2 3)) + 2*x(x(1 3) 2)")
+# Divisor search skips cherries for an lhs with an internal child, such as
+# the cubic rule's, and walks every vertex for a one-vertex lhs.
+ONE_VERTEX = parse_rules("x(1 2) = y(1 2)")
 
 
 @pytest.mark.parametrize(
     "rules, symbols",
-    [(JACOBI, "x"), (LIE_ADM, "xy"), (BAD_JACOBI, "x")],
-    ids=["lie", "lie-adm", "bad-jacobi"],
+    [(JACOBI, "x"), (LIE_ADM, "xy"), (BAD_JACOBI, "x"), (CUBIC, "x"), (ONE_VERTEX, "xy")],
+    ids=["lie", "lie-adm", "bad-jacobi", "cubic", "one-vertex"],
 )
 def test_normal_form_matches_resorting_route(rules, symbols):
     rng = random.Random(7)
@@ -543,6 +562,19 @@ def test_cancelling_terms_give_zero(rules):
     lhs = ShuffleElement({rules[0].lhs: Fraction(-2, 3)})
     nf = normal_form(lhs - Fraction(-2, 3) * rules[0].rhs, rules)
     assert nf.terms == {} and str(nf) == "0"
+
+
+def test_divisor_search_work_is_pinned():
+    # A work count, the same on any machine: the vertices at which divisor
+    # search tries to match an lhs while seeded lie and lie-adm elements
+    # reduce.  A walk that does not skip the cherries (vertices whose
+    # children are both leaves) probes 1,949.
+    rng = random.Random(41)
+    with mock.patch.object(shuffle, "_embedding_at", wraps=shuffle._embedding_at) as probe:
+        for rules, symbols in ((JACOBI, "x"), (LIE_ADM, "xy")):
+            for e in _seeded_elements(rng, symbols, range(4, 8), range(1, 7)):
+                normal_form(e, rules)
+    assert probe.call_count == 1280
 
 
 # --- printing against a reference --------------------------------------
@@ -937,6 +969,15 @@ def test_normal_count_lie_adm_matches_free_product():
     table = free_product_dims(builtin_operad("lie"), builtin_operad("com"), 30)
     for n in range(2, 31):
         assert count_normal_monomials(XY, LIE_ADM, n) == table.total[n]
+
+
+def test_lie_with_a_free_generator_counts_lie_star_com():
+    # The free product's law: the bundled lie rule over {x, y} leaves y
+    # under no rule, the free operad on one generator, which com counts
+    # ((2n-3)!!), so the normal monomials count lie * com.
+    lie = parse_rules((Path(shuffle.__file__).parent / "rules" / "lie.rules").read_text())
+    table = free_product_dims(builtin_operad("lie"), builtin_operad("com"), 8)
+    assert [count_normal_monomials(XY, lie, n) for n in range(1, 9)] == table.totals()
 
 
 def _count_normal_by_enumeration(alphabet, rules, n):

@@ -1,14 +1,15 @@
 """Dimension engine for free products of binary operads.
 
 The arity-n component of the free product splits into trees with a
-bullet root and trees with a circ root; each is a sum over the root's
-arity of partial Bell polynomials in the other color's smaller
+bullet root and trees with a circ root; each color's count is its
+operand's dimensions composed over the other color's series, a sum of
+partial Bell polynomials.  One kernel, `_compose`, runs that composition
+one arity at a time: the free product is two kernels fed each other's
+values, the quotient by a pattern avoidance one kernel fed one color's
 dimensions.  An operand that follows a builtin family past its first K
 arities needs Bell columns up to K only, the family's share coming from
-one series recurrence: O(K n^2) ring operations, and O(n^3) for an
-operand with no such family.  The same recursion can be run over
-integers or over polynomials in the component dimensions, and one
-color's Bell rows count the quotient by a pattern avoidance.
+one series recurrence: O(K n^2) ring operations, O(n^3) with no such
+family, over integers or over polynomials in the component dimensions.
 """
 from __future__ import annotations
 
@@ -195,24 +196,37 @@ def _split(seq, n_max: int) -> tuple:
     return best
 
 
-def _family_row(phi: list, alpha: int) -> list:
-    """phi_(n+1) from phi_n, for phi_n(i) = beta*C(n-1, i-1) + alpha*C(n-1, i),
-    i = 1..n, which obeys Pascal's rule; phi_1 = [beta]."""
-    return [alpha + phi[0], *map(operator.add, phi, phi[1:]), phi[-1]]
+def _compose(seq, n_max: int):
+    """seq = [d(2), ..., d(n_max)] composed over weights w, w_1 = 1 for the
+    bare leaf: yields c_n = sum_k d(k) * B(n, k) for n = 2..n_max, B the
+    partial Bell polynomial over w, and is then sent w_n (c_n reads only
+    w_1..w_(n-1)).
 
-
-def _family_share(phi: list, weights: list, fcol: list):
-    """sum_{k>=2} family(k) * B(n, k) over the weights w, with phi = phi_n
-    (`_family_row`) and weights and fcol newest-first: w_(n-1), ..., w_1
-    and f_(n-1), ..., f_1.
-
-    The sum is f_n - w_n for the series F = f(W), W = t + sum_m w_m t^m /
-    m!, and f_n = n! [t^n] F.  F' = f'(W) W' and the family's equation give
-    F' = W' + beta*F*W' + alpha*W*F', that is f_n = w_n + sum_i phi_n(i) *
-    w_i * f_(n-i): one dot product, reading only w_1..w_(n-1).  The caller
-    puts f_n at the head of fcol once w_n is known (f_1 = w_1 = 1).
+    seq is split (`_split`): its head reads Bell columns 2..K, K the head's
+    end (`_bell_step`), and its family's share, sum_k family(k) * B(n, k),
+    is f_n - w_n for F = f(W), f the family's series, W = t + sum_m w_m t^m
+    / m! and f_n = n! [t^n] F.  F' = f'(W) W' and the family's equation
+    give F' = W' + beta*F*W' + alpha*W*F', that is f_n = w_n + sum_i
+    phi_n(i) * w_i * f_(n-i), phi_n(i) = beta*C(n-1, i-1) + alpha*C(n-1, i)
+    (Pascal's rule from phi_1 = [beta]): one dot product per arity.
     """
-    return sum(map(operator.mul, map(operator.mul, phi, reversed(weights)), fcol))
+    head, fam = _split(seq, n_max)
+    reach = len(head) + 1
+    alpha, beta = fam or (0, 0)
+    phi, fcol, share = [beta], [], 0  # fcol: f_(n-1), ..., f_1
+    weights = [1]  # w_(n-1), ..., w_1: Bell column 1
+    cols = [weights]
+    binom = [1]
+    for _ in range(2, n_max + 1):
+        if reach > 1:
+            binom = [1, *map(operator.add, binom, binom[1:]), 1]
+        row = _bell_step(cols, binom, reach)
+        if fam:
+            fcol.insert(0, weights[0] + share)
+            phi = [alpha + phi[0], *map(operator.add, phi, phi[1:]), phi[-1]]
+            share = sum(map(operator.mul, map(operator.mul, phi, reversed(weights)), fcol))
+        w = yield sum(map(operator.mul, head, row), share)
+        weights.insert(0, w)
 
 
 def _run_recursion(xdim, ydim, n_max):
@@ -222,44 +236,19 @@ def _run_recursion(xdim, ydim, n_max):
     over a set partition of the leaves into k blocks, each a leaf or a
     circ-rooted tree: bullet(n) = sum_k xdim(k) * B(n, k), B the partial
     Bell polynomial over (1, circ(2), circ(3), ...), and circ(n) likewise
-    with the colors swapped (`_bell_step`).  Each operand is split into a
-    builtin family and a head that ends at arity K (`_split`): the head
-    reads Bell columns 2..K and the family one series of its own
-    (`_family_share`), O(K n^2) ring operations in all.  With no family
-    K = n_max, the whole triangle, O(n^3).
+    with the colors swapped: one `_compose` kernel per color, fed the
+    other's dimensions, O(K n^2) ring operations, K an operand's head's end.
 
     xdim/ydim map an arity m >= 2 to a value supporting + and * with ints;
     each is read once per arity, xdim(m) before ydim(m), all before the
     first is used.  Returns (bullet, circ) dicts for 2 <= n <= n_max.
     """
-    seen = [(xdim(m), ydim(m)) for m in range(2, n_max + 1)]
-    # head[c], fam[c]: operand c's split; cols[c]: the Bell columns over
-    # (1, d(2), d(3), ...), d(m) the dimension with a color-c root, which
-    # is column 1 and which operand 1-c's head reads up to column reach[c];
-    # binom: C(n-1, 0..n-1), shared by both colors.  For each c in fams,
-    # operand c's family series over the other color's dimensions, fcol[c],
-    # and the family's row phi[c] (`_family_share`).
-    xs, ys = zip(*seen)
-    (hx, fx), (hy, fy) = _split(xs, n_max), _split(ys, n_max)
-    head, fam = (hx, hy), (fx, fy)
-    reach = (len(head[1]) + 1, len(head[0]) + 1)
-    fams = [c for c in (0, 1) if fam[c]]
-    phi = [f and [f[1]] for f in fam]
-    fcol = ([], [])
-    share = [0, 0]
-    cols = ([[1]], [[1]])
-    binom = [1]
-    for n in range(2, n_max + 1):
-        binom = [1, *map(operator.add, binom, binom[1:]), 1]
-        rows = [_bell_step(cols[c], binom, reach[c]) for c in (0, 1)]
-        for c in fams:
-            # f_(n-1) = w_(n-1) + its share, w the other color's dimensions
-            fcol[c].insert(0, cols[1 - c][0][0] + share[c])
-            phi[c] = _family_row(phi[c], fam[c][0])
-            share[c] = _family_share(phi[c], cols[1 - c][0], fcol[c])
-        for c in (0, 1):
-            cols[c][0].insert(0, sum(map(operator.mul, head[c], rows[1 - c]), share[c]))
-    return tuple({n: col[0][n_max - n] for n in range(2, n_max + 1)} for col in cols)
+    xs, ys = zip(*[(xdim(m), ydim(m)) for m in range(2, n_max + 1)])
+    bullets, circs = _compose(xs, n_max), _compose(ys, n_max)
+    bullet, circ = {2: next(bullets)}, {2: next(circs)}
+    for n in range(3, n_max + 1):
+        bullet[n], circ[n] = bullets.send(circ[n - 1]), circs.send(bullet[n - 1])
+    return bullet, circ
 
 
 def free_product_dims(x: OperadDims, y: OperadDims, n_max: int) -> DimTable:
@@ -301,8 +290,8 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
     every `color` vertex sits over leaves only, so the count is dim_c(n)
     for a `color` root plus sum_k dim_o(k) * B(n, k) for the other root,
     c the color's operad, o the other's and B the partial Bell polynomial
-    over (1, dim_c(2), dim_c(3), ...).  dim_o is split as in _run_recursion,
-    so that takes O(K n^2) integer operations, K the end of its head.
+    over (1, dim_c(2), dim_c(3), ...): one color of _run_recursion, the
+    `_compose` kernel of dim_o fed dim_c, in O(K n^2) integer operations.
     """
     if n < 1:
         raise OperadError(f"arity must be >= 1, got {n}")
@@ -314,21 +303,11 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
     own, other = zip(*[(x.dim(m), y.dim(m)) for m in range(2, n + 1)])
     if color == "circ":
         own, other = other, own
-    head, fam = _split(other, n)
-    phi = fam and [fam[1]]
-    fcol = []
-    share = 0
-    cols = [[1]]
-    binom = [1]
-    for d in own:
-        binom = [1, *map(operator.add, binom, binom[1:]), 1]
-        row = _bell_step(cols, binom, len(head) + 1)
-        if fam:
-            fcol.insert(0, cols[0][0] + share)
-            phi = _family_row(phi, fam[0])
-            share = _family_share(phi, cols[0], fcol)
-        cols[0].insert(0, d)
-    return own[-1] + sum(map(operator.mul, head, row)) + share
+    rooted = _compose(other, n)
+    count = next(rooted)
+    for d in own[:-1]:
+        count = rooted.send(d)
+    return own[-1] + count
 
 
 def symbolic_dims(n_max: int) -> dict[int, tuple[MultiPoly, MultiPoly]]:
@@ -373,18 +352,21 @@ def parse_operad_config(text: str, names=None) -> dict[str, OperadDims]:
 
     Every line is checked, so a malformed line anywhere is refused; with
     `names`, only the entries named there are built.  A line that
-    _PLAIN_ENTRY_RE does not vouch for is built to be checked.
+    _PLAIN_ENTRY_RE does not vouch for is built to be checked, and that
+    operand is kept.
     """
-    entries: dict[str, tuple[int, str]] = {}  # name -> its last line
+    # name -> its last line and, if built to be checked, the line's operand
+    entries: dict[str, tuple[int, str, OperadDims | None]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         plain = _PLAIN_ENTRY_RE.fullmatch(line)
-        entries[plain[1] if plain else _entry(lineno, raw).name] = lineno, raw
+        op = None if plain else _entry(lineno, raw)
+        entries[plain[1] if plain else op.name] = lineno, raw, op
     return {
-        name: _entry(*entry)
-        for name, entry in entries.items()
+        name: op or _entry(lineno, raw)
+        for name, (lineno, raw, op) in entries.items()
         if names is None or name in names
     }
 

@@ -484,6 +484,25 @@ def test_an_unnamed_line_is_checked(line):
         assert _table_outcome(text, names) == expected
 
 
+def test_each_config_line_is_built_at_most_once(monkeypatch):
+    # b's sequence is not plain digits, so the check builds it; the table
+    # keeps that operand and builds only the plain lines it returns.
+    text = "a = builtin:lie\nb = [+3, 4]\nc = [1, 2] builtin:as\nd = builtin:com"
+    built = []
+    entry = dims_mod._entry
+
+    def counting(lineno, raw):
+        built.append(lineno)
+        return entry(lineno, raw)
+
+    monkeypatch.setattr(dims_mod, "_entry", counting)
+    table = parse_operad_config(text, {"a", "b"})
+    assert (built, sorted(table), table["b"].dim(2)) == ([2, 1], ["a", "b"], 3)
+    built.clear()
+    assert sorted(parse_operad_config(text)) == ["a", "b", "c", "d"]
+    assert built == [2, 1, 3, 4]
+
+
 # --- builtin tails ---------------------------------------------------------
 
 

@@ -14,18 +14,23 @@ import pytest
 
 from freeop import shuffle, spnet, trees
 from freeop.cli import load_rules, main
-from freeop.dims import builtin_operad, explicit_operad
+from freeop.dims import (
+    avoiding_count, builtin_operad, explicit_operad, free_product_dims, symbolic_dims)
 from test_cli import _readme_examples
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "freeop"
 LIE, COM, AS = (builtin_operad(name) for name in ("lie", "com", "as"))
 SPARSE = explicit_operad("s", [0, 0, 1, 0, 0, 0, 0, 0, 1])  # d3 and d10 only
+HEADED = explicit_operad("h", [4, 0], COM)  # split into head and com family from n = 12
 LIE_ADM = load_rules("lie-adm")
 ELEMENT = shuffle.parse_element("x(x(1 2) x(3 4)) - y(x(1 3) y(2 4))")
 CUBIC = shuffle.parse_rules("x(x(x(1 2) 3) 4) = x(1 x(2 x(3 4)))")
 XY = [("x", 2), ("y", 2)]
 TREE = trees.parse_tree("bullet[dec=0](circ[dec=0](1, 2), 3)")
 CALLS = {
+    "free_product_dims": lambda: free_product_dims(HEADED, AS, 40),
+    "avoiding_count": lambda: avoiding_count(HEADED, AS, 40, "circ"),
+    "symbolic_dims": lambda: symbolic_dims(8),
     "normal_form": lambda: shuffle.normal_form(ELEMENT, LIE_ADM),
     "normal_form rng": lambda: shuffle.normal_form(ELEMENT, LIE_ADM, rng=random.Random(5)),
     "check_confluence": lambda: shuffle.check_confluence(LIE_ADM, 5),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeop import shuffle
-from freeop.dims import builtin_operad, free_product_dims
+from freeop.dims import builtin_operad, explicit_operad, free_product_dims
 from freeop.shuffle import (
     ConfluenceReport,
     ParseError,
@@ -978,6 +978,34 @@ def test_lie_with_a_free_generator_counts_lie_star_com():
     lie = parse_rules((Path(shuffle.__file__).parent / "rules" / "lie.rules").read_text())
     table = free_product_dims(builtin_operad("lie"), builtin_operad("com"), 8)
     assert [count_normal_monomials(XY, lie, n) for n in range(1, 9)] == table.totals()
+
+
+def test_monomial_rules_on_disjoint_alphabets_count_the_free_product():
+    # The free product's law by a route that shares no code with dims: the
+    # union of two quadratic monomial rule sets, on disjoint alphabets,
+    # leaves as many normal monomials as the free product of the parts'
+    # counts, operands with no builtin tail.
+    shapes = ("{s}(1 {t}(2 3))", "{s}({t}(1 2) 3)", "{s}({t}(1 3) 2)")
+    n_max = 9
+    for seed in range(40):
+        rng = random.Random(seed)
+        parts = []
+        for symbols in ("ac", "bd"):
+            rules = [
+                RewriteRule(
+                    parse_monomial(rng.choice(shapes).format(
+                        s=rng.choice(symbols), t=rng.choice(symbols))),
+                    ShuffleElement(),
+                )
+                for _ in range(rng.randint(0, 3))
+            ]
+            counts = [count_normal_monomials([(s, 2) for s in symbols], rules, n)
+                      for n in range(2, n_max + 1)]
+            parts.append((rules, explicit_operad(symbols, counts)))
+        (left, p), (right, q) = parts
+        union = [count_normal_monomials([(s, 2) for s in "abcd"], left + right, n)
+                 for n in range(1, n_max + 1)]
+        assert union == free_product_dims(p, q, n_max).totals(), seed
 
 
 def _count_normal_by_enumeration(alphabet, rules, n):

@@ -1,7 +1,7 @@
 """Command-line frontend with stable, scriptable output.
 
 Exit codes: 0 success, 1 mathematical failure (confluence FAIL),
-2 usage or parse errors.
+2 usage or parse errors, or a reader that closed stdout early.
 """
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import argparse
 import functools
 import os
 import sys
+from collections.abc import Iterable
 
 from . import dims as dims_mod
 from . import shuffle as sh
@@ -16,13 +17,15 @@ from . import spnet
 from . import trees
 
 # The one listing bound, checked by check_listing against each listing's
-# size.  A listing holds every tree's or network's text at once: measured
-# with CPython 3.11 on a 2-CPU Xeon, building and writing it (JSON, to
-# /dev/null) takes 0.2-0.25 s and 81 MiB peak for the 665k trees of
-# com*com at n=7, and `sp -n 14 --list` (437,502 networks) 0.6-0.75 s and
-# 96 MiB; the costliest admitted listing measured, 926,695 trees at n=10
-# (README), 0.7-1.3 s.  `basis --list` also takes n <= trees.LIST_ARITY_MAX,
-# which bounds the set partitions its walk visits.
+# size.  A listing is written piece by piece as it is built, and holds only
+# the text of its subtrees and of its root's compositions: measured with
+# CPython 3.11.7 on a shared 2-CPU Xeon, a fresh process writing to
+# /dev/null, with the peak freeop itself allocates (tracemalloc), the 665k
+# trees of com*com at n=7 (JSON) take 0.15-0.17 s and 14 MiB, `sp -n 14
+# --list` (437,502 networks) 0.24-0.27 s and 34 MiB, and the costliest
+# admitted listing measured, 926,695 trees at n=10 (README, JSON),
+# 0.72-0.78 s and 60 MiB.  `basis --list` also takes n <=
+# trees.LIST_ARITY_MAX, which bounds the set partitions its walk visits.
 LIST_MAX = 1_000_000
 # Counts take up to O(n^3) big-integer operations.  Measured with CPython
 # 3.11.7 on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of
@@ -113,50 +116,49 @@ def _read_text(path: str, what: str) -> str:
         raise CliError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
 
 
-def emit(payload: dict, text_lines: list[str], fmt: str) -> None:
+def emit(payload: dict, text_lines: Iterable[str], fmt: str) -> None:
     """Print the payload as JSON, or text_lines one per line.
 
     A listing is a payload whose last key holds text_lines itself (`trees`,
-    `networks`).  Its items are tree or network text, which JSON does not
-    escape, so the array is spliced in as text, not encoded item by item.
-    A line of a listing may hold many items, already joined by the
-    format's LISTING_SEP (`trees.basis_pieces`): text_lines joined by it
-    is the listing either way.
+    `networks`): an iterable of pieces, each one or more items already
+    joined by the format's LISTING_SEP (`trees.basis_pieces`), written as
+    they come, so the listing is never held whole.  Its items are tree or
+    network text, which JSON does not escape, so the array is spliced in
+    as text, not encoded item by item.  The first piece is built before
+    anything is written.
     """
     write = sys.stdout.write
-    if fmt != "json":
-        if text_lines:
-            _write_joined(LISTING_SEP[fmt], text_lines)
-            write("\n")
+    pieces = iter(text_lines)
+    first = next(pieces, None)
+    end = "\n"
+    if fmt == "json":
+        import json  # here, not at the top: no table-format command loads it
+
+        last = max(payload)
+        if payload[last] is not text_lines:
+            print(json.dumps(payload, sort_keys=True))
+            return
+        rest = json.dumps({k: v for k, v in payload.items() if k != last}, sort_keys=True)
+        if first is None:
+            write(f"{rest[:-1]}, {json.dumps(last)}: []}}\n")
+            return
+        write(f'{rest[:-1]}, {json.dumps(last)}: ["')
+        end = '"]}\n'
+    elif first is None:
         return
-    import json  # here, not at the top: no table-format command loads it
-
-    last = max(payload)
-    if payload[last] is not text_lines or not text_lines:
-        print(json.dumps(payload, sort_keys=True))
-        return
-    rest = json.dumps({k: v for k, v in payload.items() if k != last}, sort_keys=True)
-    write(f'{rest[:-1]}, {json.dumps(last)}: ["')
-    _write_joined(LISTING_SEP[fmt], text_lines)
-    write('"]}\n')
-
-
-def _write_joined(sep: str, items: list[str]) -> None:
-    """Write sep.join(items) in chunks of at most 4096 items and, unless one
-    item is longer, about 16 KiB: short items (lines) take few writes, and
-    the text is never copied whole into one string, nor a long item (a
-    basis piece) copied at all."""
-    write = sys.stdout.write
-    step = max(1, min(4096, len(items) * 2**14 // max(1, sum(map(len, items)))))
-    for start in range(0, len(items), step):
-        if start:
-            write(sep)
-        write(sep.join(items[start:start + step]))
+    write(first)
+    sep = LISTING_SEP[fmt]
+    for piece in pieces:
+        write(sep)
+        write(piece)
+    write(end)
 
 
 # Each cmd_* computes its answer, a JSON payload and its table lines for
 # emit, and writes nothing: main checks -n before a handler runs and writes
-# the answer after it returns, so no refusal can follow output.
+# the answer after it returns, so no refusal can follow output.  A listing's
+# pieces are built as emit writes them, after its count, which reads every
+# operand dimension the listing reads: they cannot be refused either.
 def cmd_dims(args) -> tuple[dict, list[str]]:
     if args.symbolic:
         if args.left or args.right:
@@ -250,7 +252,7 @@ def cmd_sp(args) -> tuple[dict, list[str]]:
     lines = [str(count)]
     if args.list:
         check_listing(count, f"networks, n={args.n} has {count}")
-        lines = payload["networks"] = spnet.network_lines(args.n)
+        lines = payload["networks"] = spnet.network_pieces(args.n, LISTING_SEP[args.format])
     return payload, lines
 
 
@@ -339,6 +341,14 @@ def main(argv: list[str] | None = None) -> int:
         emit(payload, lines, args.format)
     except (CliError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): the walk stops here, and what
+        # is still buffered goes to os.devnull, so that the interpreter's
+        # final flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
     return 0 if payload.get("passed", True) else 1  # a confluence FAIL exits 1
 

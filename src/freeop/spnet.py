@@ -7,6 +7,7 @@ the MacMahon numbers 1, 2, 4, 10, 24, 66, 180, ...
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from operator import itemgetter, mul
@@ -54,7 +55,6 @@ def _keyed_node(kind: str, keyed) -> tuple:
 
 
 _EDGE_KEYED = (trees._LEAF_KEY, EDGE)
-_REVERSED = itemgetter(slice(None, None, -1))
 _COM_AS = builtin_operad("com-as")
 
 
@@ -86,24 +86,54 @@ def _validated_key(net):
 
 def enumerate_networks(n: int) -> Iterator:
     """All canonical networks with n edges, deterministic order."""
-    return _all_nets(n, tuple, lambda kind, groups: itertools.product(
-        (kind,), trees._ascending(groups)))
+    def nodes(kind, groups):
+        return itertools.product((kind,), trees._ascending(groups))
+
+    return _all_nets(n, tuple, nodes, nodes)
+
+
+def network_pieces(n: int, sep: str = "\n") -> Iterator[str]:
+    """Text whose sep.join is sep.join(network_lines(n)), yielded a piece
+    at a time; n < 1 is refused by the call, before the first piece.
+
+    Each shared subnetwork's text, and each multiset of them, is joined
+    once, and a node's text is laid out by `_node_pieces`."""
+    return _all_nets(n, " ".join, _node_lines, functools.partial(_node_pieces, sep=sep))
 
 
 def network_lines(n: int) -> list[str]:
     """`format_network` of each network of `enumerate_networks`, in the same
-    order: each shared subnetwork's text, and each multiset of them, is
-    joined once, and a network joins one multiset per size."""
-    return list(_all_nets(n, " ".join, lambda kind, groups: map(
-        f"{kind}({{}})".format,
-        map(" ".join, map(_REVERSED, itertools.product(*groups))))))
+    order: the "\n" pieces of network_pieces, split."""
+    return "\n".join(network_pieces(n)).split("\n")
 
 
-def _all_nets(n: int, group, nodes) -> Iterator:
+def _node_pieces(kind: str, groups, sep: str) -> Iterator[str]:
+    """The text of the kind nodes over each choice of product(*groups),
+    groups of children's text printed in reverse order, joined by sep.
+
+    The groups after the last one with more than one option are the same
+    in every node, and printed first, so each choice of the groups before
+    it joins the text of all the nodes it ends in one call: one piece."""
+    last = len(groups) - 1
+    while last and len(groups[last]) == 1:
+        last -= 1
+    head = f"{kind}(" + "".join(g[0] + " " for g in reversed(groups[last + 1:]))
+    block = groups[last]
+    for rest in itertools.product(*groups[:last]):
+        suffix = "".join(" " + g for g in reversed(rest)) + ")"
+        yield head + (suffix + sep + head).join(block) + suffix
+
+
+def _node_lines(kind: str, groups) -> list[str]:
+    """The text of each kind node over product(*groups), as _node_pieces."""
+    return "\n".join(_node_pieces(kind, groups, "\n")).split("\n")
+
+
+def _all_nets(n: int, group, nodes, top) -> Iterator:
     """The networks with n edges, as `group(children)` builds a multiset
     of children of one size and `nodes(kind, groups)` the nodes of a kind
-    over trees._unlabeled's groups of them; the edge is "e", both the
-    network and its text."""
+    over trees._unlabeled's groups of them, `top` (of the same arguments)
+    those at the root; the edge is "e", both the network and its text."""
     # Networks are com-as*com-as trees (one decoration per arity) without
     # leaf labels.  Mapping the first color to series lists series-rooted
     # networks first, though tree_to_network maps bullet to parallel: kind
@@ -112,6 +142,7 @@ def _all_nets(n: int, group, nodes) -> Iterator:
     return trees._unlabeled(
         _COM_AS, _COM_AS, n, "any", EDGE, group,
         lambda color, d, groups: nodes(kinds[color], groups),
+        lambda color, d, groups: top(kinds[color], groups),
     )
 
 

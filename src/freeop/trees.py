@@ -178,6 +178,9 @@ _PLACEHOLDERS = "ABCDEFGHIJ"
 _HEAD = "".join(map(chr, range(ord(_PLACEHOLDERS[0]))))
 _TAIL = "".join(map(chr, range(ord(_PLACEHOLDERS[-1]) + 1, 128)))
 _TEN = "T"
+# Where a vertex's decoration goes in _vertices_text: no tree text or
+# listing separator holds it.
+_DEC = "#"
 
 
 def _relabeling(labels: str) -> str:
@@ -187,10 +190,11 @@ def _relabeling(labels: str) -> str:
 
 def basis_pieces(
     x: OperadDims, y: OperadDims, n: int, root: str = "any", sep: str = "\n"
-) -> list[str]:
-    """Text whose sep.join is sep.join(basis_lines(x, y, n, root)): one
-    piece per root color and set partition of the labels into the root's
-    blocks that has trees.
+) -> Iterator[str]:
+    """Text whose sep.join is sep.join(basis_lines(x, y, n, root)), yielded
+    one piece per root color and set partition of the labels into the
+    root's blocks that has trees; a bad request is refused by the call,
+    before the first piece.
 
     The trees over a set partition are an order-preserving relabeling of
     the trees over its composition, the block sizes in block order, each
@@ -203,14 +207,14 @@ def basis_pieces(
     """
     _check_request(n, root)
     if n == 1:
-        return ["1"]
+        return iter(["1"])
     if n > LIST_ARITY_MAX:
         raise ValueError(f"a listing's arity must be <= {LIST_ARITY_MAX}, got {n}")
     dim_of = {BULLET: functools.cache(x.dim), CIRC: functools.cache(y.dim)}
     memo: dict = {}
     pieces = (piece for color in (BULLET, CIRC) if root in (color, "any")
               for piece in _pieces(n, color, sep, "123456789" + _TEN, dim_of, memo))
-    return [p.replace(_TEN, "10") for p in pieces] if n == 10 else list(pieces)
+    return (p.replace(_TEN, "10") for p in pieces) if n == 10 else pieces
 
 
 def _pieces(k: int, color: str, sep: str, labels, dim_of: dict, memo: dict) -> Iterator[str]:
@@ -276,18 +280,20 @@ def _vertices_text(sep: str, color: str, d: int, options) -> str:
     joined by sep.
 
     The blocks after the last one with more than one option are the same
-    in every tree, so each choice of decoration and of the children before
-    that block joins the text of all the trees it starts in one call.
+    in every tree, so each choice of the children before that block joins
+    the text of all the trees it starts in one call.  That text is built
+    once, _DEC standing for the decoration, and stamped with each.
     """
     last = len(options) - 1
     while last and len(options[last]) == 1:
         last -= 1
     suffix = "".join(", " + o[0] for o in options[last + 1:]) + ")"
-    firsts = list(map("".join, itertools.product(
-        *[[t + ", " for t in o] for o in options[:last]])))
-    prefixes = [f"{color}[dec={dec}](" + f for dec in range(d) for f in firsts]
+    firsts = itertools.product(*[[t + ", " for t in o] for o in options[:last]])
+    head = f"{color}[dec={_DEC}]("
     block = options[last]
-    return sep.join(p + (suffix + sep + p).join(block) + suffix for p in prefixes)
+    text = sep.join(p + (suffix + sep + p).join(block) + suffix
+                    for p in map(head.__add__, map("".join, firsts)))
+    return sep.join(text.replace(_DEC, str(dec)) for dec in range(d))
 
 
 # --- unlabeled mode -----------------------------------------------------
@@ -312,9 +318,12 @@ def structural_key(t):
 
 
 def _unlabeled(
-    x: OperadDims, y: OperadDims, n: int, root: str, leaf, group, vertices
+    x: OperadDims, y: OperadDims, n: int, root: str, leaf, group, vertices, top
 ) -> Iterator:
-    """`enumerate_basis` with leaf labels forgotten: `leaf` is the built leaf.
+    """`enumerate_basis` with leaf labels forgotten: `leaf` is the built
+    leaf, and the root vertices come from `top`, which takes the arguments
+    of `vertices`, yielded as it builds them and never listed; a bad
+    request is refused by the call.
 
     A vertex's children, a multiset, are listed by partition of the arity,
     part sizes descending, then the product of one multiset of subtrees
@@ -329,32 +338,36 @@ def _unlabeled(
     """
     _check_request(n, root)
     if n == 1:
-        yield leaf
-        return
+        return iter((leaf,))
     walk = (n, leaf, group, vertices, {BULLET: x.dim, CIRC: y.dim}, {})
-    for color in (BULLET, CIRC):
-        if root in (color, "any"):
-            yield from _unlabeled_trees(n, color, walk)[0]
+    return (v for color in (BULLET, CIRC) if root in (color, "any")
+            for d, groups, _ in _shapes(n, color, walk) for v in top(color, d, groups))
+
+
+def _shapes(k: int, color: str, walk: tuple) -> Iterator[tuple]:
+    """(d, groups, ranks) of each partition of k into at least two parts
+    whose color vertices have d > 0 decorations: groups holds a list of
+    multisets per part size (`_multisets`), and ranks their (size, rank)s."""
+    from .partitions import partitions
+
+    dim_of = walk[4]
+    for lam in partitions(k, 2):
+        d = dim_of[color](len(lam))
+        if d:
+            yield (d, *zip(*[_multisets(size, len(list(run)), other_color(color), walk)
+                             for size, run in itertools.groupby(lam)]))
 
 
 def _unlabeled_trees(k: int, color: str, walk: tuple) -> tuple:
     """The trees of (k, color), and if 2k <= n the (k, rank) of each; walk
     is _unlabeled's (n, leaf, group, vertices, dim_of, memo), memo holding
     the answer of each (k, color) and (size, mult, color) already built."""
-    from .partitions import partitions
-
-    n, _, _, vertices, dim_of, memo = walk
+    n, _, _, vertices, _, memo = walk
     if (k, color) in memo:
         return memo[k, color]
     out: list = []
     order: list = []  # (decoration, children's flat (size, rank)s) per tree
-    for lam in partitions(k, 2):
-        d = dim_of[color](len(lam))
-        if d == 0:
-            continue
-        subtrees, ranks = zip(*[
-            _multisets(size, len(list(run)), other_color(color), walk)
-            for size, run in itertools.groupby(lam)])
+    for d, subtrees, ranks in _shapes(k, color, walk):
         out.extend(vertices(color, d, subtrees))
         if 2 * k <= n:
             order.extend(itertools.product(range(d), _ascending(ranks)))
@@ -392,8 +405,10 @@ def enumerate_unlabeled(
     x: OperadDims, y: OperadDims, n: int, root: str = "any"
 ) -> Iterator:
     """Basis trees up to forgetting leaf labels: canonical multisets of children."""
-    return _unlabeled(x, y, n, root, 0, tuple, lambda color, d, groups: itertools.product(
-        (color,), range(d), _ascending(groups)))
+    def vertices(color, d, groups):
+        return itertools.product((color,), range(d), _ascending(groups))
+
+    return _unlabeled(x, y, n, root, 0, tuple, vertices, vertices)
 
 
 # --- grafting with suppression (the As*As planar model) -----------------

@@ -959,14 +959,36 @@ def _in_process(capsys, argv):
     return (code, *capsys.readouterr())
 
 
-def _alone(argv):
+def _cli_process(argv):
+    """The arguments of a subprocess call that runs freeop alone on argv."""
     src = str(Path(freeop.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "freeop.cli", *argv], capture_output=True, text=True, env=env
-    )
+    return [sys.executable, "-m", "freeop.cli", *argv], {**os.environ, "PYTHONPATH": path}
+
+
+def _alone(argv):
+    args, env = _cli_process(argv)
+    proc = subprocess.run(args, capture_output=True, text=True, env=env)
     return (proc.returncode, proc.stdout, proc.stderr)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_a_reader_closing_the_pipe_ends_a_listing_with_exit_2(fmt):
+    # sp -n 12 writes 2.2 MB, more than a pipe holds: the reader takes the
+    # first line (table) or 100 bytes of the one JSON line and closes, and
+    # the listing stops there, with no traceback and no status 1.
+    args, env = _cli_process(["sp", "-n", "12", "--list", "--format", fmt])
+    proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        first = proc.stdout.readline() if fmt == "table" else proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    finally:
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+    expected = b"S(e P(e S(e " if fmt == "table" else b'{"command": "sp", "count": 43930'
+    assert first.startswith(expected)
+    assert (code, err) == (2, b"")
 
 
 def test_repeated_calls_answer_as_each_request_alone(tmp_path, capsys, monkeypatch):

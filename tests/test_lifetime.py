@@ -38,13 +38,16 @@ CALLS = {
     "ShuffleElement": lambda: shuffle.ShuffleElement({("x", ("y", 1, 3), 2): 1}),
     "count_normal_monomials dp": lambda: shuffle.count_normal_monomials(XY, LIE_ADM, 6),
     "count_normal_monomials enumeration": lambda: shuffle.count_normal_monomials(XY, CUBIC, 5),
-    "basis_pieces": lambda: trees.basis_pieces(SPARSE, SPARSE, 10),
+    "basis_pieces": lambda: list(trees.basis_pieces(SPARSE, SPARSE, 10)),
+    "basis_pieces dropped": lambda: next(trees.basis_pieces(SPARSE, SPARSE, 10)),
     "enumerate_basis": lambda: list(trees.enumerate_basis(LIE, COM, 5)),
     "enumerate_unlabeled": lambda: list(trees.enumerate_unlabeled(LIE, AS, 6)),
     "graft": lambda: trees.graft(TREE, [TREE, 1, TREE]),
     "count_avoiding_recursive": lambda: trees.count_avoiding_recursive(
         LIE, COM, 7, [trees.BULLET]),
     "network_lines": lambda: spnet.network_lines(10),
+    "network_pieces": lambda: list(spnet.network_pieces(10, '", "')),
+    "network_pieces dropped": lambda: next(spnet.network_pieces(10)),
     "enumerate_networks": lambda: list(spnet.enumerate_networks(8)),
 }
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freeop import trees
+from freeop.cli import LISTING_SEP
 from freeop.dims import builtin_operad
 from freeop.partitions import partitions
 from freeop.spnet import (
@@ -18,6 +19,7 @@ from freeop.spnet import (
     macmahon,
     make_node,
     network_lines,
+    network_pieces,
     network_to_tree,
     parse_network,
     size,
@@ -276,7 +278,10 @@ def test_parse_network_returns_a_network_or_raises_value_error(text):
 
 def test_network_lines_are_the_formatted_enumeration():
     for n in range(1, 13):
-        assert network_lines(n) == [format_network(t) for t in enumerate_networks(n)]
+        lines = [format_network(t) for t in enumerate_networks(n)]
+        assert network_lines(n) == lines
+        for sep in LISTING_SEP.values():
+            assert sep.join(network_pieces(n, sep)) == sep.join(lines), (n, sep)
     # The make_node route does not share _unlabeled's ordering of children.
     cache = {}
     for n in range(1, 11):
@@ -284,3 +289,5 @@ def test_network_lines_are_the_formatted_enumeration():
         assert network_lines(n) == expected
     with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
         network_lines(0)
+    with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
+        network_pieces(0)  # by the call, before the first piece

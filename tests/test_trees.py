@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -107,6 +108,43 @@ def test_basis_count_matches_enumeration_or_fails_with_it():
                     assert basis_count(a, b, n, root) == count
 
 
+def test_a_listing_reads_no_dimension_its_count_did_not():
+    # The CLI writes a listing's pieces as they are built, after its count:
+    # an OperadError from a dimension only the listing reads would come
+    # after the first byte.  Operands with zeros, short sequences and
+    # builtin tails; every dimension read through fn, by side.
+    rng = random.Random(21)
+    tails = [None, None, COMAS, LIE, builtin_operad("com")]
+
+    def op():
+        seq = [rng.choice((0, 0, 1, 2)) for _ in range(rng.randint(0, 5))]
+        return explicit_operad("o", seq, rng.choice(tails))
+
+    def recorded(side, operand, reads):
+        return dims_mod.OperadDims(side, lambda m: reads.add((side, m)) or operand.fn(m))
+
+    listed = refused = 0
+    for _ in range(40):
+        a, b = op(), op()
+        for n in range(1, 8):
+            for root in (BULLET, CIRC, "any"):
+                reads = set()
+                x, y = recorded("x", a, reads), recorded("y", b, reads)
+                try:
+                    count = basis_count(x, y, n, root)
+                except OperadError:
+                    refused += 1
+                    continue
+                if count > 3000:
+                    continue
+                counted = set(reads)
+                text = "\n".join(basis_pieces(x, y, n, root))
+                assert reads == counted, (a, b, n, root, reads - counted)
+                assert text.count("\n") + bool(text) == count
+                listed += 1
+    assert listed > 300 and refused > 50
+
+
 def _zero_laden_pairs():
     rng = random.Random(5)
     return [
@@ -136,27 +174,31 @@ def test_basis_pieces_join_as_the_lines():
         for root in (BULLET, CIRC, "any"):
             lines = basis_lines(a, b, n, root)
             for sep in ("\n", '", "'):
-                pieces = basis_pieces(a, b, n, root, sep)
+                pieces = list(basis_pieces(a, b, n, root, sep))
                 assert sep.join(pieces) == sep.join(lines), (a.name, b.name, n, root)
                 assert len(pieces) <= len(lines)
-    assert basis_pieces(zero, LIE, 4, BULLET) == []
-    assert basis_pieces(corolla, corolla, 8, CIRC) == ["circ[dec=0](1, 2, 3, 4, 5, 6, 7, 8)"]
+    assert list(basis_pieces(zero, LIE, 4, BULLET)) == []
+    assert list(basis_pieces(corolla, corolla, 8, CIRC)) == [
+        "circ[dec=0](1, 2, 3, 4, 5, 6, 7, 8)"]
     # A bullet root over the blocks {1, 2, 3} and {4}: lie's d2 = 1, so one
     # piece holds the four circ subtrees on {1, 2, 3}, each before the leaf 4.
     piece = "\n".join(
         f"bullet[dec=0]({t}, 4)" for t in basis_lines(LIE, COMAS, 3, CIRC))
     assert piece.count("\n") == 3
-    assert piece in basis_pieces(LIE, COMAS, 4, BULLET)
+    assert piece in list(basis_pieces(LIE, COMAS, 4, BULLET))
 
 
 def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte(monkeypatch):
     # The relabeled text against the independent route, format_tree over
     # enumerate_basis: every builtin and two sparse operands, each pair,
     # at n = 1..7 where the basis has at most 600 trees (the sparse pairs
-    # reach n = 7), every root and both listing separators.
+    # reach n = 7), every root and both listing separators.  Vertices of
+    # one decoration (com-as) and of 2 to 120 (as at n = 5), one text each
+    # stamped with every decoration.
     operands = [builtin_operad(name) for name in sorted(dims_mod._BUILTINS)]
     operands += [explicit_operad("s", [1, 0, 0, 1, 0, 2]),
                  explicit_operad("t", [0, 1, 0, 0, 1, 0])]
+    decorations = set()
     for a, b in itertools.product(operands, repeat=2):
         for n in range(1, 8):
             if basis_count(a, b, n) > 600:
@@ -166,16 +208,20 @@ def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte(monkeypatch):
                 for sep in ("\n", '", "'):
                     text = sep.join(basis_pieces(a, b, n, root, sep))
                     assert text == sep.join(lines), (a.name, b.name, n, root, sep)
+                decorations.update(re.findall(r"dec=(\d+)", "".join(lines)))
+    assert {"0", "11", "119"} <= decorations
     # Then two sparse operands up to n = 10, the leaf 10 printed as two
-    # digits: d5 and d7 against d4 and d5, 126 to 330 trees.  Both routes
-    # walk the same set partitions, so they are built once for the test.
+    # digits: d5 and d7 against d4, d5 and d10 = 12 (two-digit decorations
+    # beside it), 126 to 342 trees.  Both routes walk the same set
+    # partitions, so they are built once for the test.
     monkeypatch.setattr(trees_mod, "_set_partitions",
                         functools.cache(trees_mod._set_partitions))
     a = explicit_operad("s", [0, 0, 0, 1, 0, 1, 0, 0, 0])
-    b = explicit_operad("t", [0, 0, 1, 1, 0, 0, 0, 0, 0])
+    b = explicit_operad("t", [0, 0, 1, 1, 0, 0, 0, 0, 12])
     for n in range(8, 11):
         lines = [format_tree(t) for t in enumerate_basis(a, b, n)]
         assert any("10)" in line for line in lines) == (n == 10)
+        assert ("circ[dec=11](1, 2, 3, 4, 5, 6, 7, 8, 9, 10)" in lines) == (n == 10)
         for root in (BULLET, CIRC, "any"):
             rooted = [line for line in lines if root in ("any", line[:line.index("[")])]
             for sep in ("\n", '", "'):
@@ -184,8 +230,13 @@ def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte(monkeypatch):
 
 
 def test_basis_pieces_refuse_more_leaves_than_placeholders():
+    # Refused by the call, before the first piece, as the count would be.
     with pytest.raises(ValueError, match="arity must be <= 10, got 11"):
         basis_pieces(COMAS, COMAS, 11)
+    with pytest.raises(ValueError, match="bad root 'root'"):
+        basis_pieces(COMAS, COMAS, 3, "root")
+    with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
+        basis_pieces(COMAS, COMAS, 0)
 
 
 def _extend_partition(i, k, parts, results):
@@ -254,7 +305,7 @@ def test_basis_walk_is_the_com_as_walk_and_bounds_the_rest(monkeypatch):
     def walked(a, b, n, root, sep="\n"):
         sizes.clear()
         visits[0] = 0
-        basis_pieces(a, b, n, root, sep)
+        list(basis_pieces(a, b, n, root, sep))
         assert len(sizes) == len(set(sizes))
         return visits[0]
 

@@ -28,16 +28,16 @@ from . import trees
 # trees.LIST_ARITY_MAX, which bounds the set partitions its walk visits.
 LIST_MAX = 1_000_000
 # Counts take up to O(n^3) big-integer operations.  Measured with CPython
-# 3.11.7 on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of
-# 3 runs, at n=200: the dims recurrence costs O(K n^2) for an operand with
-# a builtin tail after K arities, so as*as takes 0.05 s and lie*com 0.03 s,
-# and the quotient, one of its two composition kernels, 0.05 s for as*as;
-# explicit sequences with no builtin tail on both sides (d(k) = k! + 1)
-# still build the whole O(n^3) triangle, 1.6-2.0 s (the quotient 1.9-2.7
-# s), and set the bound with the
-# count-normal DP for lie-adm, 1.0 s at n=150 and 2.6 s at n=200 (rules it
-# cannot count test each shuffle tree against each rule, refused past
-# shuffle._ENUMERATION_MAX tests).
+# 3.11.7 on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of 3
+# runs, at n=200: the dims recurrence costs O(K n^2) for an operand with a
+# builtin tail after K arities, so as*as takes 0.05 s and lie*com 0.03 s, a
+# one-root basis count as much (the kernel continues the other operand's
+# prefix with its family), and the quotient, one of its two kernels, 0.05 s
+# for as*as; explicit sequences with no builtin tail on both sides (d(k) =
+# k! + 1) still build the whole O(n^3) triangle, 1.6-2.0 s (the quotient
+# 1.9-2.7 s), and set the bound with the count-normal DP for lie-adm, 1.0 s
+# at n=150 and 2.6 s at n=200 (rules it cannot count test each shuffle tree
+# against each rule, refused past shuffle._ENUMERATION_MAX tests).
 COUNT_MAX = 200
 # The count-normal DP takes O(n^3 |S|^2) operations for an alphabet S, and
 # COUNT_MAX was measured with two generators: larger alphabets get the

@@ -6,10 +6,10 @@ operand's dimensions composed over the other color's series, a sum of
 partial Bell polynomials.  One kernel, `_compose`, runs that composition
 one arity at a time: the free product is two kernels fed each other's
 values, the quotient by a pattern avoidance one kernel fed one color's
-dimensions.  An operand that follows a builtin family past its first K
-arities needs Bell columns up to K only, the family's share coming from
-one series recurrence: O(K n^2) ring operations, O(n^3) with no such
-family, over integers or over polynomials in the component dimensions.
+dimensions.  Each caller passes the dimensions its answer reads; the
+kernel continues them with the builtin family that matches their last two
+and leaves the shortest head, or with zeros, and builds Bell columns up to
+the head's end K only: O(K n^2) ring operations, over integers or polynomials.
 """
 from __future__ import annotations
 
@@ -151,17 +151,6 @@ def _bell_step(cols: list, binom: list, k_max: int) -> list:
 # as (alpha, beta): com-as, as, lie, and com and anti-com.  Their exponential
 # series f = sum_k d(k) u^k / k! solve (1 - alpha*u) f' = beta*f + 1.
 _FAMILIES = ((0, 1), (1, 1), (1, 0), (2, -1))
-# What a family's own series costs, in products at the top arity: about
-# five Bell columns' worth, measured against the whole triangle (CPython
-# 3.11, heads of 0-8 entries; the split breaks even at n_max = 7-25).
-_FAMILY_COST = 5
-
-
-def _cost(h: int, n_max: int, fam: bool) -> int:
-    """About the products that a head of h entries, with a family or not,
-    costs at arity n_max: cw, the dot products with Bell columns 1..h,
-    column i n_max - i long, and the family's series."""
-    return (h + 1) * n_max - h * (h + 1) // 2 + (_FAMILY_COST * n_max if fam else 0)
 
 
 def _trimmed(seq) -> list:
@@ -172,45 +161,43 @@ def _trimmed(seq) -> list:
     return seq[:k]
 
 
-def _split(seq, n_max: int) -> tuple:
-    """(head, family) for the dimensions seq = [d(2), ..., d(n_max)].
+def _split(seq) -> tuple:
+    """(head, family) for the dimensions seq = [d(2), ..., d(N)].
 
     d(k) = family(k) + head[k-2], the head ending at the last arity K at
     which d and the family differ, so that only Bell columns 2..K are
     needed; family None is d(k) = 0 past K.  Of None and the families in
-    _FAMILIES, the one that `_cost`s least at n_max wins, None on a tie.
-    Below the n_max at which a family could win, seq is kept whole, and a
-    family that differs at n_max - 1 or n_max never wins, so is not tried.
+    _FAMILIES whose ratio d(N) / d(N-1) matches seq's last two entries
+    (d(1) = 1), the shortest head wins, None on a tie.  Past N the split
+    continues d with its family, or with zeros for None.
     """
-    if _cost(0, n_max, True) >= _cost(n_max - 1, n_max, False):
-        return seq, None
-    head = _trimmed(seq)
-    best, cost = (head, None), _cost(len(head), n_max, False)
+    best = _trimmed(seq), None
+    prev, last = [1, 1, *seq][-2:]  # d(1) = 1; an empty seq keeps None
     for alpha, beta in _FAMILIES:
-        if seq[-1] != (alpha * (n_max - 1) + beta) * seq[-2]:
+        if last != (alpha * len(seq) + beta) * prev:
             continue
-        fam = accumulate([alpha * j + beta for j in range(1, n_max)], operator.mul)
+        fam = accumulate([alpha * j + beta for j in range(1, len(seq) + 1)], operator.mul)
         head = _trimmed(list(map(operator.sub, seq, fam)))
-        if _cost(len(head), n_max, True) < cost:
-            best, cost = (head, (alpha, beta)), _cost(len(head), n_max, True)
+        if len(head) < len(best[0]):
+            best = head, (alpha, beta)
     return best
 
 
 def _compose(seq, n_max: int):
-    """seq = [d(2), ..., d(n_max)] composed over weights w, w_1 = 1 for the
-    bare leaf: yields c_n = sum_k d(k) * B(n, k) for n = 2..n_max, B the
-    partial Bell polynomial over w, and is then sent w_n (c_n reads only
-    w_1..w_(n-1)).
+    """d composed over weights w, w_1 = 1 for the bare leaf: yields c_n =
+    sum_k d(k) * B(n, k) for n = 2..n_max, B the partial Bell polynomial
+    over w, and is then sent w_n (c_n reads only w_1..w_(n-1)).
 
-    seq is split (`_split`): its head reads Bell columns 2..K, K the head's
-    end (`_bell_step`), and its family's share, sum_k family(k) * B(n, k),
-    is f_n - w_n for F = f(W), f the family's series, W = t + sum_m w_m t^m
-    / m! and f_n = n! [t^n] F.  F' = f'(W) W' and the family's equation
-    give F' = W' + beta*F*W' + alpha*W*F', that is f_n = w_n + sum_i
-    phi_n(i) * w_i * f_(n-i), phi_n(i) = beta*C(n-1, i-1) + alpha*C(n-1, i)
-    (Pascal's rule from phi_1 = [beta]): one dot product per arity.
+    d is seq = [d(2), ..., d(N)], N <= n_max, continued past N as `_split`
+    continues it: its head reads Bell columns 2..K, K the head's end
+    (`_bell_step`), and its family's share, sum_k family(k) * B(n, k), is
+    f_n - w_n for F = f(W), f the family's series, W = t + sum_m w_m t^m /
+    m! and f_n = n! [t^n] F.  F' = f'(W) W' and the family's equation give
+    F' = W' + beta*F*W' + alpha*W*F', that is f_n = w_n + sum_i phi_n(i) *
+    w_i * f_(n-i), phi_n(i) = beta*C(n-1, i-1) + alpha*C(n-1, i) (Pascal's
+    rule from phi_1 = [beta]): one dot product per arity.
     """
-    head, fam = _split(seq, n_max)
+    head, fam = _split(seq)
     reach = len(head) + 1
     alpha, beta = fam or (0, 0)
     phi, fcol, share = [beta], [], 0  # fcol: f_(n-1), ..., f_1
@@ -229,21 +216,20 @@ def _compose(seq, n_max: int):
         weights.insert(0, w)
 
 
-def _run_recursion(xdim, ydim, n_max):
+def _run_recursion(xs, ys, n_max):
     """The recursion itself, generic over the coefficient semiring.
 
     A bullet-rooted tree on n leaves is an x-decoration of arity k >= 2
     over a set partition of the leaves into k blocks, each a leaf or a
-    circ-rooted tree: bullet(n) = sum_k xdim(k) * B(n, k), B the partial
-    Bell polynomial over (1, circ(2), circ(3), ...), and circ(n) likewise
-    with the colors swapped: one `_compose` kernel per color, fed the
-    other's dimensions, O(K n^2) ring operations, K an operand's head's end.
+    circ-rooted tree: bullet(n) = sum_k x(k) * B(n, k), B the partial Bell
+    polynomial over (1, circ(2), circ(3), ...), and circ(n) likewise with
+    the colors swapped: one `_compose` kernel per color, fed the other's
+    dimensions, O(K n^2) ring operations, K an operand's head's end.
 
-    xdim/ydim map an arity m >= 2 to a value supporting + and * with ints;
-    each is read once per arity, xdim(m) before ydim(m), all before the
-    first is used.  Returns (bullet, circ) dicts for 2 <= n <= n_max.
+    xs/ys are [x(2), ...] and [y(2), ...], values supporting + and * with
+    ints, continued past their ends as `_split` continues them.  Returns
+    (bullet, circ) dicts for 2 <= n <= n_max.
     """
-    xs, ys = zip(*[(xdim(m), ydim(m)) for m in range(2, n_max + 1)])
     bullets, circs = _compose(xs, n_max), _compose(ys, n_max)
     bullet, circ = {2: next(bullets)}, {2: next(circs)}
     for n in range(3, n_max + 1):
@@ -251,11 +237,21 @@ def _run_recursion(xdim, ydim, n_max):
     return bullet, circ
 
 
+def _read(x: OperadDims, y: OperadDims, n: int, y_end: int) -> tuple:
+    """[x(2), ..., x(n)] and [y(2), ..., y(y_end)], x(m) read before y(m)."""
+    xs, ys = [], []
+    for m in range(2, n + 1):
+        xs.append(x.dim(m))
+        if m <= y_end:
+            ys.append(y.dim(m))
+    return xs, ys
+
+
 def free_product_dims(x: OperadDims, y: OperadDims, n_max: int) -> DimTable:
     """Dimension table of the free product of two binary operads."""
     if n_max < 2:
         raise OperadError(f"n_max must be >= 2, got {n_max}")
-    bullet, circ = _run_recursion(x.dim, y.dim, n_max)
+    bullet, circ = _run_recursion(*_read(x, y, n_max, n_max), n_max)
     return DimTable(n_max, bullet, circ)
 
 
@@ -263,7 +259,10 @@ def basis_count(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> int:
     """Number of basis trees of arity n with root color `root`.
 
     `root` is "bullet", "circ" or "any"; arity 1 is the bare leaf.  A
-    one-colored count reads no dimension that listing the trees would not.
+    one-colored count reads no dimension that listing the trees would not:
+    it reads the other operad to arity n-k+1 only, k the root operad's
+    least arity with a nonzero dimension.  Past n-k+1 that operad enters
+    only Bell terms of fewer than k blocks, which the root's zeros cancel.
     """
     if n < 1:
         raise OperadError(f"arity must be >= 1, got {n}")
@@ -271,16 +270,12 @@ def basis_count(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> int:
         raise OperadError(f"bad root {root!r}")
     if n == 1:
         return 1
+    if root == "any":
+        return free_product_dims(x, y, n).total[n]
     if root == "circ":
         x, y = y, x
-    if root != "any":
-        # The other operad decorates only subtrees of at most n-k+1 leaves,
-        # k the least arity at which the root's operad is nonzero.
-        k = next((k for k in range(2, n + 1) if x.dim(k)), n + 1)
-        y_dim = y.dim
-        y = OperadDims(y.name, lambda m: y_dim(m) if m <= n - k + 1 else 0)
-    table = free_product_dims(x, y, n)
-    return table.total[n] if root == "any" else table.bullet[n]
+    k = next((k for k in range(2, n + 1) if x.dim(k)), n + 1)
+    return _run_recursion(*_read(x, y, n, n - k + 1), n)[0][n]
 
 
 def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
@@ -299,8 +294,7 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
         raise OperadError(f"bad color {color!r}")
     if n == 1:
         return 1
-    # Read as _run_recursion reads, x(m) before y(m).
-    own, other = zip(*[(x.dim(m), y.dim(m)) for m in range(2, n + 1)])
+    own, other = _read(x, y, n, n)
     if color == "circ":
         own, other = other, own
     rooted = _compose(other, n)
@@ -317,11 +311,8 @@ def symbolic_dims(n_max: int) -> dict[int, tuple[MultiPoly, MultiPoly]]:
     """
     if not 2 <= n_max <= SYMBOLIC_MAX:
         raise OperadError(f"n_max must be in [2, {SYMBOLIC_MAX}], got {n_max}")
-    bullet, circ = _run_recursion(
-        lambda m: MultiPoly.var("x", m),
-        lambda m: MultiPoly.var("y", m),
-        n_max,
-    )
+    xs, ys = ([MultiPoly.var(v, m) for m in range(2, n_max + 1)] for v in "xy")
+    bullet, circ = _run_recursion(xs, ys, n_max)
     return {n: (bullet[n], circ[n]) for n in range(2, n_max + 1)}
 
 

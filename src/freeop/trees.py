@@ -473,15 +473,22 @@ def tree_matches(t, patterns) -> bool:
     return any(tree_matches(c, patterns) for c in children)
 
 
+def _pattern_colors(patterns) -> list[str]:
+    """The colors in a pattern list, which holds nothing else."""
+    if bad := [p for p in patterns if p not in (BULLET, CIRC)]:
+        raise ValueError(f"a pattern is {BULLET!r} or {CIRC!r}, got {bad[0]!r}")
+    return [c for c in (BULLET, CIRC) if c in patterns]
+
+
 def count_avoiding(x: OperadDims, y: OperadDims, n: int, patterns: list[str]) -> int:
     """Number of basis trees containing no vertex matching any pattern.
 
-    Answered from `dims`: with no color among the patterns, the basis
-    count; with one, `dims.avoiding_count`; with both, every vertex is
-    over leaves only, which leaves the root corollas, dim_x(n) + dim_y(n)
-    (1 at n = 1, as avoiding_count gives it).
+    Answered from `dims`, each pattern a color (anything else is refused):
+    with none, the basis count; with one, `dims.avoiding_count`; with both,
+    every vertex is over leaves only, which leaves the root corollas,
+    dim_x(n) + dim_y(n) (1 at n = 1, as avoiding_count gives it).
     """
-    colors = [c for c in (BULLET, CIRC) if c in patterns]
+    colors = _pattern_colors(patterns)
     if len(colors) == 2 and n > 1:
         return x.dim(n) + y.dim(n)
     return avoiding_count(x, y, n, colors[0]) if colors else basis_count(x, y, n)
@@ -497,6 +504,7 @@ def count_avoiding_recursive(
     """
     from .partitions import partitions, orbit_count
 
+    patterns = _pattern_colors(patterns)
     if n == 1:
         return 1
     dim_of = {BULLET: x.dim, CIRC: y.dim}

@@ -523,14 +523,22 @@ _SPARSE = explicit_operad("d3-d10", [0, 2, 0, 0, 0, 0, 0, 0, 3] + [0] * 50)
 def test_builtin_tails_match_the_independent_routes(tail):
     # This tail's operands on either side, against themselves, the next
     # tail's and the sparse operand; avoiding_count splits this tail's
-    # operand once for each color.
+    # operand once for each color.  A one-root basis_count reads the other
+    # operand to a prefix only, which its kernel continues past the prefix.
     mine = _headed(tail)
     others = _headed(_BUILTIN_IDS[(_BUILTIN_IDS.index(tail) + 1) % len(_BUILTIN_IDS)])
     pairs = [(mine[0], mine[3]), (mine[1], others[2]), (_SPARSE, mine[2])]
     for a, b in pairs:
-        assert free_product_dims(a, b, 60).totals() == _egf_reversion_totals(a.dim, b.dim, 60)
+        whole = free_product_dims(a, b, 60)
+        assert whole.totals() == _egf_reversion_totals(a.dim, b.dim, 60)
+        assert [basis_count(a, b, 60, root) for root in ("bullet", "circ")] == [
+            whole.bullet[60], whole.circ[60]]
         table = free_product_dims(a, b, 12)
-        assert (table.bullet, table.circ) == _partition_sum_dims(a.dim, b.dim, 12)
+        bullet, circ = _partition_sum_dims(a.dim, b.dim, 12)
+        assert (table.bullet, table.circ) == (bullet, circ)
+        for n in range(2, 13):
+            assert [basis_count(a, b, n, root) for root in ("bullet", "circ")] == [
+                bullet[n], circ[n]], (a.name, b.name, n)
     for (a, b), color in zip(pairs[1:], ("circ", "bullet")):
         assert avoiding_count(a, b, 18, color) == count_avoiding_recursive(a, b, 18, [color])
 
@@ -586,6 +594,14 @@ def test_bell_columns_end_at_each_operands_head(monkeypatch):
         x = explicit_operad("x", [rng.randint(0, 9) for _ in range(h)], op)
         assert _columns_built(monkeypatch, lambda: free_product_dims(x, LIE, 100)) <= max(full, h)
         assert _columns_built(monkeypatch, lambda: avoiding_count(LIE, x, 100, "circ")) <= max(full, h)
+        # A one-root count reads the other operand to a prefix, which the
+        # kernel continues with its family.
+        for root in ("bullet", "circ"):
+            assert _columns_built(monkeypatch, lambda: basis_count(op, AS, 100, root)) <= full
+    # Builtin families need no column at small n either.
+    for n in (5, 7, 11):
+        assert _columns_built(monkeypatch, lambda: free_product_dims(AS, COM, n)) == 0
+        assert _columns_built(monkeypatch, lambda: free_product_dims(LIE, COMAS, n)) == 0
     n = 200
     arbitrary = explicit_operad("arbitrary", [rng.randint(1, 9) for _ in range(n - 1)])
     zero = explicit_operad("zero", [0] * (n - 1))

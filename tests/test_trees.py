@@ -111,8 +111,9 @@ def test_basis_count_matches_enumeration_or_fails_with_it():
 def test_a_listing_reads_no_dimension_its_count_did_not():
     # The CLI writes a listing's pieces as they are built, after its count:
     # an OperadError from a dimension only the listing reads would come
-    # after the first byte.  Operands with zeros, short sequences and
-    # builtin tails; every dimension read through fn, by side.
+    # after the first byte.  Nor does a count read a dimension that its
+    # listing, on fresh operands, does not.  Operands with zeros, short
+    # sequences and builtin tails; every dimension read through fn, by side.
     rng = random.Random(21)
     tails = [None, None, COMAS, LIE, builtin_operad("com")]
 
@@ -141,6 +142,10 @@ def test_a_listing_reads_no_dimension_its_count_did_not():
                 text = "\n".join(basis_pieces(x, y, n, root))
                 assert reads == counted, (a, b, n, root, reads - counted)
                 assert text.count("\n") + bool(text) == count
+                reads.clear()
+                x, y = recorded("x", a, reads), recorded("y", b, reads)
+                list(basis_pieces(x, y, n, root))
+                assert reads == counted, (a, b, n, root, counted - reads)
                 listed += 1
     assert listed > 300 and refused > 50
 
@@ -471,12 +476,25 @@ def test_count_avoiding_matches_enumeration_for_any_pattern_list(seed):
     rng = random.Random(seed)
     a = explicit_operad("a", [rng.randint(0, 2) for _ in range(5)])
     b = explicit_operad("b", [rng.randint(0, 2) for _ in range(5)])
-    pattern_lists = [[], [BULLET, CIRC], [CIRC, BULLET, "other"], ["other"]]
+    pattern_lists = [[], [BULLET, CIRC], [CIRC, BULLET, CIRC], [CIRC]]
     for patterns in pattern_lists:
         for n in range(1, 7):
             assert count_avoiding(a, b, n, patterns) == _count_avoiding_by_enumeration(
                 a, b, n, patterns
             ), (patterns, n)
+
+
+def test_a_pattern_that_is_not_a_color_is_refused():
+    # A pattern's name, a bare color string or an unknown entry would
+    # otherwise count as no pattern, or match as a substring.
+    as_ = builtin_operad("as")
+    for patterns, bad in ((["bullet-composite-child"], "bullet-composite-child"),
+                          ([CIRC, BULLET, "other"], "other"), ("bullet", "b"), ([None], None)):
+        for count in (count_avoiding, count_avoiding_recursive):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                count(as_, as_, 5, patterns)
+    for count in (count_avoiding, count_avoiding_recursive):
+        assert count(as_, as_, 5, [PATTERNS_BY_NAME["bullet-composite-child"]]) == 1920
 
 
 def test_both_colors_leave_the_root_corollas():

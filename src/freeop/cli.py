@@ -30,14 +30,15 @@ LIST_MAX = 1_000_000
 # Counts take up to O(n^3) big-integer operations.  Measured with CPython
 # 3.11.7 on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of 3
 # runs, at n=200: the dims recurrence costs O(K n^2) for an operand with a
-# builtin tail after K arities, so as*as takes 0.05 s and lie*com 0.03 s, a
-# one-root basis count as much (the kernel continues the other operand's
-# prefix with its family), and the quotient, one of its two kernels, 0.05 s
-# for as*as; explicit sequences with no builtin tail on both sides (d(k) =
-# k! + 1) still build the whole O(n^3) triangle, 1.6-2.0 s (the quotient
-# 1.9-2.7 s), and set the bound with the count-normal DP for lie-adm, 1.0 s
-# at n=150 and 2.6 s at n=200 (rules it cannot count test each shuffle tree
-# against each rule, refused past shuffle._ENUMERATION_MAX tests).
+# builtin tail after K arities, nov's included, so as*as takes 0.05 s,
+# lie*com 0.03 s and nov*nov 0.07 s, a one-root basis count as much (the
+# kernel continues the other operand's prefix with its family), and the
+# quotient, one of its two kernels, 0.05 s for as*as; explicit sequences
+# with no builtin tail on both sides (d(k) = k! + 1) still build the whole
+# O(n^3) triangle, 1.6-2.0 s (the quotient 1.9-2.7 s), and set the bound
+# with the count-normal DP for lie-adm, 1.0 s at n=150 and 2.6 s at n=200
+# (rules it cannot count test each shuffle tree against each rule, refused
+# past shuffle._ENUMERATION_MAX tests).
 COUNT_MAX = 200
 # The count-normal DP takes O(n^3 |S|^2) operations for an alphabet S, and
 # COUNT_MAX was measured with two generators: larger alphabets get the
@@ -278,11 +279,16 @@ def cmd_quotient(args) -> tuple[dict, list[str]]:
     return payload, [str(avoiding)]
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by later calls in
     the process: parse_args puts its results in a fresh namespace and
     leaves the parser as it was."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and its subcommands' parsers, by command name."""
     parser = argparse.ArgumentParser(
         prog="freeop",
         description="Dimensions, bases, and rewriting for free products of binary operads.",
@@ -321,13 +327,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("-n", type=int, required=True)
 
-    for p in sub.choices.values():
+    commands = sub.choices
+    for p in commands.values():
         p.add_argument("--format", choices=("table", "json"), default="table")
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), each argument parsed once.
+
+    parse_args would read argv with the top-level parser, which hands all
+    that follows a command name to that command's parser.  An argv that
+    starts with a command name goes to that parser at once, which sets
+    what the top level would, and whatever it leaves over is refused by
+    the top level, in its words; any other argv goes the whole way.
+    """
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # A request parses its argv once, with its command's parser (`_parse`):
+    # going through the top-level parser first costs as much again.
+    args = _parse(sys.argv[1:] if argv is None else argv)
     # The handler is looked up by name at each call, not bound into the
     # parser, which outlives the call: a cmd_* function replaced after the
     # first call (wrapped by a tracer, say) is the one that runs.

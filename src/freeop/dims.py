@@ -10,6 +10,8 @@ dimensions.  Each caller passes the dimensions its answer reads; the
 kernel continues them with the builtin family that matches their last two
 and leaves the shortest head, or with zeros, and builds Bell columns up to
 the head's end K only: O(K n^2) ring operations, over integers or polynomials.
+Every builtin is a family, nov through a second-order equation of its own,
+so only a sequence with no builtin tail builds the whole O(n^3) triangle.
 """
 from __future__ import annotations
 
@@ -120,25 +122,21 @@ class DimTable(namedtuple("DimTable", "n_max bullet circ")):
         return [t[n] for n in range(1, self.n_max + 1)]
 
 
-def _bell_step(cols: list, binom: list, k_max: int) -> list:
-    """Row n of the partial Bell polynomials up to column k_max, from rows
-    1..n-1.
+def _bell_step(cols: list, cw: list, k_max: int) -> list:
+    """Row n of the partial Bell polynomials up to column k_max >= 2, from
+    rows 1..n-1.
 
     The triangle is kept by column, newest-first: cols[k-1] holds B(n-1, k),
     B(n-2, k), ..., B(k, k), and column 1 is the weights, B(m, 1) = w_m with
     w_1 = 1 for the bare leaf.  Choosing the block that holds leaf 1 gives
-    B(n, k+1) = sum_i C(n-1, i-1) * w_i * B(n-i, k), so with binom row n-1
-    of Pascal's triangle and cw[i-1] = C(n-1, i-1) * w_i, each entry is one
-    dot product of cw with column k, which ends where the sum does.  Each
-    B(n, k) goes to the head of its column and the row is returned as
-    [B(n, 2), ..., B(n, min(n, k_max))]; B(n, 1) = w_n is the caller's to
-    insert.  Column n is opened here while n < k_max: no column at or above
-    k_max is kept, as nothing reads it, and k_max = n_max gives the whole
-    triangle.
+    B(n, k+1) = sum_i C(n-1, i-1) * w_i * B(n-i, k), so with cw[i-1] =
+    C(n-1, i-1) * w_i each entry is one dot product of cw with column k,
+    which ends where the sum does.  Each B(n, k) goes to the head of its
+    column and the row is returned as [B(n, 2), ..., B(n, min(n, k_max))];
+    B(n, 1) = w_n is the caller's to insert.  Column n is opened here while
+    n < k_max: no column at or above k_max is kept, as nothing reads it, and
+    k_max = n_max gives the whole triangle.
     """
-    if k_max < 2:
-        return []
-    cw = list(map(operator.mul, binom, reversed(cols[0])))
     row = [sum(map(operator.mul, cw, col)) for col in cols]
     if len(cols) < k_max - 1:
         cols.append([])
@@ -151,6 +149,8 @@ def _bell_step(cols: list, binom: list, k_max: int) -> list:
 # as (alpha, beta): com-as, as, lie, and com and anti-com.  Their exponential
 # series f = sum_k d(k) u^k / k! solve (1 - alpha*u) f' = beta*f + 1.
 _FAMILIES = ((0, 1), (1, 1), (1, 0), (2, -1))
+# nov, with k * d(k+1) = (4k - 2) * d(k): its series solves u f'' = 4u f' - 2f.
+_NOV = (4, -2)
 
 
 def _trimmed(seq) -> list:
@@ -166,20 +166,25 @@ def _split(seq) -> tuple:
 
     d(k) = family(k) + head[k-2], the head ending at the last arity K at
     which d and the family differ, so that only Bell columns 2..K are
-    needed; family None is d(k) = 0 past K.  Of None and the families in
-    _FAMILIES whose ratio d(N) / d(N-1) matches seq's last two entries
-    (d(1) = 1), the shortest head wins, None on a tie.  Past N the split
-    continues d with its family, or with zeros for None.
+    needed; family None is d(k) = 0 past K.  Of None, the families in
+    _FAMILIES and _NOV whose ratio d(N) / d(N-1) matches seq's last two
+    entries (d(1) = 1), the shortest head wins, None on a tie.  Past N the
+    split continues d with its family, or with zeros for None.
     """
     best = _trimmed(seq), None
     prev, last = [1, 1, *seq][-2:]  # d(1) = 1; an empty seq keeps None
+    k = len(seq)
     for alpha, beta in _FAMILIES:
-        if last != (alpha * len(seq) + beta) * prev:
+        if last != (alpha * k + beta) * prev:
             continue
-        fam = accumulate([alpha * j + beta for j in range(1, len(seq) + 1)], operator.mul)
+        fam = accumulate([alpha * j + beta for j in range(1, k + 1)], operator.mul)
         head = _trimmed(list(map(operator.sub, seq, fam)))
         if len(head) < len(best[0]):
             best = head, (alpha, beta)
+    if k * last == (4 * k - 2) * prev:
+        head = _trimmed([d - math.comb(2 * j, j) for j, d in enumerate(seq, 1)])
+        if len(head) < len(best[0]):
+            best = head, _NOV
     return best
 
 
@@ -192,23 +197,41 @@ def _compose(seq, n_max: int):
     continues it: its head reads Bell columns 2..K, K the head's end
     (`_bell_step`), and its family's share, sum_k family(k) * B(n, k), is
     f_n - w_n for F = f(W), f the family's series, W = t + sum_m w_m t^m /
-    m! and f_n = n! [t^n] F.  F' = f'(W) W' and the family's equation give
-    F' = W' + beta*F*W' + alpha*W*F', that is f_n = w_n + sum_i phi_n(i) *
-    w_i * f_(n-i), phi_n(i) = beta*C(n-1, i-1) + alpha*C(n-1, i) (Pascal's
-    rule from phi_1 = [beta]): one dot product per arity.
+    m! and f_n = n! [t^n] F.  For a first-order family, F' = f'(W) W' and
+    the family's equation give F' = W' + beta*F*W' + alpha*W*F', that is
+    f_n = w_n + sum_i phi_n(i) * w_i * f_(n-i), phi_n(i) = beta*C(n-1, i-1)
+    + alpha*C(n-1, i) (Pascal's rule from phi_1 = [beta]): one dot product
+    per arity.  For nov, G = f'(W) gives F' = G W', so f_n - w_n = sum_(i<n)
+    C(n-1, i-1) * w_i * g_(n-i), and Q = W f''(W) = 4 W G - 2F with G' =
+    f''(W) W' gives W G' = Q W', from which n * g_n = Q_n + sum_(i=2..n)
+    C(n, i-1) * w_i * Q_(n+1-i) - sum_(i=2..n) C(n, i) * w_i * g_(n+1-i) once
+    w_n is known: four dot products per arity.
     """
     head, fam = _split(seq)
     reach = len(head) + 1
+    nov = fam is _NOV
     alpha, beta = fam or (0, 0)
     phi, fcol, share = [beta], [], 0  # fcol: f_(n-1), ..., f_1
+    gcol, qcol = [2, 1], [2]  # nov: g_(n-1), ..., g_0 and Q_(n-1), ..., Q_1
     weights = [1]  # w_(n-1), ..., w_1: Bell column 1
     cols = [weights]
     binom = [1]
-    for _ in range(2, n_max + 1):
-        if reach > 1:
-            binom = [1, *map(operator.add, binom, binom[1:]), 1]
-        row = _bell_step(cols, binom, reach)
-        if fam:
+    for n in range(2, n_max + 1):
+        row = ()
+        if reach > 1 or nov:
+            binom = [1, *map(operator.add, binom, binom[1:]), 1]  # row n-1
+            cw = list(map(operator.mul, binom, reversed(weights)))  # C(n-1, i-1) * w_i
+            if reach > 1:
+                row = _bell_step(cols, cw, reach)
+        if nov:
+            if n > 2:  # g_(n-1) and Q_(n-1), from w_(n-1)
+                bw = list(map(operator.mul, binom[1:], reversed(weights)))  # C(n-1, i) * w_i
+                qcol.insert(0, 4 * sum(map(operator.mul, bw, gcol))
+                            - 2 * (weights[0] + share))
+                gcol.insert(0, (sum(map(operator.mul, cw, qcol))
+                                - sum(map(operator.mul, bw[1:], gcol))) // (n - 1))
+            share = sum(map(operator.mul, cw, gcol))
+        elif fam:
             fcol.insert(0, weights[0] + share)
             phi = [alpha + phi[0], *map(operator.add, phi, phi[1:]), phi[-1]]
             share = sum(map(operator.mul, map(operator.mul, phi, reversed(weights)), fcol))
@@ -307,13 +330,26 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
 def symbolic_dims(n_max: int) -> dict[int, tuple[MultiPoly, MultiPoly]]:
     """Bullet/circ dimensions as polynomials in x2..xn, y2..yn.
 
-    The circ polynomial is the bullet one with x and y interchanged.
+    The circ polynomial is the bullet one with x and y interchanged, so one
+    `_compose` kernel, the bullet color's, runs, fed each circ(n) made by
+    that interchange from bullet(n).
     """
     if not 2 <= n_max <= SYMBOLIC_MAX:
         raise OperadError(f"n_max must be in [2, {SYMBOLIC_MAX}], got {n_max}")
-    xs, ys = ([MultiPoly.var(v, m) for m in range(2, n_max + 1)] for v in "xy")
-    bullet, circ = _run_recursion(xs, ys, n_max)
-    return {n: (bullet[n], circ[n]) for n in range(2, n_max + 1)}
+    bullets = _compose([MultiPoly.var("x", m) for m in range(2, n_max + 1)], n_max)
+    table, circ = {}, None
+    for n in range(2, n_max + 1):
+        bullet = bullets.send(circ)  # circ(n-1); None starts the kernel
+        circ = _swap_xy(bullet)
+        table[n] = bullet, circ
+    return table
+
+
+def _swap_xy(poly: MultiPoly) -> MultiPoly:
+    """poly with the letters x and y interchanged."""
+    swap = {"x": "y", "y": "x"}
+    return MultiPoly({tuple(sorted(((swap[letter], i), e) for (letter, i), e in m)): c
+                      for m, c in poly.terms.items()})
 
 
 # --- operad config files ------------------------------------------------

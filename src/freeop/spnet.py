@@ -160,20 +160,22 @@ def macmahon(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    b = [1, 1]
-    c = [0, 1]
+    # c_1, ..., c_(k-1), and b newest first, b_(k-1), ..., b_1, so that
+    # c[j-1] = c_j meets b[j-1] = b_(k-j) with no copy or reversal.
+    c = [1]
+    b = [1]
     # rest[k] = c'_k, filled by a sieve: once u_d is known, d * u_d goes to
     # each proper multiple of d.  u_1 = 1 is already in.
     rest = [0, 0] + [1] * (n - 1)
     for k in range(2, n + 1):
-        u_k = (sum(map(mul, c[1:k], reversed(b[1:k]))) + rest[k]) // k
-        b.append(2 * u_k)
+        u_k = (sum(map(mul, c, b)) + rest[k]) // k
+        b.insert(0, 2 * u_k)
         # k * u_k: the d = k term of c_k, and of c_m for each multiple m of k
         ku = k * u_k
         c.append(rest[k] + ku)
         for m in range(2 * k, n + 1, k):
             rest[m] += ku
-    return b[n]
+    return b[0]
 
 
 # --- bijection with unlabeled two-colored trees -------------------------

@@ -464,13 +464,19 @@ def _grafted(node, plugged: dict):
 
 
 def tree_matches(t, patterns) -> bool:
-    """Does any vertex of t match any of the patterns?"""
+    """Does any vertex of t match any of the patterns, each a color
+    (anything else is refused, as by `count_avoiding`)?"""
+    return _matches(t, _pattern_colors(patterns))
+
+
+def _matches(t, colors: list[str]) -> bool:
+    """Has t a vertex of one of colors over a composite child?"""
     if is_leaf(t):
         return False
     children = t[2]
-    if t[0] in patterns and not all(map(is_leaf, children)):
+    if t[0] in colors and not all(map(is_leaf, children)):
         return True
-    return any(tree_matches(c, patterns) for c in children)
+    return any(_matches(c, colors) for c in children)
 
 
 def _pattern_colors(patterns) -> list[str]:

@@ -1077,3 +1077,66 @@ def test_readme_quotes_each_bound_at_its_value():
         f"input nested more than {shuffle.MAX_NESTING} levels deep",
     ]
     assert [p for p in phrases if p not in paragraph] == []
+
+
+# --- main's argv dispatch --------------------------------------------------
+
+
+class _Parsed(Exception):
+    """Raised by a stand-in handler to hand the test the Namespace main parsed."""
+
+
+_DISPATCH_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "dims"],
+    ["dims", "-h"],
+    ["dims", "--help"],
+    ["nope"],
+    ["nope", "-n", "3"],
+    ["dims"],
+    ["dims", "--bogus", "--left", "as", "--right", "as", "-n", "3"],
+    ["dims", "--left", "as", "--right", "as", "-n", "3", "extra", "--bogus"],
+    ["dims", "--left", "as"],
+    ["dims", "-n", "three"],
+    ["dims", "-n", "3", "--", "--left"],
+    ["--", "dims", "--left", "as", "--right", "as", "-n", "3"],
+    ["dims", "--le", "as", "--ri", "com", "-n", "3"],
+    ["dims", "--le", "as", "--ri", "com", "--n-m", "3", "--form", "json"],
+    ["dims", "--left=as", "--right=com", "-n3", "--sym"],
+    ["dims", "--left", "as", "--right", "com", "-n", "3", "--format", "yaml"],
+    ["basis", "--left", "as", "--right", "com", "-n", "3", "--root", "circ", "--li"],
+    ["basis", "--left", "as", "--right", "com", "-n", "3", "--r", "circ"],
+    ["confluence", "--rules", "lie", "--max-arity"],
+    ["count-normal", "--rules", "lie", "-n", "-3"],
+    ["sp", "-n", "4", "--list", "--list"],
+    ["quotient", "--left", "as", "--right", "as", "--pattern", "p"],
+]
+
+
+def test_main_parses_each_argv_as_the_whole_parser_does(capsys, monkeypatch):
+    # main hands an argv that starts with a command to that command's
+    # parser alone: the Namespace, or the exit code and output of a
+    # refusal, must be those of build_parser().parse_args.
+    def stand_in(args):
+        raise _Parsed(args)
+
+    for command in cli._parsers()[1]:
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), stand_in)
+    argvs = [argv for argv, _ in _readme_examples()] + _DISPATCH_ARGVS
+    for argv in argvs:
+        try:
+            expected = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            expected = exc.code
+        expected_output = capsys.readouterr()
+        try:
+            main(list(argv))
+            got = None
+        except _Parsed as parsed:
+            (got,) = parsed.args
+        except SystemExit as exc:
+            got = exc.code
+        assert (got, capsys.readouterr()) == (expected, expected_output), argv
+        assert got is not None

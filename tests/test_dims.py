@@ -181,9 +181,11 @@ def test_numeric_matches_partition_sum_oracle():
 
 
 def test_symbolic_matches_partition_sum_oracle():
-    bullet, circ = _partition_sum_dims(x, y, 6)
-    table = symbolic_dims(6)
-    for n in range(2, 7):
+    # The oracle builds the circ polynomials from their own sum, not from
+    # the bullet ones with x and y interchanged, as symbolic_dims does.
+    bullet, circ = _partition_sum_dims(x, y, 8)
+    table = symbolic_dims(8)
+    for n in range(2, 9):
         assert table[n] == (bullet[n], circ[n])
 
 
@@ -582,22 +584,21 @@ def _columns_built(monkeypatch, run):
 
 
 def test_bell_columns_end_at_each_operands_head(monkeypatch):
-    # A builtin operand with a family needs no column above the weights, a
-    # head of h entries before it at most h, and with no family (nov, or a
-    # sequence with no builtin tail) every column is built.
+    # A builtin operand, nov included, needs no column above the weights, a
+    # head of h entries before it at most h, and with no family (a sequence
+    # with no builtin tail) every column is built.
     rng = random.Random(3)
     for tail in _BUILTIN_IDS:
         op = builtin_operad(tail)
-        full = 99 if tail == "nov" else 0
-        assert _columns_built(monkeypatch, lambda: free_product_dims(op, AS, 100)) == full
+        assert _columns_built(monkeypatch, lambda: free_product_dims(op, AS, 100)) == 0
         h = 1 + _BUILTIN_IDS.index(tail) % 5
         x = explicit_operad("x", [rng.randint(0, 9) for _ in range(h)], op)
-        assert _columns_built(monkeypatch, lambda: free_product_dims(x, LIE, 100)) <= max(full, h)
-        assert _columns_built(monkeypatch, lambda: avoiding_count(LIE, x, 100, "circ")) <= max(full, h)
+        assert _columns_built(monkeypatch, lambda: free_product_dims(x, LIE, 100)) <= h
+        assert _columns_built(monkeypatch, lambda: avoiding_count(LIE, x, 100, "circ")) <= h
         # A one-root count reads the other operand to a prefix, which the
         # kernel continues with its family.
         for root in ("bullet", "circ"):
-            assert _columns_built(monkeypatch, lambda: basis_count(op, AS, 100, root)) <= full
+            assert _columns_built(monkeypatch, lambda: basis_count(op, AS, 100, root)) == 0
     # Builtin families need no column at small n either.
     for n in (5, 7, 11):
         assert _columns_built(monkeypatch, lambda: free_product_dims(AS, COM, n)) == 0
@@ -607,3 +608,32 @@ def test_bell_columns_end_at_each_operands_head(monkeypatch):
     zero = explicit_operad("zero", [0] * (n - 1))
     assert _columns_built(monkeypatch, lambda: free_product_dims(arbitrary, zero, n)) == n - 1
     assert _columns_built(monkeypatch, lambda: free_product_dims(_SPARSE, AS, 60)) == 9
+
+
+def _partial_bell(w, n_max):
+    """B[n][k] = B(n, k) over the weights w[1], w[2], ..., for 0 <= k <= n
+    <= n_max, by the plain recurrence B(n, k) = sum_i C(n-1, i-1) * w[i] *
+    B(n-i, k-1) from B(0, 0) = 1, every entry kept."""
+    B = [[0] * (n_max + 1) for _ in range(n_max + 1)]
+    B[0][0] = 1
+    for n in range(1, n_max + 1):
+        for k in range(1, n + 1):
+            B[n][k] = sum(math.comb(n - 1, i - 1) * w[i] * B[n - i][k - 1]
+                          for i in range(1, n - k + 2))
+    return B
+
+
+def test_nov_kernel_is_nov_composed_over_a_plain_bell_triangle():
+    # nov's share comes from its own recurrence, which builds no Bell
+    # column: check it against sum_k nov(k) * B(n, k) from the whole triangle.
+    n_max = 40
+    nov = [math.comb(2 * k - 2, k - 1) for k in range(2, n_max + 1)]
+    assert dims_mod._split(nov) == ([], dims_mod._NOV)
+    rng = random.Random(17)
+    for top in (0, 1, 9, 10**6):
+        w = [0, 1] + [rng.randint(0, top) for _ in range(2, n_max + 1)]
+        kernel = dims_mod._compose(nov, n_max)
+        got = [next(kernel)] + [kernel.send(w[m]) for m in range(2, n_max)]
+        B = _partial_bell(w, n_max)
+        assert got == [sum(nov[k - 2] * B[n][k] for k in range(2, n + 1))
+                       for n in range(2, n_max + 1)], top

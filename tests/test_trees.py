@@ -486,13 +486,18 @@ def test_count_avoiding_matches_enumeration_for_any_pattern_list(seed):
 
 def test_a_pattern_that_is_not_a_color_is_refused():
     # A pattern's name, a bare color string or an unknown entry would
-    # otherwise count as no pattern, or match as a substring.
+    # otherwise count as no pattern, or match as a substring; the
+    # enumeration oracle's tree_matches refuses them as the counts do.
     as_ = builtin_operad("as")
+    tree = next(t for t in enumerate_basis(as_, as_, 4) if tree_matches(t, [BULLET]))
     for patterns, bad in ((["bullet-composite-child"], "bullet-composite-child"),
-                          ([CIRC, BULLET, "other"], "other"), ("bullet", "b"), ([None], None)):
+                          ("bullet-composite-child", "b"), ([CIRC, BULLET, "other"], "other"),
+                          ("bullet", "b"), ([None], None)):
         for count in (count_avoiding, count_avoiding_recursive):
             with pytest.raises(ValueError, match=re.escape(repr(bad))):
                 count(as_, as_, 5, patterns)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            tree_matches(tree, patterns)
     for count in (count_avoiding, count_avoiding_recursive):
         assert count(as_, as_, 5, [PATTERNS_BY_NAME["bullet-composite-child"]]) == 1920
 

@@ -28,12 +28,14 @@ from . import trees
 # trees.LIST_ARITY_MAX, which bounds the set partitions its walk visits.
 LIST_MAX = 1_000_000
 # Counts take up to O(n^3) big-integer operations.  Measured with CPython
-# 3.11.7 on a shared 2-CPU Xeon, in-process cli.main to /dev/null, best of 3
-# runs, at n=200: the dims recurrence costs O(K n^2) for an operand with a
-# builtin tail after K arities, nov's included, so as*as takes 0.05 s,
-# lie*com 0.03 s and nov*nov 0.07 s, a one-root basis count as much (the
-# kernel continues the other operand's prefix with its family), and the
-# quotient, one of its two kernels, 0.05 s for as*as; explicit sequences
+# 3.11.7 on a shared 2-CPU Xeon, in-process cli.main to /dev/null, at
+# n=200, best of 5 runs in each of five processes (the ranges are the
+# machine's load): the dims recurrence costs O(K n^2) for an operand with a
+# builtin tail after K arities, nov's included, so as*as takes 0.023-0.040
+# s, lie*com 0.023-0.038 s and nov*nov 0.072-0.128 s, a one-root basis
+# count as much (as*as 0.022-0.038 s; the kernel continues the other
+# operand's prefix with its family), and the quotient, one of its two
+# kernels, 0.031-0.054 s for as*as; explicit sequences
 # with no builtin tail on both sides (d(k) = k! + 1) still build the whole
 # O(n^3) triangle, 1.6-2.0 s (the quotient 1.9-2.7 s), and set the bound
 # with the count-normal DP for lie-adm, 1.0 s at n=150 and 2.6 s at n=200

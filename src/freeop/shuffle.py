@@ -23,11 +23,15 @@ arities it visits.  Every generator is binary: the parser and
 validate_monomial refuse a node with one child or more than two where
 they meet it, and the walks after them read exactly two children.
 
-Shuffle, tree and network text share one token layer (_lex): a text is
-one findall of tokens, each a match of its grammar's regular expression or
-else any one character, and only a refusal scans it again, for a position.
-Shuffle tokens are a decimal number (\d+), a generator symbol
-([A-Za-z_]\w*), or any other character.  Over them
+Shuffle, tree and network text share one token layer (_lex): a text's
+tokens are the matches of its grammar's regular expression or else any one
+character, and only a refusal scans it again, for a position.  Shuffle
+tokens are a decimal number (\d+), a generator symbol ([A-Za-z_]\w*), or
+any other character.  A shuffle text is lexed by padding ( ) + - * / with
+spaces and splitting on whitespace, which gives exactly the regular
+expression's tokens when every piece is one whole token (all decimal
+digits, a symbol, or one character); a text with any other piece, such as
+"2x" or "1,", and tree and network text, take one findall.  Over them
 
     monomial := number | symbol "(" monomial monomial ")"
     element  := "0" | ["+" | "-"] term (("+" | "-") term)*
@@ -73,9 +77,18 @@ def is_leaf(m) -> bool:
 
 def leaves(m) -> tuple[int, ...]:
     """Leaf labels in planar order."""
-    if is_leaf(m):
-        return (m,)
-    return leaves(m[1]) + leaves(m[2])
+    out: list[int] = []
+    _leaves_into(m, out)
+    return tuple(out)
+
+
+def _leaves_into(m, out: list) -> None:
+    """Append m's leaf labels to out in planar order."""
+    if isinstance(m, int):
+        out.append(m)
+    else:
+        _leaves_into(m[1], out)
+        _leaves_into(m[2], out)
 
 
 def arity(m) -> int:
@@ -151,13 +164,24 @@ def print_monomial(m) -> str:
     return str(m) if isinstance(m, int) else _printed(m)
 
 
+# The texts of leaf labels 0-63, read in place of a str() call; a bool or
+# any other int goes through str().
+_LEAF_TEXTS = tuple(map(str, range(64)))
+
+
 def _printed(node) -> str:
     """The text of a generator node: one recursion, one f-string per node
-    and a leaf child str() in place.  It calls itself, not print_monomial,
+    and a leaf child's text in place.  It calls itself, not print_monomial,
     so a wrapped print_monomial sees one call per monomial."""
     sym, a, b = node
-    left = str(a) if isinstance(a, int) else _printed(a)
-    right = str(b) if isinstance(b, int) else _printed(b)
+    if type(a) is int and 0 <= a < 64:
+        left = _LEAF_TEXTS[a]
+    else:
+        left = str(a) if isinstance(a, int) else _printed(a)
+    if type(b) is int and 0 <= b < 64:
+        right = _LEAF_TEXTS[b]
+    else:
+        right = str(b) if isinstance(b, int) else _printed(b)
     return f"{sym}({left} {right})"
 
 
@@ -167,7 +191,22 @@ _TOKENS = rf"\d+|{_SYM_RE.pattern}"
 
 
 def _lex(text: str, grammar: str = _TOKENS) -> list[str]:
-    """The tokens of text, matches of grammar or else single characters, closed by ""."""
+    """The tokens of text, matches of grammar or else single characters, closed by "".
+
+    For the shuffle grammar, whitespace splitting after padding the
+    one-character tokens ( ) + - * / gives the same tokens whenever each
+    piece is one whole token: a decimal number, a symbol or one character.
+    Otherwise (a piece like "2x" or "1,"), and for other grammars, findall.
+    """
+    if grammar == _TOKENS:
+        toks = (text.replace("(", " ( ").replace(")", " ) ").replace("+", " + ")
+                .replace("-", " - ").replace("*", " * ").replace("/", " / ").split())
+        for tok in set(toks):
+            if not (len(tok) == 1 or tok.isdecimal() or _SYM_RE.fullmatch(tok)):
+                break
+        else:
+            toks.append("")
+            return toks
     return re.findall(grammar + r"|\S", text) + [""]
 
 
@@ -222,15 +261,31 @@ def _monomial(text: str, toks: list, i: int, seen: list, depth: int = 1):
         raise ParseError(_TOO_DEEP, _start(text, i))
     if toks[i + 1] != "(":
         raise ParseError("expected '('", _start(text, i + 1))
-    if toks[i + 2] == ")":
-        raise ParseError("generator application needs arguments", _start(text, i + 2) + 1)
-    a, i, least, ok = _monomial(text, toks, i + 2, seen, depth + 1)
-    if toks[i] == ")":
+    # A leaf child is read here, not by a call.
+    i += 2
+    a = toks[i]
+    if a.isdecimal():
+        a = least = _int(a, text, i)
+        seen.append(a)
+        i += 1
+        ok = True
+    elif a == ")":
+        raise ParseError("generator application needs arguments", _start(text, i) + 1)
+    else:
+        a, i, least, ok = _monomial(text, toks, i, seen, depth + 1)
+    b = toks[i]
+    if b.isdecimal():
+        b = low = _int(b, text, i)
+        seen.append(b)
+        i += 1
+    elif b == ")":
         raise ParseError(_BINARY, _start(text, i))
-    b, i, low, good = _monomial(text, toks, i, seen, depth + 1)
+    else:
+        b, i, low, good = _monomial(text, toks, i, seen, depth + 1)
+        ok = ok and good
     if toks[i] != ")":
         raise ParseError(_BINARY if toks[i] else "missing ')'", _start(text, i))
-    return (tok, a, b), i + 1, least, ok and good and least < low
+    return (tok, a, b), i + 1, least, ok and least < low
 
 
 def _leaf_set(m, seen: list, low: int, ok: bool) -> frozenset:
@@ -261,12 +316,18 @@ def parse_monomial(text: str):
 # character c, each symbol closed by "\U0010ffff", which is above them all.
 # Words compare symbol by symbol: an alphabetically earlier symbol compares
 # greater ("a" above "ab"), and an extension beats its prefix as a longer
-# str does.
+# str does.  _WORDS holds each symbol's word, emptied when it reaches
+# _WORDS_MAX symbols; the walk reads it directly and calls _symbol_word
+# only for a symbol it lacks.
+_WORDS: dict[str, str] = {}
+_WORDS_MAX = 1024
 
 
-@functools.lru_cache(maxsize=1024)
 def _symbol_word(sym: str) -> str:
-    return "".join(chr(0x10FFFF - ord(c)) for c in sym) + "\U0010ffff"
+    if len(_WORDS) >= _WORDS_MAX:
+        _WORDS.clear()
+    word = _WORDS[sym] = "".join(chr(0x10FFFF - ord(c)) for c in sym) + "\U0010ffff"
+    return word
 
 
 def _order_key(m) -> tuple:
@@ -276,14 +337,18 @@ def _order_key(m) -> tuple:
     words: dict[int, str] = {}
     planar: list[int] = []
     _path_words(m, "", words, planar)
-    return len(words), tuple([words[k] for k in sorted(words)]), tuple(planar)
+    # an internal vertex has two leaves or more, so itemgetter gives a tuple
+    return len(words), itemgetter(*sorted(words))(words), tuple(planar)
 
 
 def _path_words(node, word: str, words: dict, planar: list) -> None:
     """Set words[c] to the path word of each leaf c under node, word being
     that of node's parent, and append the leaves to planar in order."""
     sym, a, b = node
-    word += _symbol_word(sym)
+    try:
+        word += _WORDS[sym]
+    except KeyError:
+        word += _symbol_word(sym)
     if type(a) is int:
         words[a] = word
         planar.append(a)
@@ -294,6 +359,14 @@ def _path_words(node, word: str, words: dict, planar: list) -> None:
         planar.append(b)
     else:
         _path_words(b, word, words, planar)
+
+
+def _key(m, keys: dict) -> tuple:
+    """m's order key, from the memo keys or computed once into it."""
+    k = keys.get(m)
+    if k is None:
+        k = keys[m] = _order_key(m)
+    return k
 
 
 def compare(a, b) -> int:
@@ -510,11 +583,16 @@ def _match_children(node, pat, out: list) -> bool:
     """Match node's children against pat's, node having the root symbol of
     pat, an lhs or one of its internal subtrees (never a bare leaf: orient
     refuses one), noting (label, subtree) in out."""
-    for cn, cp in zip(node[1:], pat[1:]):
-        if type(cp) is int:
-            out.append((cp, cn))
-        elif type(cn) is int or cn[0] != cp[0] or not _match_children(cn, cp, out):
-            return False
+    _, a, b = node
+    _, pa, pb = pat
+    if type(pa) is int:
+        out.append((pa, a))
+    elif type(a) is int or a[0] != pa[0] or not _match_children(a, pa, out):
+        return False
+    if type(pb) is int:
+        out.append((pb, b))
+    elif type(b) is int or b[0] != pb[0] or not _match_children(b, pb, out):
+        return False
     return True
 
 
@@ -566,27 +644,29 @@ def all_embeddings(m, lhs) -> list[Embedding]:
 def find_divisor(m, lhs) -> Embedding | None:
     """Leftmost-outermost occurrence of lhs as a shuffle subtree, if any.
 
-    An lhs with an internal child cannot fit in a cherry, a vertex whose
-    two children are leaves, so the walk skips cherries unless lhs is
-    itself one vertex.
+    A vertex is probed (_embedding_at) only if its symbol is lhs's root
+    symbol and each internal child of lhs's root has, at the vertex, an
+    internal child of the same symbol.
     """
     if type(m) is int:
         return None
-    return _divisor(m, lhs, type(lhs[1]) is int and type(lhs[2]) is int)
+    a, b = lhs[1], lhs[2]
+    return _divisor(m, lhs, lhs[0], None if type(a) is int else a[0],
+                    None if type(b) is int else b[0])
 
 
-def _divisor(node, lhs, cherry: bool) -> Embedding | None:
-    """find_divisor below node, an internal vertex; cherry says whether
-    lhs is one vertex, the only lhs that fits in a cherry."""
+def _divisor(node, lhs, top: str, left: str | None, right: str | None) -> Embedding | None:
+    """find_divisor below node, an internal vertex; top is the symbol of
+    lhs's root, left and right those of its children (None at a leaf)."""
     sym, a, b = node
     a_leaf, b_leaf = type(a) is int, type(b) is int
-    if a_leaf and b_leaf and not cherry:
-        return None
-    if sym == lhs[0] and (emb := _embedding_at(node, (), lhs)):
+    if (sym == top and (left is None or not a_leaf and a[0] == left)
+            and (right is None or not b_leaf and b[0] == right)
+            and (emb := _embedding_at(node, (), lhs))):
         return emb
-    if not a_leaf and (sub := _divisor(a, lhs, cherry)):
+    if not a_leaf and (sub := _divisor(a, lhs, top, left, right)):
         return Embedding((0,) + sub.path, sub.slots)
-    if not b_leaf and (sub := _divisor(b, lhs, cherry)):
+    if not b_leaf and (sub := _divisor(b, lhs, top, left, right)):
         return Embedding((1,) + sub.path, sub.slots)
     return None
 
@@ -599,10 +679,13 @@ def _substitute(pat, slots: dict):
 
 
 def _replace_at(m, path: tuple[int, ...], sub):
+    """m with sub in place of the subtree at path."""
     if not path:
         return sub
-    i = path[0]
-    return m[: i + 1] + (_replace_at(m[i + 1], path[1:], sub),) + m[i + 2:]
+    sym, a, b = m
+    if path[0]:
+        return sym, a, _replace_at(b, path[1:], sub)
+    return sym, _replace_at(a, path[1:], sub), b
 
 
 def _no_decrease(m, new) -> ShuffleError:
@@ -610,19 +693,20 @@ def _no_decrease(m, new) -> ShuffleError:
     return ShuffleError(f"rewrite does not decrease: {print_monomial(m)} -> {print_monomial(new)}")
 
 
-def rewrite_at(m, emb: Embedding, rule: RewriteRule) -> ShuffleElement:
+def rewrite_at(m, emb: Embedding, rule: RewriteRule, keys: dict | None = None) -> ShuffleElement:
     """One reduction step: replace the occurrence of rule.lhs in m.
 
     Every produced monomial is strictly smaller than m; this is asserted
     on each step, so a non-admissible order or badly oriented rule fails
     loudly.  Distinct rhs terms give distinct monomials, each its nonzero
-    coefficient.
+    coefficient.  `keys` memoises order keys by monomial, as in normal_form.
     """
-    top = _order_key(m)
+    memo = {} if keys is None else keys
+    top = _key(m, memo)
     out: dict = {}
     for r, coeff in rule.rhs.terms.items():
         new = _replace_at(m, emb.path, _substitute(r, emb.slots))
-        if _order_key(new) >= top:
+        if _key(new, memo) >= top:
             raise _no_decrease(m, new)
         out[new] = coeff
     return ShuffleElement._of(out)
@@ -661,7 +745,9 @@ def normal_form(
     """
     if rng is not None:
         return _random_normal_form(e, rules, rng)
-    memo = {} if keys is None else keys
+    # No monomial returns once taken, so a memo private to this call would
+    # never be read: without `keys`, each new monomial is keyed directly.
+    key = _order_key if keys is None else functools.partial(_key, keys=keys)
     den = math.lcm(*[c.denominator for c in e.terms.values()])
     # coeffs is the table: every pending monomial's coefficient, 0 once
     # its terms cancel, until it is taken.
@@ -676,10 +762,7 @@ def normal_form(
     ]
     # (key, monomial) pairs in increasing order; a monomial is queued once,
     # when it first appears, and never reappears after it is taken.
-    for m in coeffs:
-        if m not in memo:
-            memo[m] = _order_key(m)
-    pending = sorted(((memo[m], m) for m in coeffs), key=itemgetter(0))
+    pending = sorted(((key(m), m) for m in coeffs), key=itemgetter(0))
     final = {}
     while pending:
         top, m = pending.pop()
@@ -691,7 +774,7 @@ def normal_form(
             if emb is not None:
                 break
         else:
-            final[m] = Fraction(coeff, den)
+            final[m] = Fraction(coeff) if den == 1 else Fraction(coeff, den)
             continue
         path, slots = emb
         for r, c in rhs:
@@ -700,9 +783,7 @@ def normal_form(
             if acc is not None:  # pending, so below every monomial taken
                 coeffs[new] = acc + coeff * c
                 continue
-            k = memo.get(new)
-            if k is None:
-                k = memo[new] = _order_key(new)
+            k = key(new)
             if k >= top:
                 raise _no_decrease(m, new)
             coeffs[new] = coeff * c
@@ -901,7 +982,9 @@ def _placed(shape, rows: list, labels: list, k: int, started: list[int]) -> Iter
             labels[leaf] = 0
 
 
-def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElement]]:
+def overlaps(
+    r1: RewriteRule, r2: RewriteRule, keys: dict | None = None
+) -> list[tuple[object, ShuffleElement]]:
     """Every overlap of the two lhs's with its S-element, largest first.
 
     An overlap, a small common multiple (Dotsenko-Khoroshkin 2010), puts
@@ -912,8 +995,10 @@ def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElem
     once.  The S-element is r1's one-step reduction minus r2's, built once
     the overlaps are sorted, so a rewrite that does not decrease is refused
     at the largest overlap it spoils.  Both lhs's must be monomials, shuffle
-    trees, as parse_rules gives them.
+    trees, as parse_rules gives them.  `keys` memoises order keys by
+    monomial, as in normal_form.
     """
+    memo = {} if keys is None else keys
     same = r1 == r2
     found = []
     for top, inner in ((r1, r2),) if same else ((r1, r2), (r2, r1)):
@@ -928,8 +1013,9 @@ def overlaps(r1: RewriteRule, r2: RewriteRule) -> list[tuple[object, ShuffleElem
                 e_top, e_inner = [_occurrence(m, *p) for p in placed]
                 found.append((m, e_top, e_inner) if top is r1 else (m, e_inner, e_top))
     # Stable: one monomial's pairs stay in (r1 path, r2 path) order.
-    found.sort(key=lambda t: monomial_key(t[0]), reverse=True)
-    return [(m, rewrite_at(m, e1, r1) - rewrite_at(m, e2, r2)) for m, e1, e2 in found]
+    found.sort(key=lambda t: _key(t[0], memo), reverse=True)
+    return [(m, rewrite_at(m, e1, r1, memo) - rewrite_at(m, e2, r2, memo))
+            for m, e1, e2 in found]
 
 
 class ConfluenceReport(namedtuple("ConfluenceReport", "passed overlap_count failures")):
@@ -950,7 +1036,9 @@ def check_confluence(rules: list[RewriteRule], max_arity: int) -> ConfluenceRepo
     """Reduce every overlap of arity <= max_arity; PASS iff all vanish.
 
     Raise ShuffleError if none failed but some lie above max_arity, so a
-    PASS means that every overlap was reduced.
+    PASS means that every overlap was reduced.  One memo of order keys
+    serves every overlap, S-element and reduction, so each monomial is
+    keyed once; a key's first entry is the arity.
     """
     count = 0
     skipped = 0
@@ -958,8 +1046,8 @@ def check_confluence(rules: list[RewriteRule], max_arity: int) -> ConfluenceRepo
     keys: dict = {}
     for i, r1 in enumerate(rules):
         for r2 in rules[i:]:
-            for m, s_elem in overlaps(r1, r2):
-                if arity(m) > max_arity:
+            for m, s_elem in overlaps(r1, r2, keys):
+                if keys[m][0] > max_arity:
                     skipped += 1
                     continue
                 count += 1
@@ -1011,7 +1099,7 @@ def parse_element(text: str) -> ShuffleElement:
         seen: list[int] = []
         m, i, low, ok = _monomial(text, toks, i, seen)
         labels[m] = _leaf_set(m, seen, low, ok)
-        coeff = Fraction(sign * num, den)
+        coeff = Fraction(sign * num) if den == 1 else Fraction(sign * num, den)
         if m in terms:
             terms[m] += coeff
         else:

@@ -564,17 +564,51 @@ def test_cancelling_terms_give_zero(rules):
     assert nf.terms == {} and str(nf) == "0"
 
 
+def _pinned_reductions():
+    """The seeded lie and lie-adm elements the work pins reduce."""
+    rng = random.Random(41)
+    for rules, symbols in ((JACOBI, "x"), (LIE_ADM, "xy")):
+        for e in _seeded_elements(rng, symbols, range(4, 8), range(1, 7)):
+            yield e, rules
+
+
 def test_divisor_search_work_is_pinned():
     # A work count, the same on any machine: the vertices at which divisor
     # search tries to match an lhs while seeded lie and lie-adm elements
-    # reduce.  A walk that does not skip the cherries (vertices whose
-    # children are both leaves) probes 1,949.
-    rng = random.Random(41)
+    # reduce.  Only a vertex with the lhs root's symbol, whose children
+    # carry the symbols of the lhs root's internal children, is probed; a
+    # walk that probes every vertex with the root symbol except cherries
+    # (vertices whose children are both leaves) probes 1,280, and one that
+    # probes the cherries too 1,949.
     with mock.patch.object(shuffle, "_embedding_at", wraps=shuffle._embedding_at) as probe:
-        for rules, symbols in ((JACOBI, "x"), (LIE_ADM, "xy")):
-            for e in _seeded_elements(rng, symbols, range(4, 8), range(1, 7)):
-                normal_form(e, rules)
-    assert probe.call_count == 1280
+        for e, rules in _pinned_reductions():
+            normal_form(e, rules)
+    assert probe.call_count == 668
+
+
+def test_order_key_work_is_pinned():
+    # The order keys the same reductions compute: each distinct monomial
+    # of one reduction is keyed once, when it first appears.
+    total = 0
+    with mock.patch.object(shuffle, "_order_key", wraps=shuffle._order_key) as key:
+        for e, rules in _pinned_reductions():
+            key.reset_mock()
+            normal_form(e, rules)
+            keyed = [call.args[0] for call in key.call_args_list]
+            assert len(keyed) == len(set(keyed))
+            total += len(keyed)
+    assert total == 673
+
+
+@pytest.mark.parametrize("rules, max_arity, keyed", [(LIE_ADM, 5, 120), (CUBIC, 7, 8)],
+                         ids=["lie-adm", "cubic"])
+def test_confluence_keys_each_monomial_once(rules, max_arity, keyed):
+    # check_confluence shares one memo of order keys between overlaps, the
+    # S-elements' rewrite steps and their reductions.
+    with mock.patch.object(shuffle, "_order_key", wraps=shuffle._order_key) as key:
+        check_confluence(rules, max_arity)
+    monomials = [call.args[0] for call in key.call_args_list]
+    assert len(monomials) == len(set(monomials)) == keyed
 
 
 # --- printing against a reference --------------------------------------
@@ -1520,16 +1554,23 @@ def test_token_parser_matches_the_reference_on_strategy_texts(text):
 
 
 def test_token_parser_matches_the_reference_on_mutated_texts():
+    # The lexer splits on whitespace and falls back to findall where a
+    # piece is not one whole token: touching tokens ("2x", "1x"),
+    # characters that splitting glues to a neighbour (' ,), a digit that is
+    # not decimal (²), a character str.isidentifier takes and \w does not
+    # (·), and whitespace other than ASCII's (NBSP, \x1c).
     rng = random.Random(10)
-    chars = "xy_A1(0123456789) +-*/=#\t\n" + "٠٣۵०৩" + "éλж"
+    chars = "xy_A1(0123456789) +-*/=#\t\n" + "٠٣۵०৩" + "éλж" + "',²·\xa0\x1c"
     seeds = [
         "x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)",
         "-2/3*y(1 x(2 3)) + 5 x(x(1 3) 2) - y(y(1 2) 3)",
         "x(1 2) = -1/2 * y(1 2)  # comment\nx(x(1 2) 3) = 0 x(1 x(2 3))",
         "Ab1(_z(1 4) x(2 3)) - 3 _z(1 Ab1(2 x(3 4)))",
         "x(1 2)\t=\ty(1 2)\n\ny(y(1 2) 3) = 7/9 y(1 y(2 3))",
+        "x(1x(2 3) 4)",
+        "2x(1 2)",
     ]
-    compared = 0
+    compared = fallbacks = 0
     for _ in range(800):
         text = rng.choice(seeds)
         for _ in range(rng.randint(1, 3)):
@@ -1539,8 +1580,13 @@ def test_token_parser_matches_the_reference_on_mutated_texts():
                 text = text[:i] + text[i + 1:]
             else:
                 text = text[:i] + rng.choice(chars) + text[i + (op == 2):]
+        expected = re.findall(shuffle._TOKENS + r"|\S", text) + [""]
+        with mock.patch.object(shuffle.re, "findall", wraps=re.findall) as findall:
+            assert shuffle._lex(text) == expected, text
+        fallbacks += findall.called
         compared += _agrees_with_reference(text)
     assert compared > 700
+    assert 100 < fallbacks < 700
 
 
 @pytest.mark.parametrize(

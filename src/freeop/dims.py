@@ -10,8 +10,8 @@ dimensions.  Each caller passes the dimensions its answer reads; the
 kernel continues them with the builtin family that matches their last two
 and leaves the shortest head, or with zeros, and builds Bell columns up to
 the head's end K only: O(K n^2) ring operations, over integers or polynomials.
-Every builtin is a family, nov through a second-order equation of its own,
-so only a sequence with no builtin tail builds the whole O(n^3) triangle.
+Every builtin is a row of one table, its family of first or second order
+(nov), so only a sequence with no builtin tail builds the whole O(n^3) triangle.
 """
 from __future__ import annotations
 
@@ -20,15 +20,27 @@ import operator
 import re
 from collections import namedtuple
 from collections.abc import Callable
-from itertools import accumulate
 
 from .polynomials import MultiPoly
 
 SYMBOLIC_MAX = 8
 
+# The two colors of a free product's trees: bullet vertices are decorated
+# by the left operad, circ vertices by the right.
+BULLET = "bullet"
+CIRC = "circ"
+
 
 class OperadError(ValueError):
     pass
+
+
+def _check_request(n: int, root: str) -> None:
+    """Refuse an arity below 1 or a root other than BULLET, CIRC or "any"."""
+    if n < 1:
+        raise OperadError(f"arity must be >= 1, got {n}")
+    if root not in (BULLET, CIRC, "any"):
+        raise OperadError(f"bad root {root!r}")
 
 
 class OperadDims(namedtuple("OperadDims", "name fn")):
@@ -48,25 +60,24 @@ class OperadDims(namedtuple("OperadDims", "name fn")):
         return d
 
 
-def _double_factorial_odd(n: int) -> int:
-    # (2n-3)!! = 1*3*5*...*(2n-3); the free one-generator magma count
-    return math.prod(range(1, 2 * n - 2, 2))
-
-
-_BUILTINS: dict[str, Callable[[int], int]] = {
-    "com-as": lambda n: 1,
-    "as": math.factorial,
-    "lie": lambda n: math.factorial(n - 1),
-    "com": _double_factorial_odd,
-    "anti-com": _double_factorial_odd,
-    "nov": lambda n: math.comb(2 * n - 2, n - 1),
+# Each builtin operad's closed form d(n), n >= 2, and its family row
+# (alpha, beta, second), d(1) = 1: a first-order row has d(k+1) = (alpha*k
+# + beta) * d(k), a second-order row k * d(k+1) = (alpha*k + beta) * d(k).
+# com and anti-com share (2n-3)!!, the free one-generator magma count.
+_BUILTINS: dict[str, tuple[Callable[[int], int], tuple[int, int, bool]]] = {
+    "com-as": (lambda n: 1, (0, 1, False)),
+    "as": (math.factorial, (1, 1, False)),
+    "lie": (lambda n: math.factorial(n - 1), (1, 0, False)),
+    **dict.fromkeys(("com", "anti-com"),
+                    (lambda n: math.prod(range(1, 2 * n - 2, 2)), (2, -1, False))),
+    "nov": (lambda n: math.comb(2 * n - 2, n - 1), (4, -2, True)),
 }
 
 
 def builtin_operad(name: str) -> OperadDims:
     """Look up one of the bundled dimension sequences by id."""
     try:
-        fn = _BUILTINS[name]
+        fn, _ = _BUILTINS[name]
     except KeyError:
         raise OperadError(
             f"unknown operad {name!r}; choose from {sorted(_BUILTINS)}"
@@ -145,12 +156,11 @@ def _bell_step(cols: list, cw: list, k_max: int) -> list:
     return row
 
 
-# The builtin families with d(1) = 1 and d(k+1) = (alpha*k + beta) * d(k),
-# as (alpha, beta): com-as, as, lie, and com and anti-com.  Their exponential
-# series f = sum_k d(k) u^k / k! solve (1 - alpha*u) f' = beta*f + 1.
-_FAMILIES = ((0, 1), (1, 1), (1, 0), (2, -1))
-# nov, with k * d(k+1) = (4k - 2) * d(k): its series solves u f'' = 4u f' - 2f.
-_NOV = (4, -2)
+# The distinct family rows of the builtins, in table order, which breaks
+# _split's ties.  A first-order row's exponential series f = sum_k d(k)
+# u^k / k! solves (1 - alpha*u) f' = beta*f + 1, a second-order row's
+# u f'' = alpha*u f' + beta*f.
+_FAMILIES = tuple(dict.fromkeys(row for _, row in _BUILTINS.values()))
 
 
 def _trimmed(seq) -> list:
@@ -162,29 +172,29 @@ def _trimmed(seq) -> list:
 
 
 def _split(seq) -> tuple:
-    """(head, family) for the dimensions seq = [d(2), ..., d(N)].
+    """(head, row) for the dimensions seq = [d(2), ..., d(N)].
 
     d(k) = family(k) + head[k-2], the head ending at the last arity K at
-    which d and the family differ, so that only Bell columns 2..K are
-    needed; family None is d(k) = 0 past K.  Of None, the families in
-    _FAMILIES and _NOV whose ratio d(N) / d(N-1) matches seq's last two
-    entries (d(1) = 1), the shortest head wins, None on a tie.  Past N the
-    split continues d with its family, or with zeros for None.
+    which d and the row's family differ, so that only Bell columns 2..K
+    are needed; row None is d(k) = 0 past K.  Of None and the rows of
+    _FAMILIES whose ratio d(N) / d(N-1) matches seq's last two entries
+    (d(1) = 1), the shortest head wins, None on a tie.  Past N the split
+    continues d with its row's family, or with zeros for None.
     """
     best = _trimmed(seq), None
     prev, last = [1, 1, *seq][-2:]  # d(1) = 1; an empty seq keeps None
     k = len(seq)
-    for alpha, beta in _FAMILIES:
-        if last != (alpha * k + beta) * prev:
+    for row in _FAMILIES:
+        alpha, beta, second = row
+        if (k if second else 1) * last != (alpha * k + beta) * prev:
             continue
-        fam = accumulate([alpha * j + beta for j in range(1, k + 1)], operator.mul)
+        fam, d = [], 1
+        for j in range(1, k + 1):
+            d = (alpha * j + beta) * d // (j if second else 1)
+            fam.append(d)
         head = _trimmed(list(map(operator.sub, seq, fam)))
         if len(head) < len(best[0]):
-            best = head, (alpha, beta)
-    if k * last == (4 * k - 2) * prev:
-        head = _trimmed([d - math.comb(2 * j, j) for j, d in enumerate(seq, 1)])
-        if len(head) < len(best[0]):
-            best = head, _NOV
+            best = head, row
     return best
 
 
@@ -197,39 +207,38 @@ def _compose(seq, n_max: int):
     continues it: its head reads Bell columns 2..K, K the head's end
     (`_bell_step`), and its family's share, sum_k family(k) * B(n, k), is
     f_n - w_n for F = f(W), f the family's series, W = t + sum_m w_m t^m /
-    m! and f_n = n! [t^n] F.  For a first-order family, F' = f'(W) W' and
-    the family's equation give F' = W' + beta*F*W' + alpha*W*F', that is
+    m! and f_n = n! [t^n] F.  For a first-order row, F' = f'(W) W' and
+    the row's equation give F' = W' + beta*F*W' + alpha*W*F', that is
     f_n = w_n + sum_i phi_n(i) * w_i * f_(n-i), phi_n(i) = beta*C(n-1, i-1)
     + alpha*C(n-1, i) (Pascal's rule from phi_1 = [beta]): one dot product
-    per arity.  For nov, G = f'(W) gives F' = G W', so f_n - w_n = sum_(i<n)
-    C(n-1, i-1) * w_i * g_(n-i), and Q = W f''(W) = 4 W G - 2F with G' =
-    f''(W) W' gives W G' = Q W', from which n * g_n = Q_n + sum_(i=2..n)
-    C(n, i-1) * w_i * Q_(n+1-i) - sum_(i=2..n) C(n, i) * w_i * g_(n+1-i) once
-    w_n is known: four dot products per arity.
+    per arity.  For a second-order row, G = f'(W) gives F' = G W', so f_n -
+    w_n = sum_(i<n) C(n-1, i-1) * w_i * g_(n-i), g_0 = 1, and Q = W f''(W)
+    = alpha*W G + beta*F with G' = f''(W) W' gives W G' = Q W', from which
+    n * g_n = Q_n + sum_(i=2..n) C(n, i-1) * w_i * Q_(n+1-i) - sum_(i=2..n)
+    C(n, i) * w_i * g_(n+1-i) once w_n is known: four dot products per
+    arity.
     """
     head, fam = _split(seq)
     reach = len(head) + 1
-    nov = fam is _NOV
-    alpha, beta = fam or (0, 0)
+    alpha, beta, second = fam or (0, 0, False)
     phi, fcol, share = [beta], [], 0  # fcol: f_(n-1), ..., f_1
-    gcol, qcol = [2, 1], [2]  # nov: g_(n-1), ..., g_0 and Q_(n-1), ..., Q_1
+    gcol, qcol = [1], []  # second order: g_(n-1), ..., g_0 and Q_(n-1), ..., Q_1
     weights = [1]  # w_(n-1), ..., w_1: Bell column 1
     cols = [weights]
     binom = [1]
     for n in range(2, n_max + 1):
         row = ()
-        if reach > 1 or nov:
+        if reach > 1 or second:
             binom = [1, *map(operator.add, binom, binom[1:]), 1]  # row n-1
             cw = list(map(operator.mul, binom, reversed(weights)))  # C(n-1, i-1) * w_i
             if reach > 1:
                 row = _bell_step(cols, cw, reach)
-        if nov:
-            if n > 2:  # g_(n-1) and Q_(n-1), from w_(n-1)
-                bw = list(map(operator.mul, binom[1:], reversed(weights)))  # C(n-1, i) * w_i
-                qcol.insert(0, 4 * sum(map(operator.mul, bw, gcol))
-                            - 2 * (weights[0] + share))
-                gcol.insert(0, (sum(map(operator.mul, cw, qcol))
-                                - sum(map(operator.mul, bw[1:], gcol))) // (n - 1))
+        if second:  # Q_(n-1) and g_(n-1), from w_(n-1)
+            bw = list(map(operator.mul, binom[1:], reversed(weights)))  # C(n-1, i) * w_i
+            qcol.insert(0, alpha * sum(map(operator.mul, bw, gcol))
+                        + beta * (weights[0] + share))
+            gcol.insert(0, (sum(map(operator.mul, cw, qcol))
+                            - sum(map(operator.mul, bw[1:], gcol))) // (n - 1))
             share = sum(map(operator.mul, cw, gcol))
         elif fam:
             fcol.insert(0, weights[0] + share)
@@ -287,15 +296,12 @@ def basis_count(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> int:
     least arity with a nonzero dimension.  Past n-k+1 that operad enters
     only Bell terms of fewer than k blocks, which the root's zeros cancel.
     """
-    if n < 1:
-        raise OperadError(f"arity must be >= 1, got {n}")
-    if root not in ("bullet", "circ", "any"):
-        raise OperadError(f"bad root {root!r}")
+    _check_request(n, root)
     if n == 1:
         return 1
     if root == "any":
         return free_product_dims(x, y, n).total[n]
-    if root == "circ":
+    if root == CIRC:
         x, y = y, x
     k = next((k for k in range(2, n + 1) if x.dim(k)), n + 1)
     return _run_recursion(*_read(x, y, n, n - k + 1), n)[0][n]
@@ -313,12 +319,12 @@ def avoiding_count(x: OperadDims, y: OperadDims, n: int, color: str) -> int:
     """
     if n < 1:
         raise OperadError(f"arity must be >= 1, got {n}")
-    if color not in ("bullet", "circ"):
+    if color not in (BULLET, CIRC):
         raise OperadError(f"bad color {color!r}")
     if n == 1:
         return 1
     own, other = _read(x, y, n, n)
-    if color == "circ":
+    if color == CIRC:
         own, other = other, own
     rooted = _compose(other, n)
     count = next(rooted)

@@ -93,18 +93,13 @@ def enumerate_networks(n: int) -> Iterator:
 
 
 def network_pieces(n: int, sep: str = "\n") -> Iterator[str]:
-    """Text whose sep.join is sep.join(network_lines(n)), yielded a piece
-    at a time; n < 1 is refused by the call, before the first piece.
+    """`format_network` of each network of `enumerate_networks`, in the
+    same order, joined by sep and yielded a piece at a time; n < 1 is
+    refused by the call, before the first piece.
 
     Each shared subnetwork's text, and each multiset of them, is joined
     once, and a node's text is laid out by `_node_pieces`."""
     return _all_nets(n, " ".join, _node_lines, functools.partial(_node_pieces, sep=sep))
-
-
-def network_lines(n: int) -> list[str]:
-    """`format_network` of each network of `enumerate_networks`, in the same
-    order: the "\n" pieces of network_pieces, split."""
-    return "\n".join(network_pieces(n)).split("\n")
 
 
 def _node_pieces(kind: str, groups, sep: str) -> Iterator[str]:

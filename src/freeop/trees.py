@@ -14,11 +14,8 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from .dims import OperadDims, avoiding_count, basis_count
+from .dims import BULLET, CIRC, OperadDims, _check_request, avoiding_count, basis_count
 from .shuffle import MAX_NESTING, _TOO_DEEP, _int, _lex, _refusal, _start
-
-BULLET = "bullet"
-CIRC = "circ"
 
 
 def other_color(color: str) -> str:
@@ -94,13 +91,6 @@ def _set_partitions(k: int) -> list[tuple]:
             out.append((comp + (1,), order + new))
         grown = out
     return grown
-
-
-def _check_request(n: int, root: str) -> None:
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n}")
-    if root not in (BULLET, CIRC, "any"):
-        raise ValueError(f"bad root {root!r}")
 
 
 def enumerate_basis(
@@ -191,10 +181,10 @@ def _relabeling(labels: str) -> str:
 def basis_pieces(
     x: OperadDims, y: OperadDims, n: int, root: str = "any", sep: str = "\n"
 ) -> Iterator[str]:
-    """Text whose sep.join is sep.join(basis_lines(x, y, n, root)), yielded
-    one piece per root color and set partition of the labels into the
-    root's blocks that has trees; a bad request is refused by the call,
-    before the first piece.
+    """`format_tree` of each tree of `enumerate_basis`, in the same order,
+    joined by sep and yielded one piece per root color and set partition
+    of the labels into the root's blocks that has trees; a bad request is
+    refused by the call, before the first piece.
 
     The trees over a set partition are an order-preserving relabeling of
     the trees over its composition, the block sizes in block order, each
@@ -265,13 +255,6 @@ def _composed(comp: tuple, color: str, sep: str, dim_of: dict, memo: dict) -> st
         options.append(subs)
         offset += size
     return _vertices_text(sep, color, d, options)
-
-
-def basis_lines(x: OperadDims, y: OperadDims, n: int, root: str = "any") -> list[str]:
-    """`format_tree` of each tree of `enumerate_basis`, in the same order:
-    the "\\n" pieces of basis_pieces, split."""
-    text = "\n".join(basis_pieces(x, y, n, root))
-    return text.split("\n") if text else []
 
 
 def _vertices_text(sep: str, color: str, d: int, options) -> str:

@@ -643,12 +643,10 @@ def test_basis_list_answers_at_n10_with_two_digit_labels(tmp_path, capsys):
 
 
 def test_listing_escapes_a_non_ascii_operand_name(tmp_path, capsys):
-    from freeop.trees import basis_lines
-
     cfg = tmp_path / "ops.cfg"
     cfg.write_text("é = [1, 1] builtin:lie\n", encoding="utf-8")
     x, y = resolve_operad(f"{cfg}:é"), resolve_operad("com-as")
-    trees = basis_lines(x, y, 3)
+    trees = [trees_mod.format_tree(t) for t in trees_mod.enumerate_basis(x, y, 3)]
     payload = {"command": "basis", "left": x.name, "right": y.name, "n": 3,
                "root": "any", "count": len(trees), "trees": trees}
     argv = ["basis", "--left", f"{cfg}:é", "--right", "com-as", "-n", "3", "--list"]

@@ -3,6 +3,7 @@ import math
 import operator
 import random
 import re
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -623,17 +624,101 @@ def _partial_bell(w, n_max):
     return B
 
 
-def test_nov_kernel_is_nov_composed_over_a_plain_bell_triangle():
-    # nov's share comes from its own recurrence, which builds no Bell
-    # column: check it against sum_k nov(k) * B(n, k) from the whole triangle.
-    n_max = 40
-    nov = [math.comb(2 * k - 2, k - 1) for k in range(2, n_max + 1)]
-    assert dims_mod._split(nov) == ([], dims_mod._NOV)
+def _seeded_weights(n_max):
+    """(top, w) with w = [0, 1, w_2, ..., w_(n_max)], w_m drawn from 0..top."""
     rng = random.Random(17)
     for top in (0, 1, 9, 10**6):
-        w = [0, 1] + [rng.randint(0, top) for _ in range(2, n_max + 1)]
-        kernel = dims_mod._compose(nov, n_max)
-        got = [next(kernel)] + [kernel.send(w[m]) for m in range(2, n_max)]
-        B = _partial_bell(w, n_max)
-        assert got == [sum(nov[k - 2] * B[n][k] for k in range(2, n + 1))
-                       for n in range(2, n_max + 1)], top
+        yield top, [0, 1] + [rng.randint(0, top) for _ in range(2, n_max + 1)]
+
+
+def _kernel_values(seq, w, n_max):
+    """c_2, ..., c_(n_max) of the `_compose` kernel of seq fed the weights w."""
+    kernel = dims_mod._compose(seq, n_max)
+    return [next(kernel)] + [kernel.send(w[m]) for m in range(2, n_max)]
+
+
+def _bell_composed(seq, w, n_max):
+    """sum_k d(k) * B(n, k) for n = 2..n_max, seq = [d(2), ...], from the
+    whole triangle."""
+    B = _partial_bell(w, n_max)
+    return [sum(seq[k - 2] * B[n][k] for k in range(2, n + 1)) for n in range(2, n_max + 1)]
+
+
+def test_nov_kernel_is_nov_composed_over_a_plain_bell_triangle():
+    # Each second-order row's share (nov's) comes from its own recurrence,
+    # which builds no Bell column: check it against sum_k d(k) * B(n, k)
+    # from the whole triangle.
+    n_max = 40
+    second = [(fn, row) for fn, row in dims_mod._BUILTINS.values() if row[2]]
+    assert second
+    for fn, row in second:
+        seq = [fn(k) for k in range(2, n_max + 1)]
+        assert dims_mod._split(seq) == ([], row)
+        for top, w in _seeded_weights(n_max):
+            assert _kernel_values(seq, w, n_max) == _bell_composed(seq, w, n_max), (row, top)
+
+
+def test_each_builtin_closed_form_satisfies_its_row():
+    # d(1) = 1 and the row's recurrence give the closed form, and _split of
+    # its values d(2..N) finds no head.  The row found is the first in table
+    # order whose family has those values: nov's 2, 6 are also as's.
+    table = dims_mod._BUILTINS
+    for name, (fn, (alpha, beta, second)) in table.items():
+        d = [0, 1] + [fn(k) for k in range(2, 62)]
+        for k in range(1, 60):
+            assert (k if second else 1) * d[k + 1] == (alpha * k + beta) * d[k], (name, k)
+        for n in range(3, 41):
+            values = d[2:n + 1]
+            first = next(row for f, row in table.values()
+                         if [f(k) for k in range(2, n + 1)] == values)
+            assert dims_mod._split(values) == ([], first), (name, n)
+        assert first == table[name][1]
+
+
+def test_rows_outside_the_table_compose_as_a_plain_bell_triangle(monkeypatch):
+    # The kernel reads a row's alpha and beta only: the first-order row
+    # (2, 1), d(k) = (2k - 1)!!, and the second-order (8, -4), d(k) =
+    # 2^(k-1) nov(k), patched into the families, each give the whole
+    # triangle's sum with no head.
+    n_max = 40
+    rows = {
+        (2, 1, False): [math.prod(range(1, 2 * k, 2)) for k in range(2, n_max + 1)],
+        (8, -4, True): [2 ** (k - 1) * math.comb(2 * k - 2, k - 1) for k in range(2, n_max + 1)],
+    }
+    for seq in rows.values():
+        assert dims_mod._split(seq)[1] is None
+    monkeypatch.setattr(dims_mod, "_FAMILIES", (*dims_mod._FAMILIES, *rows))
+    for row, seq in rows.items():
+        assert dims_mod._split(seq) == ([], row)
+        for top, w in _seeded_weights(n_max):
+            assert _kernel_values(seq, w, n_max) == _bell_composed(seq, w, n_max), (row, top)
+
+
+def _multiplications(monkeypatch, run) -> int:
+    """The operator.mul calls that dims makes while run() runs."""
+    calls = 0
+
+    def mul(a, b):
+        nonlocal calls
+        calls += 1
+        return a * b
+
+    counting = types.SimpleNamespace(mul=mul, add=operator.add, sub=operator.sub)
+    monkeypatch.setattr(dims_mod, "operator", counting)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def test_kernel_multiplications_are_pinned(monkeypatch):
+    # free_product_dims at n = 50 of one operand per family row with
+    # itself, and of a pair with heads: the kernels' dot products and
+    # Pascal-weighted weights.  An algorithmic change that moves a count
+    # updates its pin and says so.
+    pins = {"com-as": 4900, "as": 4900, "lie": 4900, "com": 4900, "nov": 14602}
+    for name, pin in pins.items():
+        op = builtin_operad(name)
+        assert _multiplications(monkeypatch, lambda: free_product_dims(op, op, 50)) == pin, name
+    ops = parse_operad_config("x = [2, 3] builtin:as\ny = [1, 5, 7] builtin:com\n")
+    headed = _multiplications(monkeypatch, lambda: free_product_dims(ops["x"], ops["y"], 50))
+    assert headed == 13521

@@ -45,7 +45,7 @@ CALLS = {
     "graft": lambda: trees.graft(TREE, [TREE, 1, TREE]),
     "count_avoiding_recursive": lambda: trees.count_avoiding_recursive(
         LIE, COM, 7, [trees.BULLET]),
-    "network_lines": lambda: spnet.network_lines(10),
+    "network_lines": lambda: "\n".join(spnet.network_pieces(10)),
     "network_pieces": lambda: list(spnet.network_pieces(10, '", "')),
     "network_pieces dropped": lambda: next(spnet.network_pieces(10)),
     "enumerate_networks": lambda: list(spnet.enumerate_networks(8)),

@@ -1014,6 +1014,45 @@ def test_lie_with_a_free_generator_counts_lie_star_com():
     assert [count_normal_monomials(XY, lie, n) for n in range(1, 9)] == table.totals()
 
 
+def _quotient_dim(alphabet, rules, n):
+    """The arity-n dimension of the quotient by the rules' ideal, with no
+    monomial order: the shuffle trees minus the rank of the span of m - (the
+    rhs substituted at the occurrence) for each occurrence of each rule's
+    lhs in each tree m, found by the tests' own matcher.  The rank is exact,
+    over the rationals (Fraction): a rank mod a prime can only be lower."""
+    trees = list(enumerate_shuffle_trees(alphabet, n))
+    index = {m: i for i, m in enumerate(trees)}
+    pivots = {}  # leading column -> its row, scaled to lead with 1
+    for m in trees:
+        for rule in rules:
+            for path, slots in _sorted_embeddings(m, rule.lhs):
+                row = {index[m]: Fraction(1)}
+                for r, c in rule.rhs.terms.items():
+                    j = index[shuffle._replace_at(m, path, shuffle._substitute(r, slots))]
+                    row[j] = row.get(j, 0) - c
+                row = {j: c for j, c in row.items() if c}
+                while row and (top := max(row)) in pivots:
+                    lead = row[top]
+                    for j, c in pivots[top].items():
+                        if v := row.get(j, 0) - lead * c:
+                            row[j] = v
+                        else:
+                            del row[j]
+                if row:
+                    pivots[top] = {j: c / row[top] for j, c in row.items()}
+    return len(trees) - len(pivots)
+
+
+def test_quotient_dimension_by_rank_needs_no_order():
+    # The paper's theorem by a route that never reduces: the lie-adm
+    # quotient has the lie * com dimensions, and lie's is (n-1)!.
+    assert [_quotient_dim([("x", 2)], JACOBI, n) for n in range(2, 7)] == [
+        math.factorial(n - 1) for n in range(2, 7)]
+    lie_com = free_product_dims(builtin_operad("lie"), builtin_operad("com"), 5).totals()
+    assert lie_com[1:] == [2, 11, 101, 1299]
+    assert [_quotient_dim(XY, LIE_ADM, n) for n in range(2, 6)] == lie_com[1:]
+
+
 def test_monomial_rules_on_disjoint_alphabets_count_the_free_product():
     # The free product's law by a route that shares no code with dims: the
     # union of two quadratic monomial rule sets, on disjoint alphabets,

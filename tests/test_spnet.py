@@ -18,7 +18,6 @@ from freeop.spnet import (
     format_network,
     macmahon,
     make_node,
-    network_lines,
     network_pieces,
     network_to_tree,
     parse_network,
@@ -279,15 +278,13 @@ def test_parse_network_returns_a_network_or_raises_value_error(text):
 def test_network_lines_are_the_formatted_enumeration():
     for n in range(1, 13):
         lines = [format_network(t) for t in enumerate_networks(n)]
-        assert network_lines(n) == lines
+        assert "\n".join(network_pieces(n)) == "\n".join(lines)
         for sep in LISTING_SEP.values():
             assert sep.join(network_pieces(n, sep)) == sep.join(lines), (n, sep)
     # The make_node route does not share _unlabeled's ordering of children.
     cache = {}
     for n in range(1, 11):
         expected = [format_network(t) for t in _networks_by_make_node(n, "any", cache)]
-        assert network_lines(n) == expected
-    with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
-        network_lines(0)
+        assert "\n".join(network_pieces(n)) == "\n".join(expected)
     with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
         network_pieces(0)  # by the call, before the first piece

@@ -21,7 +21,6 @@ from freeop.trees import (
     CIRC,
     PATTERNS_BY_NAME,
     arity,
-    basis_lines,
     basis_pieces,
     count_avoiding,
     count_avoiding_recursive,
@@ -161,13 +160,18 @@ def _zero_laden_pairs():
     ]
 
 
+def _formatted(a, b, n, root):
+    """format_tree of each tree of enumerate_basis, in order."""
+    return [format_tree(t) for t in enumerate_basis(a, b, n, root)]
+
+
 def test_basis_lines_are_the_formatted_enumeration():
     # Zero dimensions drop whole label blocks; every root, list and order.
     for a, b in [(LIE, COMAS)] + _zero_laden_pairs():
         for n in range(1, 7):
             for root in (BULLET, CIRC, "any"):
-                expected = [format_tree(t) for t in enumerate_basis(a, b, n, root)]
-                assert basis_lines(a, b, n, root) == expected
+                expected = "\n".join(_formatted(a, b, n, root))
+                assert "\n".join(basis_pieces(a, b, n, root)) == expected
 
 
 def test_basis_pieces_join_as_the_lines():
@@ -177,7 +181,7 @@ def test_basis_pieces_join_as_the_lines():
              for n in range(1, 7)]
     for a, b, n in cases + [(corolla, corolla, 8)]:
         for root in (BULLET, CIRC, "any"):
-            lines = basis_lines(a, b, n, root)
+            lines = _formatted(a, b, n, root)
             for sep in ("\n", '", "'):
                 pieces = list(basis_pieces(a, b, n, root, sep))
                 assert sep.join(pieces) == sep.join(lines), (a.name, b.name, n, root)
@@ -188,7 +192,7 @@ def test_basis_pieces_join_as_the_lines():
     # A bullet root over the blocks {1, 2, 3} and {4}: lie's d2 = 1, so one
     # piece holds the four circ subtrees on {1, 2, 3}, each before the leaf 4.
     piece = "\n".join(
-        f"bullet[dec=0]({t}, 4)" for t in basis_lines(LIE, COMAS, 3, CIRC))
+        f"bullet[dec=0]({t}, 4)" for t in _formatted(LIE, COMAS, 3, CIRC))
     assert piece.count("\n") == 3
     assert piece in list(basis_pieces(LIE, COMAS, 4, BULLET))
 

@@ -19,12 +19,12 @@ from . import trees
 # The one listing bound, checked by check_listing against each listing's
 # size.  A listing is written piece by piece as it is built, and holds only
 # the text of its subtrees and of its root's compositions: measured with
-# CPython 3.11.7 on a shared 2-CPU Xeon, a fresh process writing to
+# CPython 3.11.7 on a shared 2-CPU Xeon, main in a fresh process writing to
 # /dev/null, with the peak freeop itself allocates (tracemalloc), the 665k
-# trees of com*com at n=7 (JSON) take 0.15-0.17 s and 14 MiB, `sp -n 14
-# --list` (437,502 networks) 0.24-0.27 s and 34 MiB, and the costliest
+# trees of com*com at n=7 (JSON) take 0.07-0.12 s and 14 MiB, `sp -n 14
+# --list` (437,502 networks) 0.12-0.21 s and 34 MiB, and the costliest
 # admitted listing measured, 926,695 trees at n=10 (README, JSON),
-# 0.72-0.78 s and 60 MiB.  `basis --list` also takes n <=
+# 0.38-0.66 s and 50 MiB.  `basis --list` also takes n <=
 # trees.LIST_ARITY_MAX, which bounds the set partitions its walk visits.
 LIST_MAX = 1_000_000
 # Counts take up to O(n^3) big-integer operations.  Measured with CPython

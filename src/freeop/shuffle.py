@@ -95,12 +95,6 @@ def arity(m) -> int:
     return len(leaves(m))
 
 
-def min_leaf(m) -> int:
-    if is_leaf(m):
-        return m
-    return min(min_leaf(m[1]), min_leaf(m[2]))
-
-
 def validate_monomial(m) -> list[int]:
     """Check that m is a binary shuffle tree with distinct positive leaves;
     return the leaf labels in planar order.

@@ -76,12 +76,12 @@ def _check_vertex(color: str, children) -> None:
 def _set_partitions(k: int) -> list[tuple]:
     """The set partitions of range(k), blocks sorted internally and by
     minimum, each as (composition, order): its block sizes in block
-    order, and its blocks' indices concatenated.  Those of range(j + 1)
-    grow from those of range(j), j put last in each block in turn and
-    then alone in a new block: restricted-growth order."""
-    grown = [((), ())]
+    order, and the bytes of its blocks' indices concatenated.  Those of
+    range(j + 1) grow from those of range(j), j put last in each block in
+    turn and then alone in a new block: restricted-growth order."""
+    grown = [((), b"")]
     for j in range(k):
-        new = (j,)
+        new = bytes((j,))
         out = []
         for comp, order in grown:
             end = 0
@@ -151,31 +151,22 @@ def _labeled_trees(labels: tuple[int, ...], color: str, dim_of: dict, memo: dict
 
 # The largest arity a listing takes.  basis_pieces walks the Bell(k) set
 # partitions of each size k it visits once per color, however few trees
-# they give: 2 (Bell(2) + ... + Bell(10)) = 284,832 of them take 0.2-0.3 s
-# to build and visit (CPython 3.11, 2-CPU Xeon), and n = 11, 2 Bell(11) =
-# 1,357,140 more, 1.4-2.1 s.
+# they give: 2 (Bell(2) + ... + Bell(10)) = 284,832 of them take 0.16-0.26
+# s to build and visit (CPython 3.11, 2-CPU Xeon), and n = 11, 2 Bell(11) =
+# 1,357,140 more, 1.1-1.5 s.
 LIST_ARITY_MAX = 10
 
 # The text of a listing is built over placeholder labels, the first k of
-# these for k leaves, then relabeled by str.translate.  Uppercase ASCII
-# appears in no tree text and in neither listing separator, and keeps
-# translate on CPython's ASCII fast path, which a two-character value
-# leaves: the label 10 is written as _TEN, then replaced.  The table maps
-# all of ASCII, each other code to itself, as translate looks each distinct
-# character up once per call and a miss raises and clears a KeyError; a
-# code above 127 is an IndexError, a LookupError, so it stays as it is.
-_PLACEHOLDERS = "ABCDEFGHIJ"
-_HEAD = "".join(map(chr, range(ord(_PLACEHOLDERS[0]))))
-_TAIL = "".join(map(chr, range(ord(_PLACEHOLDERS[-1]) + 1, 128)))
+# these for k leaves, then relabeled as bytes by bytes.translate, through a
+# bytes.maketrans table that fixes every other byte (a separator outside
+# ASCII passes as its UTF-8 bytes).  Uppercase ASCII appears in no tree
+# text and in neither listing separator; the label 10, two characters, is
+# written as _TEN, then replaced.
+_PLACEHOLDERS = b"ABCDEFGHIJ"
 _TEN = "T"
 # Where a vertex's decoration goes in _vertices_text: no tree text or
 # listing separator holds it.
 _DEC = "#"
-
-
-def _relabeling(labels: str) -> str:
-    """The translate table that writes labels[i] for the i-th placeholder."""
-    return _HEAD + labels + _PLACEHOLDERS[len(labels):] + _TAIL
 
 
 def basis_pieces(
@@ -190,7 +181,8 @@ def basis_pieces(
     the trees over its composition, the block sizes in block order, each
     block's labels made consecutive.  So the text of each (size, color)
     and of each (composition, color) is built once over placeholders,
-    and each set partition's is one translate of its composition's.  The
+    encoded once, and each set partition's is one bytes.translate of its
+    composition's, through a table from its order and the labels.  The
     set partitions of each size are walked once per color, and each
     dimension is read once, when a vertex first needs it.  The walk costs
     2 Bell(k) for each size k <= n, so n is at most LIST_ARITY_MAX.
@@ -202,36 +194,39 @@ def basis_pieces(
         raise ValueError(f"a listing's arity must be <= {LIST_ARITY_MAX}, got {n}")
     dim_of = {BULLET: functools.cache(x.dim), CIRC: functools.cache(y.dim)}
     memo: dict = {}
+    labels = ("123456789" + _TEN).encode()
     pieces = (piece for color in (BULLET, CIRC) if root in (color, "any")
-              for piece in _pieces(n, color, sep, "123456789" + _TEN, dim_of, memo))
+              for piece in _pieces(n, color, sep, labels, dim_of, memo))
     return (p.replace(_TEN, "10") for p in pieces) if n == 10 else pieces
 
 
 def _pieces(k: int, color: str, sep: str, labels, dim_of: dict, memo: dict) -> Iterator[str]:
-    """The text of the (k, color) trees over labels, one piece per set
-    partition of range(k) that has trees; memo holds the set partitions of
-    each size and the (k, color, offset) lists of _subtrees.  No other call
-    walks (k, color, sep), so each composition's text is kept here."""
+    """The text of the (k, color) trees over labels (bytes), one piece per
+    set partition of range(k) that has trees; memo holds the set partitions
+    of each size and the (k, color, offset) lists of _subtrees.  No other
+    call walks (k, color, sep), so each composition's text is kept here."""
     if k not in memo:
         memo[k] = _set_partitions(k)
-    texts: dict[tuple, str] = {}
+    codes = bytes.maketrans(bytes(range(len(labels))), labels)  # block index -> label
+    placeholders = _PLACEHOLDERS[:k]
+    texts: dict[tuple, bytes] = {}
     for comp, order in memo[k]:
         text = texts.get(comp)
         if text is None:
-            text = texts[comp] = _composed(comp, color, sep, dim_of, memo)
+            text = texts[comp] = _composed(comp, color, sep, dim_of, memo).encode()
         if text:
-            yield text.translate(_relabeling("".join(map(labels.__getitem__, order))))
+            yield text.translate(bytes.maketrans(placeholders, order.translate(codes))).decode()
 
 
 def _subtrees(k: int, color: str, offset: int, dim_of: dict, memo: dict) -> list[str]:
     """The (k, color) trees over the placeholders from offset on."""
     if k == 1:
-        return [_PLACEHOLDERS[offset]]
+        return [chr(_PLACEHOLDERS[offset])]
     key = (k, color, offset)
     if key not in memo:
         if offset:  # the trees from 0 on, shifted
-            shift = _relabeling(_PLACEHOLDERS[offset:offset + k])
-            text = "\n".join(_subtrees(k, color, 0, dim_of, memo)).translate(shift)
+            text = "\n".join(_subtrees(k, color, 0, dim_of, memo)).encode().translate(
+                bytes.maketrans(_PLACEHOLDERS[:k], _PLACEHOLDERS[offset:offset + k])).decode()
         else:
             text = "\n".join(_pieces(k, color, "\n", _PLACEHOLDERS, dim_of, memo))
         memo[key] = text.split("\n") if text else []
@@ -265,12 +260,16 @@ def _vertices_text(sep: str, color: str, d: int, options) -> str:
     The blocks after the last one with more than one option are the same
     in every tree, so each choice of the children before that block joins
     the text of all the trees it starts in one call.  That text is built
-    once, _DEC standing for the decoration, and stamped with each.
+    once, _DEC standing for the decoration, and stamped with each.  With
+    one option in every block, one join writes the d trees.
     """
     last = len(options) - 1
     while last and len(options[last]) == 1:
         last -= 1
     suffix = "".join(", " + o[0] for o in options[last + 1:]) + ")"
+    if len(options[last]) == 1:  # last is 0: one tree per decoration
+        before, after = f"{color}[dec=", "](" + options[0][0] + suffix
+        return before + (after + sep + before).join(map(str, range(d))) + after
     firsts = itertools.product(*[[t + ", " for t in o] for o in options[:last]])
     head = f"{color}[dec={_DEC}]("
     block = options[last]

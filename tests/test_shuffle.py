@@ -27,7 +27,6 @@ from freeop.shuffle import (
     find_divisor,
     is_normal,
     leaves,
-    min_leaf,
     monomial_key,
     normal_form,
     orient,
@@ -43,6 +42,12 @@ from freeop.shuffle import (
 )
 
 XY = [("x", 2), ("y", 2)]
+
+
+def min_leaf(m) -> int:
+    """The smallest leaf label of a monomial, a leaf an int."""
+    return m if isinstance(m, int) else min(min_leaf(m[1]), min_leaf(m[2]))
+
 
 JACOBI = parse_rules("x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)")
 LIE_ADM = parse_rules(
@@ -1051,6 +1056,16 @@ def test_quotient_dimension_by_rank_needs_no_order():
     lie_com = free_product_dims(builtin_operad("lie"), builtin_operad("com"), 5).totals()
     assert lie_com[1:] == [2, 11, 101, 1299]
     assert [_quotient_dim(XY, LIE_ADM, n) for n in range(2, 6)] == lie_com[1:]
+    # Without confluence the normal monomials outnumber the quotient's
+    # dimension, first at the least arity of an overlap that does not
+    # resolve (Diamond Lemma): bad-jacobi at 4, the cubic rule at 5.
+    for rules, dims, normal, max_arity in [
+            (BAD_JACOBI, [1, 2, 5], [1, 2, 6], 5), (CUBIC, [1, 3, 14, 90], [1, 3, 14, 91], 7)]:
+        arities = range(2, 2 + len(dims))
+        assert [_quotient_dim([("x", 2)], rules, n) for n in arities] == dims
+        assert [count_normal_monomials([("x", 2)], rules, n) for n in arities] == normal
+        failures = check_confluence(rules, max_arity).failures
+        assert min(arity(m) for m, _ in failures) == arities[-1]
 
 
 def test_monomial_rules_on_disjoint_alphabets_count_the_free_product():

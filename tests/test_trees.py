@@ -165,6 +165,11 @@ def _formatted(a, b, n, root):
     return [format_tree(t) for t in enumerate_basis(a, b, n, root)]
 
 
+def _rooted(lines, root):
+    """The lines of trees with the given root color ("any" keeps all)."""
+    return [line for line in lines if root in ("any", line[:line.index("[")])]
+
+
 def test_basis_lines_are_the_formatted_enumeration():
     # Zero dimensions drop whole label blocks; every root, list and order.
     for a, b in [(LIE, COMAS)] + _zero_laden_pairs():
@@ -232,10 +237,43 @@ def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte(monkeypatch):
         assert any("10)" in line for line in lines) == (n == 10)
         assert ("circ[dec=11](1, 2, 3, 4, 5, 6, 7, 8, 9, 10)" in lines) == (n == 10)
         for root in (BULLET, CIRC, "any"):
-            rooted = [line for line in lines if root in ("any", line[:line.index("[")])]
+            rooted = _rooted(lines, root)
             for sep in ("\n", '", "'):
                 text = sep.join(basis_pieces(a, b, n, root, sep))
                 assert text == sep.join(rooted), (n, root, sep)
+
+
+def test_one_tree_per_decoration_is_stamped_in_one_join(monkeypatch):
+    # Under an as root, com-as children of sizes 1 and 2 are one tree each,
+    # so a root over such blocks is one tree per decoration, d = k! >= 2 of
+    # them; every root and both separators, against format_tree over
+    # enumerate_basis (compared outside assert: a diff of megabytes of
+    # text would take minutes).
+    monkeypatch.setattr(trees_mod, "_set_partitions",
+                        functools.cache(trees_mod._set_partitions))
+    as_ = builtin_operad("as")
+    for n in range(2, 7):
+        lines = _formatted(as_, COMAS, n, "any")
+        corolla = f"({', '.join(map(str, range(1, n + 1)))})"
+        assert f"bullet[dec={math.factorial(n) - 1}]{corolla}" in lines
+        for root in (BULLET, CIRC, "any"):
+            rooted = _rooted(lines, root)
+            for sep in ("\n", '", "'):
+                same = sep.join(basis_pieces(as_, COMAS, n, root, sep)) == sep.join(rooted)
+                assert same, (n, root, sep)
+
+
+def test_readme_sparse_listing_at_ten_leaves_is_the_formatted_enumeration(monkeypatch):
+    # README's s = [0, 0, 1, 0, 0, 0, 0, 0, 1] against itself at n = 10:
+    # 11,552 trees of one decoration each, the label 10 among them.
+    monkeypatch.setattr(trees_mod, "_set_partitions",
+                        functools.cache(trees_mod._set_partitions))
+    s = explicit_operad("s", [0, 0, 1, 0, 0, 0, 0, 0, 1])
+    lines = _formatted(s, s, 10, "any")
+    assert len(lines) == 11552 and "circ[dec=0](1, 2, 3, 4, 5, 6, 7, 8, 9, 10)" in lines
+    for root in (BULLET, CIRC, "any"):
+        same = "\n".join(basis_pieces(s, s, 10, root)) == "\n".join(_rooted(lines, root))
+        assert same, root
 
 
 def test_basis_pieces_refuse_more_leaves_than_placeholders():
@@ -250,9 +288,10 @@ def test_basis_pieces_refuse_more_leaves_than_placeholders():
 
 def _extend_partition(i, k, parts, results):
     """Reference: append to results each set partition of range(k) that
-    extends parts, a set partition of range(i), as (composition, order)."""
+    extends parts, a set partition of range(i), as (composition, order),
+    the order the bytes of its blocks' indices concatenated."""
     if i == k:
-        results.append((tuple(map(len, parts)), tuple(itertools.chain.from_iterable(parts))))
+        results.append((tuple(map(len, parts)), bytes(itertools.chain.from_iterable(parts))))
         return
     for b in parts:
         b.append(i)
@@ -271,19 +310,35 @@ def test_set_partitions_are_the_recursive_reference_in_order():
     assert len(expected) == 21147
 
 
-def test_relabeling_tables_fix_all_of_ascii_but_the_placeholders():
-    # every table a listing translates through: a placeholder shift at
-    # each offset (_subtrees), and labels at the root (_pieces)
-    placeholders = trees_mod._PLACEHOLDERS
-    ascii_text = "".join(map(chr, range(128)))
-    for k in range(11):
-        for labels in [placeholders[offset:offset + k] for offset in range(11 - k)] + [
-                "123456789T"[:k], "T987654321"[10 - k:]]:
-            table = trees_mod._relabeling(labels)
-            relabeled = dict(zip(placeholders, labels))
-            expected = "".join(relabeled.get(c, c) for c in ascii_text)
-            assert len(table) == 128 and ascii_text.translate(table) == expected, (k, labels)
-            assert "é\u0100\U0001f600".translate(table) == "é\u0100\U0001f600"
+def test_relabeling_tables_fix_all_of_ascii_but_the_placeholders(monkeypatch):
+    # Every table a listing translates through, on a text that holds each
+    # placeholder and every other byte: the labels at the root (_pieces),
+    # over a set partition in block order and reversed, and a placeholder
+    # shift at each offset (_subtrees).  Only the first k placeholders
+    # change; a separator outside ASCII passes through as its UTF-8 bytes.
+    placeholders = trees_mod._PLACEHOLDERS.decode()
+    # every code point below 0x800, then one for each longer UTF-8 lead byte
+    text = "".join(map(chr, [*range(0x800), *(max(0x800, i << 12) for i in range(16)),
+                             *(max(0x10000, i << 18) for i in range(5))]))
+    assert set(text.encode()) == set(range(256)) - {0xC0, 0xC1, *range(0xF5, 0x100)}
+
+    def relabeled(labels):
+        return text.translate(str.maketrans(placeholders[:len(labels)], labels))
+
+    monkeypatch.setattr(trees_mod, "_composed", lambda *args: text)
+    for k in range(1, 11):
+        for order, labels in [(bytes(range(k)), "123456789T"[:k]),
+                              (bytes(range(k))[::-1], "T987654321"[10 - k:])]:
+            memo = {k: [((k,), order)]}
+            pieces = list(trees_mod._pieces(
+                k, BULLET, "\n", b"123456789" + trees_mod._TEN.encode(), {}, memo))
+            assert pieces == [relabeled(labels)], (k, order)
+        for offset in range(11 - k):
+            memo = {(k, CIRC, 0): text.split("\n")}
+            shifted = "\n".join(trees_mod._subtrees(k, CIRC, offset, {}, memo))
+            expected = placeholders[offset] if k == 1 else relabeled(
+                placeholders[offset:offset + k])
+            assert shifted == expected, (k, offset)
 
 
 def _walk_bound(n):

@@ -260,16 +260,12 @@ def _vertices_text(sep: str, color: str, d: int, options) -> str:
     The blocks after the last one with more than one option are the same
     in every tree, so each choice of the children before that block joins
     the text of all the trees it starts in one call.  That text is built
-    once, _DEC standing for the decoration, and stamped with each.  With
-    one option in every block, one join writes the d trees.
+    once, _DEC standing for the decoration, and stamped with each.
     """
     last = len(options) - 1
     while last and len(options[last]) == 1:
         last -= 1
     suffix = "".join(", " + o[0] for o in options[last + 1:]) + ")"
-    if len(options[last]) == 1:  # last is 0: one tree per decoration
-        before, after = f"{color}[dec=", "](" + options[0][0] + suffix
-        return before + (after + sep + before).join(map(str, range(d))) + after
     firsts = itertools.product(*[[t + ", " for t in o] for o in options[:last]])
     head = f"{color}[dec={_DEC}]("
     block = options[last]

@@ -243,7 +243,7 @@ def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte(monkeypatch):
                 assert text == sep.join(rooted), (n, root, sep)
 
 
-def test_one_tree_per_decoration_is_stamped_in_one_join(monkeypatch):
+def test_one_tree_per_decoration_is_the_formatted_enumeration(monkeypatch):
     # Under an as root, com-as children of sizes 1 and 2 are one tree each,
     # so a root over such blocks is one tree per decoration, d = k! >= 2 of
     # them; every root and both separators, against format_tree over

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import os
 import sys
 from collections.abc import Iterable
@@ -47,8 +48,8 @@ COUNT_MAX = 200
 # n at which n^3 |S|^2 stays within that cost (4 generators: n <= 125).
 COUNT_NORMAL_BUDGET = COUNT_MAX**3 * 2**2
 # macmahon(n) takes O(n^2) operations on integers of O(n) digits, measured
-# the same way: 0.5 s at n=1000, 1.5 s at 1500 and 4.9 s at 2000, two and
-# a half times dims at COUNT_MAX, against which the bound was once set.
+# the same way: 0.20-0.24 s at n=1000, 0.86-0.96 s at 1500 and 2.6-2.7 s
+# at 2000, above dims at COUNT_MAX, against which the bound was once set.
 SP_MAX = 2000
 # The largest -n of each command that takes one, checked by main before
 # the command reads an operand or rule file.
@@ -122,25 +123,27 @@ def _read_text(path: str, what: str) -> str:
 def emit(payload: dict, text_lines: Iterable[str], fmt: str) -> None:
     """Print the payload as JSON, or text_lines one per line.
 
-    A listing is a payload whose last key holds text_lines itself (`trees`,
-    `networks`): an iterable of pieces, each one or more items already
-    joined by the format's LISTING_SEP (`trees.basis_pieces`), written as
-    they come, so the listing is never held whole.  Its items are tree or
-    network text, which JSON does not escape, so the array is spliced in
-    as text, not encoded item by item.  The first piece is built before
-    anything is written.
+    An answer, any payload but a listing, is built whole before it is
+    written, so no refusal follows output; as JSON it does not read
+    text_lines.  A listing is a payload whose last key holds text_lines
+    itself (`trees`, `networks`): an iterable of pieces, each one or more
+    items already joined by the format's LISTING_SEP
+    (`trees.basis_pieces`), written as they come, so the listing is never
+    held whole.  Its items are tree or network text, which JSON does not
+    escape, so the array is spliced in as text, not encoded item by item.
+    The first piece is built before anything is written.
     """
+    if fmt == "json":
+        import json  # here, not at the top: no table-format command loads it
+    last = max(payload)
+    if payload[last] is not text_lines:
+        print(json.dumps(payload, sort_keys=True) if fmt == "json" else "\n".join(text_lines))
+        return
     write = sys.stdout.write
     pieces = iter(text_lines)
     first = next(pieces, None)
     end = "\n"
     if fmt == "json":
-        import json  # here, not at the top: no table-format command loads it
-
-        last = max(payload)
-        if payload[last] is not text_lines:
-            print(json.dumps(payload, sort_keys=True))
-            return
         rest = json.dumps({k: v for k, v in payload.items() if k != last}, sort_keys=True)
         if first is None:
             write(f"{rest[:-1]}, {json.dumps(last)}: []}}\n")
@@ -162,7 +165,7 @@ def emit(payload: dict, text_lines: Iterable[str], fmt: str) -> None:
 # the answer after it returns, so no refusal can follow output.  A listing's
 # pieces are built as emit writes them, after its count, which reads every
 # operand dimension the listing reads: they cannot be refused either.
-def cmd_dims(args) -> tuple[dict, list[str]]:
+def cmd_dims(args) -> tuple[dict, Iterable[str]]:
     if args.symbolic:
         if args.left or args.right:
             raise CliError("--symbolic takes no --left/--right")
@@ -176,12 +179,14 @@ def cmd_dims(args) -> tuple[dict, list[str]]:
     x, y = resolve_operands(args)
     table = dims_mod.free_product_dims(x, y, args.n)
     rows = [{"n": 1, "bullet": None, "circ": None, "total": 1}]
-    lines = ["n\tbullet\tcirc\ttotal", "1\t-\t-\t1"]
     for n in range(2, args.n + 1):
         b, c = table.bullet[n], table.circ[n]
         rows.append({"n": n, "bullet": b, "circ": c, "total": b + c})
-        lines.append(f"{n}\t{b}\t{c}\t{b + c}")
     payload = {"command": "dims", "left": x.name, "right": y.name, "n_max": args.n, "rows": rows}
+    # The table is formatted from rows only if emit writes it (--format table).
+    lines = itertools.chain(
+        ["n\tbullet\tcirc\ttotal", "1\t-\t-\t1"],
+        (f"{r['n']}\t{r['bullet']}\t{r['circ']}\t{r['total']}" for r in rows[1:]))
     return payload, lines
 
 

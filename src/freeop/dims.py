@@ -413,9 +413,7 @@ def _entry(lineno: int, raw: str) -> OperadDims:
     name = m.group("name")
     try:
         tail = builtin_operad(m.group("builtin")) if m.group("builtin") else None
-        if m.group("seq") is None:
-            return OperadDims(name, tail.fn)
-        body = m.group("seq")[1:-1].strip()
+        body = (m.group("seq") or "[]")[1:-1].strip()
         toks = body.split(",") if body else []
         return explicit_operad(name, [int(tok) for tok in toks], tail)
     except OperadError as exc:

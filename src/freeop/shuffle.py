@@ -7,14 +7,18 @@ every node the left child's least leaf label is below the right child's
 monomials on one set of leaf labels, checked when an element is built;
 `orient` owns the checks that make an equation a rule.
 
-The monomial order is graded path-lexicographic: compare arity (the
-larger arity is the greater, so any two monomials compare), then for
-each leaf label in increasing order the word of symbols along the
-root-to-leaf path (alphabetically earlier symbol wins, a proper
+The monomial order compares arity first (the larger arity is the greater,
+so any two monomials compare), then, for each leaf label in increasing
+order, the word of symbols along the root-to-leaf path, compared
+lexicographically (an alphabetically earlier symbol wins, a proper
 extension beats its prefix), then the planar leaf sequence.  It is one
 tuple sort key, `monomial_key`.  This makes x(x(1 2) 3) the largest of
 the three Jacobi monomials and ranks x-rooted monomials above y-rooted
-ones.
+ones.  The order is not monotone under substitution: x(y(1 3) 2) lies
+above x(1 y(2 3)), but x(y(x(1 2) 4) 3) lies below x(x(1 2) y(3 4)).
+Each rewrite step checks that it decreases, so a rule system that
+rewrites upwards somewhere is refused ("rewrite does not decrease", exit
+2 from the CLI), never looped on.
 
 Confluence checking builds each overlap directly from two left-hand
 sides, placing leaf labels only where both occurrences keep their order
@@ -155,28 +159,20 @@ def symbols_of(m) -> set[str]:
 
 
 def print_monomial(m) -> str:
-    return str(m) if isinstance(m, int) else _printed(m)
-
-
-# The texts of leaf labels 0-63, read in place of a str() call; a bool or
-# any other int goes through str().
-_LEAF_TEXTS = tuple(map(str, range(64)))
+    return _printed(m) if type(m) is tuple else str(m)
 
 
 def _printed(node) -> str:
-    """The text of a generator node: one recursion, one f-string per node
-    and a leaf child's text in place.  It calls itself, not print_monomial,
-    so a wrapped print_monomial sees one call per monomial."""
+    """The text of a generator node: one recursion, one f-string per node,
+    which writes a leaf child (any child but a tuple node) as str() does.
+    It calls itself, not print_monomial, so a wrapped print_monomial sees
+    one call per monomial."""
     sym, a, b = node
-    if type(a) is int and 0 <= a < 64:
-        left = _LEAF_TEXTS[a]
-    else:
-        left = str(a) if isinstance(a, int) else _printed(a)
-    if type(b) is int and 0 <= b < 64:
-        right = _LEAF_TEXTS[b]
-    else:
-        right = str(b) if isinstance(b, int) else _printed(b)
-    return f"{sym}({left} {right})"
+    if type(a) is tuple:
+        a = _printed(a)
+    if type(b) is tuple:
+        b = _printed(b)
+    return f"{sym}({a} {b})"
 
 
 _SYM_RE = re.compile(r"[A-Za-z_]\w*")
@@ -255,31 +251,16 @@ def _monomial(text: str, toks: list, i: int, seen: list, depth: int = 1):
         raise ParseError(_TOO_DEEP, _start(text, i))
     if toks[i + 1] != "(":
         raise ParseError("expected '('", _start(text, i + 1))
-    # A leaf child is read here, not by a call.
     i += 2
-    a = toks[i]
-    if a.isdecimal():
-        a = least = _int(a, text, i)
-        seen.append(a)
-        i += 1
-        ok = True
-    elif a == ")":
+    if toks[i] == ")":
         raise ParseError("generator application needs arguments", _start(text, i) + 1)
-    else:
-        a, i, least, ok = _monomial(text, toks, i, seen, depth + 1)
-    b = toks[i]
-    if b.isdecimal():
-        b = low = _int(b, text, i)
-        seen.append(b)
-        i += 1
-    elif b == ")":
+    a, i, least, ok = _monomial(text, toks, i, seen, depth + 1)
+    if toks[i] == ")":
         raise ParseError(_BINARY, _start(text, i))
-    else:
-        b, i, low, good = _monomial(text, toks, i, seen, depth + 1)
-        ok = ok and good
+    b, i, low, good = _monomial(text, toks, i, seen, depth + 1)
     if toks[i] != ")":
         raise ParseError(_BINARY if toks[i] else "missing ')'", _start(text, i))
-    return (tok, a, b), i + 1, least, ok and least < low
+    return (tok, a, b), i + 1, least, ok and good and least < low
 
 
 def _leaf_set(m, seen: list, low: int, ok: bool) -> frozenset:

@@ -170,13 +170,23 @@ def _rooted(lines, root):
     return [line for line in lines if root in ("any", line[:line.index("[")])]
 
 
+def _first_difference(got: str, expected: str, sep: str) -> tuple:
+    """Where two listings joined by sep first differ: the item's index and
+    each listing's item there (None past its end).  Listings are compared
+    outside assert, which would diff megabytes of text for minutes."""
+    pairs = itertools.zip_longest(got.split(sep), expected.split(sep))
+    return next((i, g, e) for i, (g, e) in enumerate(pairs) if g != e)
+
+
 def test_basis_lines_are_the_formatted_enumeration():
     # Zero dimensions drop whole label blocks; every root, list and order.
     for a, b in [(LIE, COMAS)] + _zero_laden_pairs():
         for n in range(1, 7):
             for root in (BULLET, CIRC, "any"):
                 expected = "\n".join(_formatted(a, b, n, root))
-                assert "\n".join(basis_pieces(a, b, n, root)) == expected
+                got = "\n".join(basis_pieces(a, b, n, root))
+                same = got == expected
+                assert same, (a.name, b.name, n, root, _first_difference(got, expected, "\n"))
 
 
 def test_basis_pieces_join_as_the_lines():
@@ -189,7 +199,9 @@ def test_basis_pieces_join_as_the_lines():
             lines = _formatted(a, b, n, root)
             for sep in ("\n", '", "'):
                 pieces = list(basis_pieces(a, b, n, root, sep))
-                assert sep.join(pieces) == sep.join(lines), (a.name, b.name, n, root)
+                got, expected = sep.join(pieces), sep.join(lines)
+                same = got == expected
+                assert same, (a.name, b.name, n, root, _first_difference(got, expected, sep))
                 assert len(pieces) <= len(lines)
     assert list(basis_pieces(zero, LIE, 4, BULLET)) == []
     assert list(basis_pieces(corolla, corolla, 8, CIRC)) == [
@@ -220,8 +232,10 @@ def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte(monkeypatch):
             for root in (BULLET, CIRC, "any"):
                 lines = [format_tree(t) for t in enumerate_basis(a, b, n, root)]
                 for sep in ("\n", '", "'):
-                    text = sep.join(basis_pieces(a, b, n, root, sep))
-                    assert text == sep.join(lines), (a.name, b.name, n, root, sep)
+                    text, expected = sep.join(basis_pieces(a, b, n, root, sep)), sep.join(lines)
+                    same = text == expected
+                    assert same, (a.name, b.name, n, root, sep,
+                                  _first_difference(text, expected, sep))
                 decorations.update(re.findall(r"dec=(\d+)", "".join(lines)))
     assert {"0", "11", "119"} <= decorations
     # Then two sparse operands up to n = 10, the leaf 10 printed as two
@@ -239,8 +253,9 @@ def test_basis_pieces_are_the_formatted_enumeration_byte_for_byte(monkeypatch):
         for root in (BULLET, CIRC, "any"):
             rooted = _rooted(lines, root)
             for sep in ("\n", '", "'):
-                text = sep.join(basis_pieces(a, b, n, root, sep))
-                assert text == sep.join(rooted), (n, root, sep)
+                text, expected = sep.join(basis_pieces(a, b, n, root, sep)), sep.join(rooted)
+                same = text == expected
+                assert same, (n, root, sep, _first_difference(text, expected, sep))
 
 
 def test_one_tree_per_decoration_is_the_formatted_enumeration(monkeypatch):

@@ -1,7 +1,7 @@
 """Command-line frontend with stable, scriptable output.
 
-Exit codes: 0 success, 1 mathematical failure (confluence FAIL),
-2 usage or parse errors, or a reader that closed stdout early.
+Exit codes: 0 success, 1 mathematical failure (confluence FAIL), 2 a refusal
+(one `error:` line on stderr, argparse's too) or a reader that closed stdout early.
 """
 from __future__ import annotations
 
@@ -112,9 +112,9 @@ def load_rules(path: str) -> list[sh.RewriteRule]:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of an existing file; one that cannot be read is bad input."""
+    """An existing file's text, less a leading byte-order mark; unreadable is bad input."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
@@ -265,10 +265,6 @@ def cmd_sp(args) -> tuple[dict, list[str]]:
 
 
 def cmd_quotient(args) -> tuple[dict, list[str]]:
-    if args.pattern not in trees.PATTERNS_BY_NAME:
-        raise CliError(
-            f"unknown pattern {args.pattern!r}; choose from {sorted(trees.PATTERNS_BY_NAME)}"
-        )
     x, y = resolve_operands(args)
     color = trees.PATTERNS_BY_NAME[args.pattern]
     total = dims_mod.basis_count(x, y, args.n)
@@ -288,15 +284,22 @@ def cmd_quotient(args) -> tuple[dict, list[str]]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by later calls in
-    the process: parse_args puts its results in a fresh namespace and
-    leaves the parser as it was."""
+    the process: parse_args puts its results in a fresh namespace, or
+    refuses by CliError, and leaves the parser as it was."""
     return _parsers()[0]
+
+
+# A parser that refuses by CliError, as main's other refusals do;
+# add_subparsers makes its subcommands' parsers of the same class.
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliError(message)
 
 
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The CLI's parser and its subcommands' parsers, by command name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freeop",
         description="Dimensions, bases, and rewriting for free products of binary operads.",
     )
@@ -331,7 +334,7 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p = sub.add_parser("quotient", help="pattern-avoidance quotient counts")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--pattern", required=True)
+    p.add_argument("--pattern", choices=trees.PATTERNS_BY_NAME, required=True)
     p.add_argument("-n", type=int, required=True)
 
     commands = sub.choices
@@ -345,29 +348,25 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
     parse_args would read argv with the top-level parser, which hands all
     that follows a command name to that command's parser.  An argv that
-    starts with a command name goes to that parser at once, which sets
-    what the top level would, and whatever it leaves over is refused by
-    the top level, in its words; any other argv goes the whole way.
+    starts with a command name goes to that parser's parse_args at once,
+    which sets and refuses what the top level would; any other argv goes
+    the whole way.  A refusal is a CliError holding argparse's message.
     """
     parser, commands = _parsers()
     if not argv or argv[0] not in commands:
         return parser.parse_args(argv)
-    args, extra = commands[argv[0]].parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def main(argv: list[str] | None = None) -> int:
     # A request parses its argv once, with its command's parser (`_parse`):
-    # going through the top-level parser first costs as much again.
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    # The handler is looked up by name at each call, not bound into the
-    # parser, which outlives the call: a cmd_* function replaced after the
-    # first call (wrapped by a tracer, say) is the one that runs.
-    handler = globals()["cmd_" + args.command.replace("-", "_")]
+    # going through the top-level parser first costs as much again.  The
+    # handler is looked up by name at each call, not bound into the parser,
+    # which outlives the call: a cmd_* function replaced after the first
+    # call (wrapped by a tracer, say) is the one that runs.
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
         if args.command in N_BOUNDS and args.n > N_BOUNDS[args.command]:
             raise CliError(f"-n must be <= {N_BOUNDS[args.command]}")
         payload, lines = handler(args)

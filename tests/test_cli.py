@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -13,6 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 try:
     import jsonschema
@@ -682,10 +685,10 @@ def test_quotient_text_output(capsys):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["nope"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    assert main(["nope"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.count("\n")) == ("", 1)
+    assert err.startswith("error: argument command: invalid choice: 'nope' (choose from ")
 
 
 def test_bad_operad_name(capsys):
@@ -773,7 +776,9 @@ def test_each_bound_refuses_before_any_input_is_read(capsys, monkeypatch, comman
 
     monkeypatch.setattr(cli, "resolve_operad", no_input)
     monkeypatch.setattr(cli, "load_rules", no_input)
-    nosuch = [a if a.startswith("--") else "nosuch" for a in args]
+    # argparse checks --pattern at parse, as it checks --root and --format
+    nosuch = [a if a.startswith("--") or a in trees_mod.PATTERNS_BY_NAME else "nosuch"
+              for a in args]
     assert (main([command, *nosuch, "-n", str(limit + 1)]), *capsys.readouterr()) == refusal
 
 
@@ -922,6 +927,28 @@ def test_config_error_is_reported_as_before(tmp_path, capsys, monkeypatch):
     cfg.write_text("a = builtin:lie\n")
     assert main(["basis", "--left", f"{cfg}:a", "--right", f"{cfg}:z", "-n", "4"]) == 2
     assert capsys.readouterr() == ("", f"error: operad 'z' not defined in {cfg}\n")
+
+
+def test_a_leading_byte_order_mark_is_not_text(tmp_path, capsys):
+    # Some editors start a UTF-8 file with U+FEFF: a config or rule file
+    # answers as it does without it, and a mark at the start of a later
+    # line is refused as any other stray character.
+    cfg, rules = tmp_path / "ops.cfg", tmp_path / "jacobi.rules"
+    jacobi = "x(x(1 2) 3) = x(1 x(2 3)) + x(x(1 3) 2)\n"
+    for path, text, argv, later in [
+        (cfg, "a = [1, 2]\n", ["dims", "--left", f"{cfg}:a", "--right", "as", "-n", "3"],
+         "error: config line 2: cannot parse '\\ufeffa = [1, 2]'\n"),
+        (rules, jacobi, ["confluence", "--rules", str(rules)],
+         "error: rule line 2, left side: expected a leaf number or generator symbol"
+         " (at position 0)\n"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        plain = (main(argv), *capsys.readouterr())
+        assert plain[0] == 0
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        assert (main(argv), *capsys.readouterr()) == plain
+        path.write_text(text + "\ufeff" + text, encoding="utf-8")
+        assert (main(argv), *capsys.readouterr()) == (2, "", later)
 
 
 def _requests(tmp_path):
@@ -1115,8 +1142,9 @@ _DISPATCH_ARGVS = [
 
 def test_main_parses_each_argv_as_the_whole_parser_does(capsys, monkeypatch):
     # main hands an argv that starts with a command to that command's
-    # parser alone: the Namespace, or the exit code and output of a
-    # refusal, must be those of build_parser().parse_args.
+    # parser alone: the Namespace, the help -h prints and its exit code, or
+    # the refusal's one error line with exit code 2, must be those of
+    # build_parser().parse_args.
     def stand_in(args):
         raise _Parsed(args)
 
@@ -1128,13 +1156,115 @@ def test_main_parses_each_argv_as_the_whole_parser_does(capsys, monkeypatch):
             expected = build_parser().parse_args(argv)
         except SystemExit as exc:
             expected = exc.code
+        except cli.CliError as exc:
+            expected = 2
+            print(f"error: {exc}", file=sys.stderr)
         expected_output = capsys.readouterr()
         try:
-            main(list(argv))
-            got = None
+            got = main(list(argv))
         except _Parsed as parsed:
             (got,) = parsed.args
         except SystemExit as exc:
             got = exc.code
         assert (got, capsys.readouterr()) == (expected, expected_output), argv
-        assert got is not None
+
+
+# --- the exit-code contract ------------------------------------------------
+
+# One valid request per command, as (flag, value) pairs, None for a switch.
+# Each stays cheap under any mutation: n <= 5 where it lists or may read a
+# written operand, and every other -n a mutation sets is at most 2 or past
+# the bound.
+_VALID_REQUESTS = {
+    "dims": [("--left", "lie"), ("--right", "com"), ("-n", "5")],
+    "confluence": [("--rules", "lie-adm"), ("--max-arity", "5")],
+    "count-normal": [("--rules", "lie-adm"), ("-n", "5"), ("--alphabet", "x,y")],
+    "basis": [("--left", "as"), ("--right", "com"), ("-n", "4"), ("--root", "circ"),
+              ("--list", None)],
+    "sp": [("-n", "5"), ("--list", None), ("--format", "json")],
+    "quotient": [("--left", "lie"), ("--right", "com-as"),
+                 ("--pattern", "bullet-composite-child"), ("-n", "5"), ("--format", "json")],
+}
+# A value in braces names the file a request writes before it runs.
+_WRITTEN = {"--left": "{cfg}:a", "--right": "{cfg}:a", "--rules": "{rules}"}
+_CONFIG_TEXT = "a = [1, 2, 5, 14] builtin:as  # a head and a tail\nb = builtin:lie\n"
+_RULES_TEXT = (Path(cli.__file__).parent / "rules" / "lie-adm.rules").read_text()
+_TEXT_CHARS = st.one_of(st.sampled_from("()[]=,:+-*/#xy 1239\n\t\ufeff"),
+                        st.characters(codec="utf-8"))
+
+
+@st.composite
+def _mutated_text(draw, text):
+    """text with characters inserted, deleted or replaced, a digit run near
+    640 or 4300 digits put in, or a byte-order mark put in front."""
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "digits", "mark"]))
+        i = draw(st.integers(0, len(text)))
+        if kind == "mark":
+            text = "\ufeff" + text
+        elif kind == "digits":
+            run = draw(st.sampled_from([639, 640, 641, 4299, 4300, 4301]))
+            text = text[:i] + "9" * run + text[i:]
+        else:
+            new = "" if kind == "delete" else draw(_TEXT_CHARS)
+            text = text[:i] + new + text[i + (kind != "insert"):]
+    return text
+
+
+@st.composite
+def _mutated_request(draw):
+    """(argv, config text, rule text): a valid request, its operands or rules
+    perhaps read from the written files, with up to three flags or values
+    dropped, repeated, added or changed."""
+    command = draw(st.sampled_from(sorted(_VALID_REQUESTS)))
+    pairs = list(_VALID_REQUESTS[command])
+    if draw(st.booleans()):
+        pairs = [(flag, _WRITTEN.get(flag, value)) for flag, value in pairs]
+    kinds = st.sampled_from(["drop", "repeat", "unknown", "value", "value", "command"])
+    for kind in draw(st.lists(kinds, max_size=3)):
+        if kind == "unknown":
+            flag = ("--bogus", draw(st.sampled_from([None, "3"])))
+            pairs.insert(draw(st.integers(0, len(pairs))), flag)
+        elif kind == "command":
+            command = draw(st.sampled_from(["nope", "dim", "--format"]))
+        elif pairs:
+            i = draw(st.integers(0, len(pairs) - 1))
+            flag, value = pairs[i]
+            if kind == "drop":
+                del pairs[i]
+            elif kind == "repeat":
+                pairs.append(pairs[i])
+            elif flag in ("-n", "--max-arity"):
+                bound = cli.N_BOUNDS.get(command, 0)  # --max-arity has none
+                pairs[i] = flag, draw(st.sampled_from(
+                    ["0", "1", "2", str(bound + 1), str(10**30), "-3", "x", ""]))
+            elif flag in _WRITTEN:
+                pairs[i] = flag, draw(st.sampled_from(
+                    ["nosuch", ":", "builtin:", "a:b:c", _WRITTEN[flag]]))
+            elif value is not None:
+                pairs[i] = flag, draw(st.sampled_from(["nope", "", "JSON", "bullet"]))
+    argv = [command] + [a for pair in pairs for a in pair if a is not None]
+    return argv, draw(_mutated_text(_CONFIG_TEXT)), draw(_mutated_text(_RULES_TEXT))
+
+
+@given(_mutated_request())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_every_request_exits_0_1_or_2_as_the_contract_says(tmp_path_factory, request):
+    # The north star: a malformed request exits 2 with one error line and
+    # nothing on stdout, never a traceback; 1 is a confluence FAIL only.
+    argv, config_text, rules_text = request
+    directory = tmp_path_factory.getbasetemp()
+    files = {"cfg": directory / "ops.cfg", "rules": directory / "mutated.rules"}
+    files["cfg"].write_text(config_text, encoding="utf-8")
+    files["rules"].write_text(rules_text, encoding="utf-8")
+    argv = [a.format(**files) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert (out, err.count("\n"), err[:7], err[-1:]) == ("", 1, "error: ", "\n"), argv
+    else:
+        assert err == "", argv
+        assert code == 0 or (code == 1 and argv[0] == "confluence" and (
+            out.startswith("FAIL") or json.loads(out)["passed"] is False)), argv

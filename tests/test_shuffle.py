@@ -191,6 +191,25 @@ def test_order_key_separates_symbols_of_several_characters():
     assert parse_rules(f"{big} = {small}") == parse_rules(f"{small} = {big}")
 
 
+def test_order_answers_alike_after_the_word_cache_is_cleared():
+    # shuffle._WORDS is emptied when it reaches _WORDS_MAX symbols: keying
+    # monomials over one more distinct symbol than that empties it at least
+    # once, and compare rebuilds the words it dropped to the same answers.
+    pairs = [(parse_monomial(a), parse_monomial(b)) for a, b in [
+        ("a(ba(1 4) ba(2 3))", "ab(a(1 4) a(2 3))"),
+        ("ab(1 ba(2 3))", "ba(ab(1 2) 3)"),
+        ("x(y(1 3) 2)", "y(x(1 2) 3)"),
+    ]]
+    pairs += [(b, a) for a, b in pairs]
+    before = [compare(a, b) for a, b in pairs]
+    assert set(before) == {-1, 1}
+    for i in range(shuffle._WORDS_MAX + 1):
+        monomial_key((f"s{i}", 1, 2))
+    assert len(shuffle._WORDS) <= shuffle._WORDS_MAX
+    assert not {"a", "ab", "ba", "x", "y"} & shuffle._WORDS.keys()
+    assert [compare(a, b) for a, b in pairs] == before
+
+
 def _ref_order_key(m):
     """The order key with path words as tuples: -ord(c) per symbol
     character, each symbol closed by 0, above every -ord(c), and the word
@@ -1066,6 +1085,14 @@ def test_quotient_dimension_by_rank_needs_no_order():
         assert [count_normal_monomials([("x", 2)], rules, n) for n in arities] == normal
         failures = check_confluence(rules, max_arity).failures
         assert min(arity(m) for m, _ in failures) == arities[-1]
+    # A pair the monomial order does not decrease under every substitution:
+    # reduction is refused, and the normal monomials outnumber the
+    # quotient's dimension from arity 4.
+    pair = parse_rules("x(y(1 3) 2) = x(1 y(2 3))\ny(x(1 2) 3) = y(1 x(2 3))")
+    assert [_quotient_dim(XY, pair, n) for n in range(2, 5)] == [2, 10, 80]
+    assert [count_normal_monomials(XY, pair, n) for n in range(2, 5)] == [2, 10, 84]
+    with pytest.raises(ShuffleError, match="^rewrite does not decrease: "):
+        check_confluence(pair, 5)
 
 
 def test_monomial_rules_on_disjoint_alphabets_count_the_free_product():
